@@ -7,12 +7,18 @@ four-dimensional photon (entering on ``c1``/``c2``) back onto two photons
 exiting on ``t`` and on one of the two channels ``c``/``c'``.  Detection
 heralds success; pattern-dependent unitary corrections (feed-forward) fold
 all heralded branches onto the canonical output.
+
+A circuit's elements compile once into a single linear substitution of the
+creation operators (``elements.compile_elements``, cached), which
+``run_circuit`` applies in one ``PureState.substituted`` call per pure input
+branch; feed-forward corrections are applied the same way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 from .elements import (
     Hwp,
@@ -21,12 +27,13 @@ from .elements import (
     Pbs,
     Relabel,
     SigmaX,
+    SignFlipV,
     Unfold,
-    apply_element,
-    apply_relabel,
-    apply_sigma_x,
-    apply_sign_flip_v,
+    apply_elements,
 )
+
+# one-element appliers, re-exported: perfbench/tracing.py wraps them here
+from .elements import apply_element, apply_relabel, apply_sigma_x, apply_sign_flip_v  # noqa: F401
 from .states import (
     H,
     V,
@@ -36,8 +43,6 @@ from .states import (
     MixedState,
     PureState,
 )
-
-INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 class CircuitError(ValueError):
@@ -128,20 +133,8 @@ class Circuit:
             check(mode)
         retired: set[str] = set()
         for el in self.elements:
-            used: tuple[str, ...]
-            if isinstance(el, Hwp):
-                used = (el.mode,)
-            elif isinstance(el, Pbs):
-                used = (el.in1, el.in2, el.out1, el.out2)
-            elif isinstance(el, Unfold):
-                used = (el.src, el.out_h, el.out_v)
-            elif isinstance(el, Merge):
-                used = (el.in_h, el.in_v, el.out)
-            elif isinstance(el, Relabel):
-                used = (el.src, el.dst)
-            else:
-                used = (el.mode,)
-            for mode in used:
+            # every string field of an element names a mode
+            for mode in (v for v in vars(el).values() if isinstance(v, str)):
                 check(mode)
                 if mode in retired:
                     raise CircuitError(
@@ -193,38 +186,34 @@ def initial_state(
     state = PureState.vacuum()
     for inp in circuit.inputs:
         if isinstance(inp, PhotonIn):
-            tag = tags.get(inp.mode, inp.tag)
-            state = state.create(inp.mode, inp.pol, tag, cap=cap)
+            amps, kets, tag = (1.0,), (((inp.mode, inp.pol),),), inp.tag
         elif isinstance(inp, QubitSlot):
-            a0, a1 = normalized_amplitudes(bindings[inp.name], 2)
-            tag = tags.get(inp.mode, "")
-            state = a0 * state.create(inp.mode, H, tag, cap=cap) + a1 * state.create(
-                inp.mode, V, tag, cap=cap
-            )
+            amps = normalized_amplitudes(bindings[inp.name], 2)
+            kets, tag = (((inp.mode, H),), ((inp.mode, V),)), ""
         else:
             amps = normalized_amplitudes(bindings[inp.name], 4)
+            kets = tuple(((m, p),) for m in (inp.mode1, inp.mode2) for p in (H, V))
             tag = tags.get(inp.mode1, "")
-            components = (
-                (inp.mode1, H),
-                (inp.mode1, V),
-                (inp.mode2, H),
-                (inp.mode2, V),
-            )
-            state = sum(
-                (
-                    a * state.create(mode, pol, tags.get(mode, tag), cap=cap)
-                    for a, (mode, pol) in zip(amps, components)
-                    if a != 0
-                ),
-                PureState.zero(),
-            )
+        mode_tags = {m: tags.get(m, tag) for ket in kets for m, _ in ket}
+        state = superpose(state, amps, kets, mode_tags, cap)
     return state
 
 
-def apply_elements(state: PureState, elements) -> PureState:
-    for el in elements:
-        state = apply_element(state, el)
-    return state
+def superpose(base: PureState, amps, kets, tags=None, cap=DEFAULT_PHOTON_CAP) -> PureState:
+    """Sum of ``a * (base with the ket's photons created)`` over nonzero ``a``.
+
+    A ket is a sequence of ``(mode, pol)`` photons; ``tags`` maps a mode to
+    its distinguishability tag.
+    """
+    tags = tags or {}
+    out = PureState.zero()
+    for a, ket in zip(amps, kets):
+        if a != 0:
+            term = base
+            for mode, pol in ket:
+                term = term.create(mode, pol, tags.get(mode, ""), cap=cap)
+            out = out + complex(a) * term
+    return out
 
 
 def run_circuit(
@@ -232,7 +221,7 @@ def run_circuit(
     input_state: PureState | MixedState | None = None,
     bindings: dict[str, tuple[complex, ...]] | None = None,
 ) -> list[ConditionalOutcome]:
-    """Apply all elements in order, then each detection pattern."""
+    """Apply the compiled circuit once per pure branch, then each detection pattern."""
     if input_state is None:
         input_state = initial_state(circuit, bindings)
     if isinstance(input_state, MixedState):
@@ -258,13 +247,15 @@ def fusion_patterns() -> tuple[DetectionPattern, ...]:
     )
 
 
+@cache
 def build_fusion_circuit() -> Circuit:
     """Three-photon fusion apparatus.
 
     Ancilla Hadamard, copy of ``c`` onto ``a`` at a PBS, Hadamards, unfolding
     of ``t`` into ``t1``/``t2``, target Hadamards (the ``t2`` plate is a NOT
     followed by a Hadamard), the two PBS CNOTs, and exit Hadamards on all
-    four outputs.
+    four outputs.  Built and validated once; later calls return the same
+    frozen circuit.
     """
     circuit = Circuit(
         modes=("a", "c", "t", "t1", "t2"),
@@ -293,13 +284,7 @@ def build_fusion_circuit() -> Circuit:
 
 def fused_target(amps) -> PureState:
     """The merged single-photon state for qudit amplitudes (t1H, t1V, t2H, t2V)."""
-    amps = tuple(complex(a) for a in amps)
-    vac = PureState.vacuum()
-    comps = (("t1", H), ("t1", V), ("t2", H), ("t2", V))
-    return sum(
-        (a * vac.create(m, p) for a, (m, p) in zip(amps, comps) if a != 0),
-        PureState.zero(),
-    )
+    return superpose(PureState.vacuum(), amps, [((m, p),) for m in ("t1", "t2") for p in (H, V)])
 
 
 def product_qudit(psi, phi) -> tuple[complex, ...]:
@@ -325,16 +310,8 @@ def run_fusion(
         if psi is not None or phi is not None:
             raise ValueError("give either psi/phi or an entangled input")
         amps = normalized_amplitudes(entangled, 4)
-        state = PureState.vacuum().create("a", H)
-        comps = (("t", H, "c", H), ("t", H, "c", V), ("t", V, "c", H), ("t", V, "c", V))
-        state = sum(
-            (
-                a * state.create(tm, tp).create(cm, cp)
-                for a, (tm, tp, cm, cp) in zip(amps, comps)
-                if a != 0
-            ),
-            PureState.zero(),
-        )
+        kets = [(("t", tp), ("c", cp)) for tp in (H, V) for cp in (H, V)]
+        state = superpose(PureState.vacuum().create("a", H), amps, kets)
         return run_circuit(circuit, input_state=state)
     if psi is None or phi is None:
         raise ValueError("psi and phi amplitude pairs are required")
@@ -353,12 +330,8 @@ def apply_feed_forward(outcome: ConditionalOutcome) -> PureState:
     pc = outcome.pattern.requirement_for("c")
     if pa not in (H, V) or pc not in (H, V):
         raise ValueError("outcome does not carry a fusion detection pattern")
-    state = outcome.state
-    if pa == V:
-        state = apply_sigma_x(state, "t1")
-    if pc == V:
-        state = apply_sigma_x(state, "t2")
-    return state.factor_on_modes(("t1", "t2"))
+    flips = tuple(SigmaX(mode) for mode, pol in (("t1", pa), ("t2", pc)) if pol == V)
+    return apply_elements(outcome.state, flips).factor_on_modes(("t1", "t2"))
 
 
 # -- fission apparatus ------------------------------------------------------
@@ -376,13 +349,15 @@ def fission_patterns() -> tuple[DetectionPattern, ...]:
     return tuple(out)
 
 
+@cache
 def build_fission_circuit() -> Circuit:
     """Three-photon fission apparatus (the fusion layout traversed backwards).
 
     The four-dimensional photon enters on ``c1``/``c2``; target and ancilla
     photons enter H-polarized on ``t`` and ``a``.  The PBS recombining
     ``c1``/``c2`` has two exits ``c`` and ``c'``; a NOT plate on ``c'``
-    aligns that channel's polarization with the ``c`` exit.
+    aligns that channel's polarization with the ``c`` exit.  Built and
+    validated once, like the fusion circuit.
     """
     circuit = Circuit(
         modes=("c1", "c2", "t", "a", "c", "c'"),
@@ -421,17 +396,8 @@ def run_fission(amps) -> list[ConditionalOutcome]:
 
 def fission_success_target(amps) -> PureState:
     """Expected split two-photon state on (t, c) for the heralded branch."""
-    amps = tuple(complex(a) for a in amps)
-    vac = PureState.vacuum()
-    comps = ((H, H), (V, H), (H, V), (V, V))
-    return sum(
-        (
-            a * vac.create("t", tp).create("c", cp)
-            for a, (tp, cp) in zip(amps, comps)
-            if a != 0
-        ),
-        PureState.zero(),
-    )
+    kets = [(("t", tp), ("c", cp)) for cp in (H, V) for tp in (H, V)]
+    return superpose(PureState.vacuum(), amps, kets)
 
 
 def fission_feed_forward(outcome: ConditionalOutcome) -> PureState:
@@ -448,10 +414,7 @@ def fission_feed_forward(outcome: ConditionalOutcome) -> PureState:
     via_prime = outcome.pattern.requirement_for("c'") == "any"
     if pa not in (H, V):
         raise ValueError("outcome does not carry a fission detection pattern")
-    state = outcome.state
-    if pa == V:
-        state = apply_sign_flip_v(state, "t")
+    corrections: tuple[OpticalElement, ...] = (SignFlipV("t"),) if pa == V else ()
     if via_prime:
-        state = apply_sigma_x(state, "t")
-        state = apply_relabel(state, "c'", "c")
-    return state.factor_on_modes(("t", "c"))
+        corrections += (SigmaX("t"), Relabel("c'", "c"))
+    return apply_elements(outcome.state, corrections).factor_on_modes(("t", "c"))

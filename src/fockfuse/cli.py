@@ -12,6 +12,7 @@ tolerance of 1e-10 used by ``verify``.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 import time
@@ -50,13 +51,16 @@ from .states import H, V, PureState, fidelity
 from .verify import run_verification
 
 
-def _parse_amplitudes(text: str, n: int) -> tuple[complex, ...]:
+def _parse_amplitudes(text: str, n: int | None = None) -> tuple[complex, ...]:
+    """Comma-separated finite complex amplitudes, normalized; ``n`` fixes the count."""
     try:
         parts = [complex(chunk.strip().replace("i", "j")) for chunk in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse amplitudes from {text!r}") from None
-    if len(parts) != n:
+    if n is not None and len(parts) != n:
         raise argparse.ArgumentTypeError(f"expected {n} comma-separated amplitudes, got {len(parts)}")
+    if not all(cmath.isfinite(z) for z in parts):
+        raise argparse.ArgumentTypeError(f"amplitudes must be finite, got {text!r}")
     norm = np.linalg.norm(parts)
     if norm == 0:
         raise argparse.ArgumentTypeError("amplitudes are all zero")
@@ -73,9 +77,12 @@ def _qudit_arg(text: str) -> tuple[complex, ...]:
 
 def _complex_arg(text: str) -> complex:
     try:
-        return complex(text.replace("i", "j"))
+        z = complex(text.replace("i", "j"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}") from None
+    if not cmath.isfinite(z):
+        raise argparse.ArgumentTypeError(f"complex number must be finite, got {text!r}")
+    return z
 
 
 def _emit(args, report: ExperimentReport, csv_text: str | None = None) -> None:
@@ -294,6 +301,8 @@ def cmd_fit_p(args) -> int:
     text = path.read_text()
     if path.suffix.lower() == ".json":
         payload = json.loads(text)
+        if not isinstance(payload, dict) or "entries" not in payload:
+            raise ValueError(f"{path}: expected a JSON object with an 'entries' matrix")
         observed = ProbabilityMatrix.from_rows(
             payload.get("basis", args.basis),
             payload["entries"],
@@ -343,9 +352,11 @@ def cmd_run(args) -> int:
         if not amps:
             print(f"error: --bind needs name=a0,a1,... (got {item!r})", file=sys.stderr)
             return 2
-        values = [complex(chunk.strip().replace("i", "j")) for chunk in amps.split(",")]
-        norm = np.linalg.norm(values)
-        bindings[name.strip()] = tuple(complex(z / norm) for z in values)
+        try:
+            bindings[name.strip()] = _parse_amplitudes(amps)
+        except argparse.ArgumentTypeError as exc:
+            print(f"error: --bind {name.strip()}: {exc}", file=sys.stderr)
+            return 2
     missing = [n for n in circuit.slot_names() if n not in bindings]
     if missing:
         print(f"error: unbound input slots: {', '.join(missing)}", file=sys.stderr)

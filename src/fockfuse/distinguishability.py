@@ -33,14 +33,13 @@ import numpy as np
 from .circuits import apply_elements, build_fusion_circuit
 from .states import (
     H,
+    INV_SQRT2,
     V,
     DetectionPattern,
     MixedState,
     PureState,
     projector_probability,
 )
-
-INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 KET_H = (1.0, 0.0)
 KET_V = (0.0, 1.0)
@@ -458,6 +457,8 @@ def fit_p(observed, basis="ii", *, tol: float = 1e-4) -> float:
     the given basis.
     """
     obs = observed.as_array() if isinstance(observed, ProbabilityMatrix) else np.asarray(observed, dtype=float)
+    if not np.isfinite(obs).all():
+        raise ValueError("observed matrix entries must be finite")
     if (obs < 0).any():
         raise ValueError("observed matrix must be non-negative")
     if obs.sum() == 0.0:

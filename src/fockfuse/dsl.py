@@ -208,10 +208,6 @@ def parse_circuit(text: str) -> Circuit:
     return circuit
 
 
-def _format_angle(theta: float) -> str:
-    return f"{theta:g}"
-
-
 def serialize_circuit(circuit: Circuit) -> str:
     """Render a circuit back into DSL text (parse round trips exactly)."""
     lines = [f"mode {m}" for m in circuit.modes]
@@ -227,7 +223,7 @@ def serialize_circuit(circuit: Circuit) -> str:
     lines.append("")
     for el in circuit.elements:
         if isinstance(el, Hwp):
-            lines.append(f"hwp {el.mode} {_format_angle(el.theta)}")
+            lines.append(f"hwp {el.mode} {el.theta:g}")
         elif isinstance(el, Pbs):
             lines.append(f"pbs {el.in1} {el.in2} {el.out1} {el.out2}")
         elif isinstance(el, Unfold):

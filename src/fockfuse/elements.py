@@ -1,18 +1,29 @@
-"""Linear optical elements acting on states by creation-operator substitution.
+"""Linear optical elements, compiled into one creation-operator substitution.
 
 Conventions: a half-wave plate at angle theta (degrees from the H axis)
 applies the Jones matrix [[cos 2t, sin 2t], [sin 2t, -cos 2t]]; polarizing
 beam splitters transmit H and reflect V without adding a phase.  Every
 element preserves total photon number, and all act identically on each
 distinguishability tag sector.
+
+Each element is a small substitution block on the ``(mode, channel)``
+creation operators it touches.  ``compile_elements`` composes a sequence's
+blocks into one sparse linear map, so a circuit compiles once and is applied
+in a single ``PureState.substituted`` call.  Unfold, Merge and Relabel need
+their targets empty; each such check becomes structural: the set of input
+operators reaching the forbidden operator at that step with a coefficient
+above ``PRUNE_TOL``.  A state fails when its support meets that set, so the
+check also fires when interference leaves the target exactly empty.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Iterable
 
-from .states import H, V, PureState
+from .states import H, PRUNE_TOL, V, PureState
 
 
 @dataclass(frozen=True)
@@ -73,96 +84,118 @@ class SignFlipV:
 
 OpticalElement = Hwp | Pbs | Unfold | Merge | Relabel | SigmaX | SignFlipV
 
-
-def apply_hwp(state: PureState, mode: str, theta: float) -> PureState:
-    rad = math.radians(2.0 * theta)
-    c, s = math.cos(rad), math.sin(rad)
-    return state.substituted(
-        {
-            (mode, H): (((mode, H), c), ((mode, V), s)),
-            (mode, V): (((mode, H), s), ((mode, V), -c)),
-        }
-    )
+#: (mode, channel) -> image as (((mode, channel), coefficient), ...)
+Rules = dict[tuple[str, str], tuple[tuple[tuple[str, str], complex], ...]]
 
 
-def apply_pbs(state: PureState, in1: str, in2: str, out1: str, out2: str) -> PureState:
-    return state.substituted(
-        {
-            (in1, H): (((out1, H), 1.0),),
-            (in1, V): (((out2, V), 1.0),),
-            (in2, H): (((out2, H), 1.0),),
-            (in2, V): (((out1, V), 1.0),),
-        }
-    )
+def _moves(*routes: tuple[str, str, str]) -> Rules:
+    """Unit-coefficient block moving ``(src, channel)`` onto ``(dst, channel)``."""
+    return {(src, ch): (((dst, ch), 1.0),) for src, ch, dst in routes}
 
 
-def apply_unfold(state: PureState, src: str, out_h: str, out_v: str) -> PureState:
-    for target in (out_h, out_v):
-        if target in state.modes():
-            raise ValueError(f"unfold target {target!r} already carries photons")
-    return state.substituted(
-        {
-            (src, H): (((out_h, H), 1.0),),
-            (src, V): (((out_v, V), 1.0),),
-        }
-    )
+def _empty(kind: str, *modes: str) -> tuple:
+    """Checks that each target mode is empty, in the optical and rail channels."""
+    message = "{} target {!r} already carries photons"
+    return tuple(((m, ch), message.format(kind, m)) for m in modes for ch in (H, V, ""))
 
 
-def apply_merge(state: PureState, in_h: str, in_v: str, out: str) -> PureState:
-    for occ, _ in state.items():
-        for (mode, channel, _tag), _n in occ:
-            if (mode == in_h and channel == V) or (mode == in_v and channel == H):
-                raise ValueError(
-                    f"merge undefined: {mode!r} carries the reflected polarization"
-                )
-    return state.substituted(
-        {
-            (in_h, H): (((out, H), 1.0),),
-            (in_v, V): (((out, V), 1.0),),
-        }
-    )
+def _block(element: OpticalElement) -> tuple[Rules, tuple]:
+    """An element's substitution block and the ``(operator, error)`` checks
+    that the operator is empty before it."""
+    match element:
+        case Hwp(mode, theta):
+            c, s = math.cos(math.radians(2.0 * theta)), math.sin(math.radians(2.0 * theta))
+            return {
+                (mode, H): (((mode, H), c), ((mode, V), s)),
+                (mode, V): (((mode, H), s), ((mode, V), -c)),
+            }, ()
+        case Pbs(in1, in2, out1, out2):
+            return _moves((in1, H, out1), (in1, V, out2), (in2, H, out2), (in2, V, out1)), ()
+        case Unfold(src, out_h, out_v):
+            return _moves((src, H, out_h), (src, V, out_v)), _empty("unfold", out_h, out_v)
+        case Merge(in_h, in_v, out):
+            message = "merge undefined: {!r} carries the reflected polarization"
+            checks = (((in_h, V), message.format(in_h)), ((in_v, H), message.format(in_v)))
+            return _moves((in_h, H, out), (in_v, V, out)), checks
+        case Relabel(src, dst):
+            if src == dst:
+                return {}, ()
+            return _moves((src, H, dst), (src, V, dst)), _empty("relabel", dst)
+        case SigmaX(mode):
+            return {(mode, H): (((mode, V), 1.0),), (mode, V): (((mode, H), 1.0),)}, ()
+        case SignFlipV(mode):
+            return {(mode, V): (((mode, V), -1.0),)}, ()
+    raise TypeError(f"unknown optical element {element!r}")
 
 
-def apply_relabel(state: PureState, src: str, dst: str) -> PureState:
-    if src == dst:
-        return state
-    if dst in state.modes():
-        raise ValueError(f"relabel target {dst!r} already carries photons")
-    return state.substituted(
-        {
-            (src, H): (((dst, H), 1.0),),
-            (src, V): (((dst, V), 1.0),),
-        }
-    )
+@lru_cache(maxsize=256)
+def compile_elements(elements: tuple[OpticalElement, ...]) -> tuple[Rules, tuple]:
+    """Compose the elements' blocks, in order, into one sparse linear map.
+
+    Returns the rules (operators no element touches are left out) and, in
+    step order, the checks: (frozenset of input operators that reach a
+    forbidden operator, the error that step raises).
+    """
+    images: dict[tuple[str, str], dict[tuple[str, str], complex]] = {}
+    checks = []
+    for element in elements:
+        block, forbidden = _block(element)
+        for op, message in forbidden:
+            reach = {src for src, image in images.items() if abs(image.get(op, 0.0)) > PRUNE_TOL}
+            checks.append((frozenset(reach if op in images else reach | {op}), message))
+        for op in block:
+            images.setdefault(op, {op: 1.0})
+        for src, image in images.items():
+            out: dict[tuple[str, str], complex] = {}
+            for mid, coeff in image.items():
+                for dst, u in block.get(mid, ((mid, 1.0),)):
+                    out[dst] = out.get(dst, 0.0) + coeff * u
+            images[src] = {dst: u for dst, u in out.items() if abs(u) > PRUNE_TOL}
+    return {src: tuple(image.items()) for src, image in images.items()}, tuple(checks)
 
 
-def apply_sigma_x(state: PureState, mode: str) -> PureState:
-    return state.substituted(
-        {
-            (mode, H): (((mode, V), 1.0),),
-            (mode, V): (((mode, H), 1.0),),
-        }
-    )
+def apply_elements(state: PureState, elements: Iterable[OpticalElement]) -> PureState:
+    """Apply an element sequence, in order, in one substitution.
 
-
-def apply_sign_flip_v(state: PureState, mode: str) -> PureState:
-    return state.substituted({(mode, V): (((mode, V), -1.0),)})
+    Raises ``ValueError`` when the state's support reaches an operator that
+    an Unfold, Merge or Relabel requires to be empty.
+    """
+    rules, checks = compile_elements(tuple(elements))
+    if checks:
+        support = {(m, ch) for occ, _amp in state.items() for (m, ch, _tag), _n in occ}
+        for reach, message in checks:
+            if not reach.isdisjoint(support):
+                raise ValueError(message)
+    return state.substituted(rules) if rules else state
 
 
 def apply_element(state: PureState, element: OpticalElement) -> PureState:
-    match element:
-        case Hwp(mode, theta):
-            return apply_hwp(state, mode, theta)
-        case Pbs(in1, in2, out1, out2):
-            return apply_pbs(state, in1, in2, out1, out2)
-        case Unfold(src, out_h, out_v):
-            return apply_unfold(state, src, out_h, out_v)
-        case Merge(in_h, in_v, out):
-            return apply_merge(state, in_h, in_v, out)
-        case Relabel(src, dst):
-            return apply_relabel(state, src, dst)
-        case SigmaX(mode):
-            return apply_sigma_x(state, mode)
-        case SignFlipV(mode):
-            return apply_sign_flip_v(state, mode)
-    raise TypeError(f"unknown optical element {element!r}")
+    return apply_elements(state, (element,))
+
+
+def apply_hwp(state: PureState, mode: str, theta: float) -> PureState:
+    return apply_element(state, Hwp(mode, theta))
+
+
+def apply_pbs(state: PureState, in1: str, in2: str, out1: str, out2: str) -> PureState:
+    return apply_element(state, Pbs(in1, in2, out1, out2))
+
+
+def apply_unfold(state: PureState, src: str, out_h: str, out_v: str) -> PureState:
+    return apply_element(state, Unfold(src, out_h, out_v))
+
+
+def apply_merge(state: PureState, in_h: str, in_v: str, out: str) -> PureState:
+    return apply_element(state, Merge(in_h, in_v, out))
+
+
+def apply_relabel(state: PureState, src: str, dst: str) -> PureState:
+    return apply_element(state, Relabel(src, dst))
+
+
+def apply_sigma_x(state: PureState, mode: str) -> PureState:
+    return apply_element(state, SigmaX(mode))
+
+
+def apply_sign_flip_v(state: PureState, mode: str) -> PureState:
+    return apply_element(state, SignFlipV(mode))

@@ -13,14 +13,11 @@ fission inverts fusion exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .states import PureState
+from .states import INV_SQRT2, PureState
 
 RailPair = tuple[str, str]
-
-INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 #: rails of the two-qubit state returned by ``fission``
 FISSION_C_RAILS: RailPair = ("c_0", "c_1")

@@ -25,6 +25,7 @@ V = "V"
 UNTAGGED = ""
 
 PRUNE_TOL = 1e-12
+INV_SQRT2 = 1.0 / math.sqrt(2.0)
 DEFAULT_PHOTON_CAP = 4
 
 #: (mode, channel, tag)
@@ -41,18 +42,18 @@ def make_key(mode: str, channel: str, tag: str | None = None) -> Key:
     return (mode, channel, tag if tag else UNTAGGED)
 
 
-def occupation_of(counts: Mapping[Key, int]) -> Occupation:
-    return tuple(sorted((k, n) for k, n in counts.items() if n > 0))
-
-
 def total_photons(occ: Occupation) -> int:
     return sum(n for _, n in occ)
 
 
 def _occ_bump(occ: Occupation, key: Key) -> Occupation:
-    counts = dict(occ)
-    counts[key] = counts.get(key, 0) + 1
-    return tuple(sorted(counts.items()))
+    """``occ`` with one more photon on ``key``, kept sorted."""
+    for i, (k, n) in enumerate(occ):
+        if k == key:
+            return occ[:i] + ((k, n + 1),) + occ[i + 1 :]
+        if key < k:
+            return occ[:i] + ((key, 1),) + occ[i:]
+    return occ + ((key, 1),)
 
 
 def _mode_channel_counts(occ: Occupation, modes: frozenset[str]) -> tuple[int, int]:

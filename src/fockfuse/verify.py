@@ -8,7 +8,6 @@ variable.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 
@@ -49,14 +48,13 @@ from .rails import (
 )
 from .states import (
     H,
+    INV_SQRT2,
     V,
     DetectionPattern,
     MixedState,
     PureState,
     fidelity,
 )
-
-INV_SQRT2 = 1.0 / math.sqrt(2.0)
 BASIS_KETS = {
     "H": (1.0, 0.0),
     "V": (0.0, 1.0),

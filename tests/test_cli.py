@@ -40,6 +40,12 @@ class TestFuseCommand:
         with pytest.raises(SystemExit):
             main(["fuse", "--psi", "1,0"])
 
+    def test_rejects_nan_amplitude(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fuse", "--psi", "nan,1", "--phi", "1,0"])
+        assert exc.value.code == 2
+        assert "error: argument --psi: amplitudes must be finite" in capsys.readouterr().err
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "fuse", "--psi", "0.6,0.8", "--phi", "1,0", "--format", "json")
         _, second, _ = run_cli(capsys, "fuse", "--psi", "0.6,0.8", "--phi", "1,0", "--format", "json")
@@ -164,6 +170,22 @@ class TestFitP:
         assert code == 0
         assert json.loads(out)["tables"]["fit"]["p"] == pytest.approx(0.5, abs=1e-3)
 
+    def test_json_without_entries_reports_error(self, capsys, tmp_path):
+        path = tmp_path / "observed.json"
+        path.write_text(json.dumps({"basis": "ii"}))
+        code, out, err = run_cli(capsys, "fit-p", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "'entries'" in err
+        assert len(err.splitlines()) == 1
+
+    def test_nan_count_reports_error(self, capsys, tmp_path):
+        path = tmp_path / "observed.csv"
+        rows = ["input/output,a,b,c,d", "r0,nan,1,1,1"] + [f"r{i},1,1,1,1" for i in (1, 2, 3)]
+        path.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(capsys, "fit-p", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: observed matrix entries must be finite\n"
+
 
 class TestRunCommand:
     def test_run_shipped_fusion(self, capsys, tmp_path):
@@ -181,6 +203,13 @@ class TestRunCommand:
         code, _, err = run_cli(capsys, "run", str(path), "--bind", "psi=1,0")
         assert code == 2
         assert "phi" in err
+
+    def test_zero_binding_reports_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "run", "fusion.lop", "--bind", "psi=0,0", "--bind", "phi=1,0"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --bind psi: amplitudes are all zero\n"
 
     def test_parse_error_is_reported(self, capsys, tmp_path):
         path = tmp_path / "broken.lop"
