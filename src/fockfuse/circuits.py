@@ -16,9 +16,11 @@ branch; feed-forward corrections are applied the same way.
 
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass
 from functools import cache
+
+import numpy as np
 
 from .elements import (
     Hwp,
@@ -46,7 +48,17 @@ from .states import (
 
 
 class CircuitError(ValueError):
-    """Structural problem in a circuit definition."""
+    """Structural problem in a circuit definition.
+
+    ``entry`` is the failing ``(section, index)``, a section being one of
+    ``"modes"``, ``"inputs"``, ``"elements"`` and ``"patterns"``; ``mode`` is
+    the mode involved.
+    """
+
+    def __init__(self, message: str, entry: tuple[str, int], mode: str):
+        super().__init__(message)
+        self.entry = entry
+        self.mode = mode
 
 
 @dataclass(frozen=True)
@@ -92,13 +104,7 @@ class Circuit:
         return [i.name for i in self.inputs if not isinstance(i, PhotonIn)]
 
     def input_modes(self) -> list[str]:
-        out = []
-        for i in self.inputs:
-            if isinstance(i, QuditSlot):
-                out.extend([i.mode1, i.mode2])
-            else:
-                out.append(i.mode)
-        return out
+        return [m for i in self.inputs for m in _input_modes(i)]
 
     def output_modes(self) -> set[str]:
         """Declared modes still live after tracking unfold/merge/relabel."""
@@ -121,50 +127,61 @@ class Circuit:
         return live
 
     def validate(self) -> None:
-        declared = set(self.modes)
-        if len(self.modes) != len(declared):
-            raise CircuitError("duplicate mode declaration")
+        """Raise ``CircuitError`` at the first entry naming a mode that is
+        declared twice, undeclared, reused after an unfold, or (in a
+        detection pattern) not an output."""
+        declared: set[str] = set()
+        for i, mode in enumerate(self.modes):
+            if mode in declared:
+                raise CircuitError(f"mode {mode!r} declared twice", ("modes", i), mode)
+            declared.add(mode)
 
-        def check(mode: str) -> None:
+        def check(mode: str, entry: tuple[str, int]) -> None:
             if mode not in declared:
-                raise CircuitError(f"undeclared mode {mode!r}")
+                raise CircuitError(f"undeclared mode {mode!r}", entry, mode)
 
-        for mode in self.input_modes():
-            check(mode)
+        for i, inp in enumerate(self.inputs):
+            for mode in _input_modes(inp):
+                check(mode, ("inputs", i))
         retired: set[str] = set()
-        for el in self.elements:
+        for i, el in enumerate(self.elements):
             # every string field of an element names a mode
             for mode in (v for v in vars(el).values() if isinstance(v, str)):
-                check(mode)
+                check(mode, ("elements", i))
                 if mode in retired:
                     raise CircuitError(
-                        f"mode {mode!r} reused after being unfolded away"
+                        f"mode {mode!r} reused after being unfolded away", ("elements", i), mode
                     )
             if isinstance(el, Unfold):
                 retired.add(el.src)
         live = self.output_modes()
-        for pattern in self.patterns:
-            for mode in pattern.constrained_modes():
-                check(mode)
+        for i, pattern in enumerate(self.patterns):
+            for mode in sorted(pattern.constrained_modes()):
+                check(mode, ("patterns", i))
                 if mode not in live:
                     raise CircuitError(
-                        f"detection references non-output mode {mode!r}"
+                        f"detection references non-output mode {mode!r}", ("patterns", i), mode
                     )
+
+
+def _input_modes(inp: CircuitInput) -> tuple[str, ...]:
+    return (inp.mode1, inp.mode2) if isinstance(inp, QuditSlot) else (inp.mode,)
 
 
 # -- state preparation and running ----------------------------------------
 
 
-def normalized_amplitudes(amps, n: int, *, tol: float = 1e-9) -> tuple[complex, ...]:
-    vec = tuple(complex(a) for a in amps)
+def normalized_amplitudes(amps, n: int) -> tuple[complex, ...]:
+    """``n`` finite, not all zero amplitudes, scaled to unit norm."""
+    vec = [complex(a) for a in amps]
     if len(vec) != n:
         raise ValueError(f"expected {n} amplitudes, got {len(vec)}")
-    norm = math.sqrt(sum(abs(a) ** 2 for a in vec))
-    if norm == 0.0:
+    if not all(cmath.isfinite(z) for z in vec):
+        raise ValueError("amplitudes must be finite")
+    norm = np.linalg.norm(vec)
+    if norm == 0:
         raise ValueError("amplitudes are all zero")
-    if abs(norm - 1.0) > tol:
-        raise ValueError(f"amplitudes not normalized (norm {norm:.6f})")
-    return tuple(a / norm for a in vec)
+    return tuple(complex(z / norm) for z in vec)
 
 
 def initial_state(

@@ -25,6 +25,7 @@ from .circuits import (
     fission_feed_forward,
     fission_success_target,
     fused_target,
+    normalized_amplitudes,
     product_qudit,
     run_circuit,
     run_fission,
@@ -44,7 +45,7 @@ from .distinguishability import (
     simulated_average_fidelity,
     simulated_basis_mean_fidelity,
 )
-from .dsl import parse_circuit
+from .dsl import load_named_circuit, parse_circuit
 from .rails import fission as rail_fission, fuse as rail_fuse
 from .reports import REFERENCE, ExperimentReport
 from .states import H, V, PureState, fidelity
@@ -52,19 +53,15 @@ from .verify import run_verification
 
 
 def _parse_amplitudes(text: str, n: int | None = None) -> tuple[complex, ...]:
-    """Comma-separated finite complex amplitudes, normalized; ``n`` fixes the count."""
+    """Comma-separated complex amplitudes, normalized; ``n`` fixes the count."""
     try:
         parts = [complex(chunk.strip().replace("i", "j")) for chunk in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse amplitudes from {text!r}") from None
-    if n is not None and len(parts) != n:
-        raise argparse.ArgumentTypeError(f"expected {n} comma-separated amplitudes, got {len(parts)}")
-    if not all(cmath.isfinite(z) for z in parts):
-        raise argparse.ArgumentTypeError(f"amplitudes must be finite, got {text!r}")
-    norm = np.linalg.norm(parts)
-    if norm == 0:
-        raise argparse.ArgumentTypeError("amplitudes are all zero")
-    return tuple(complex(z / norm) for z in parts)
+    try:
+        return normalized_amplitudes(parts, len(parts) if n is None else n)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _qubit_arg(text: str) -> tuple[complex, ...]:
@@ -335,17 +332,13 @@ def cmd_fit_p(args) -> int:
 def cmd_run(args) -> int:
     path = Path(args.circuit)
     if not path.exists() and path.suffix == ".lop" and "/" not in args.circuit:
-        from importlib import resources
-
-        shipped = resources.files("fockfuse.data").joinpath(path.name)
-        if shipped.is_file():
-            text = shipped.read_text()
-        else:
+        try:
+            circuit = load_named_circuit(path.stem)
+        except FileNotFoundError:
             print(f"error: no such circuit file {args.circuit!r}", file=sys.stderr)
             return 2
     else:
-        text = path.read_text()
-    circuit = parse_circuit(text)
+        circuit = parse_circuit(path.read_text())
     bindings = {}
     for item in args.bind or ():
         name, _, amps = item.partition("=")
@@ -357,10 +350,6 @@ def cmd_run(args) -> int:
         except argparse.ArgumentTypeError as exc:
             print(f"error: --bind {name.strip()}: {exc}", file=sys.stderr)
             return 2
-    missing = [n for n in circuit.slot_names() if n not in bindings]
-    if missing:
-        print(f"error: unbound input slots: {', '.join(missing)}", file=sys.stderr)
-        return 2
     outcomes = run_circuit(circuit, bindings=bindings)
     rows = []
     dumps = {}

@@ -243,11 +243,20 @@ class ProbabilityMatrix:
         if arr.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {arr.shape}")
         b = BASES.get(basis.lower()) if basis else None
+
+        def labels(given, kind: str, default: tuple[str, ...]) -> tuple[str, ...]:
+            if given is None:
+                return default
+            if not (isinstance(given, (list, tuple)) and len(given) == 4
+                    and all(isinstance(x, str) for x in given)):
+                raise ValueError(f"{kind} labels must be four strings, got {given!r}")
+            return tuple(given)
+
         return cls(
             basis=basis,
             entries=tuple(tuple(float(x) for x in row) for row in arr),
-            row_labels=tuple(row_labels) if row_labels else (b.input_labels if b else ("r0", "r1", "r2", "r3")),
-            col_labels=tuple(col_labels) if col_labels else (b.output_labels if b else ("c0", "c1", "c2", "c3")),
+            row_labels=labels(row_labels, "row", b.input_labels if b else ("r0", "r1", "r2", "r3")),
+            col_labels=labels(col_labels, "column", b.output_labels if b else ("c0", "c1", "c2", "c3")),
         )
 
     @classmethod

@@ -15,23 +15,37 @@ One directive per line, ``#`` starts a comment.  Directives:
     relabel <from> <to>
     detect <modespec> <H|V|any|none> ...
 
-A ``detect`` line is one detection pattern; a ``modespec`` is a mode name or
-a ``+``-joined group (e.g. ``t1+t2``) constrained as a whole, which
-expresses the one-photon-across-both-target-outputs coincidence.  Parse
-errors carry 1-based line and column positions.
+An element directive is its class name in lower case, and its arguments
+follow the element dataclass's fields in order (``elements.Hwp`` is
+``hwp <mode> <theta>``); the serializer writes the same fields, floats with
+``repr``.  A ``detect`` line is one detection pattern; a ``modespec`` is a
+mode name or a ``+``-joined group (e.g. ``t1+t2``) constrained as a whole,
+which expresses the one-photon-across-both-target-outputs coincidence.
+
+Declarations may come in any order: the parser checks syntax only, and
+``Circuit.validate`` checks the modes.  Every error, its own or a
+validation error, carries the 1-based line and column of the offending token.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import astuple, fields
 from importlib import resources
+from typing import get_args, get_type_hints
 
 from .circuits import Circuit, CircuitError, PhotonIn, QubitSlot, QuditSlot
-from .elements import Hwp, Merge, Pbs, Relabel, SigmaX, SignFlipV, Unfold
+from .elements import OpticalElement
 from .states import H, V, DetectionPattern
 
 _TOKEN = re.compile(r"\S+")
 _MODE_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_']*$")
+
+#: element directive -> (element class, the types of its fields in order)
+_ELEMENTS = {
+    cls.__name__.lower(): (cls, tuple(get_type_hints(cls)[f.name] for f in fields(cls)))
+    for cls in get_args(OpticalElement)
+}
 
 
 class ParseError(ValueError):
@@ -61,20 +75,8 @@ class _Line:
 
 
 def parse_circuit(text: str) -> Circuit:
-    modes: list[str] = []
-    inputs: list = []
-    elements: list = []
-    patterns: list[DetectionPattern] = []
-    declared: set[str] = set()
-    retired: set[str] = set()
-
-    def known_mode(line: _Line, idx: int) -> str:
-        name = line.words()[idx]
-        if name not in declared:
-            raise line.fail(f"undeclared mode {name!r}", idx)
-        if name in retired:
-            raise line.fail(f"mode {name!r} reused after being unfolded away", idx)
-        return name
+    # each section's (entry, source line), so validation errors get positions
+    sections: dict[str, list] = {"modes": [], "inputs": [], "elements": [], "patterns": []}
 
     def arity(line: _Line, n: int) -> list[str]:
         words = line.words()
@@ -93,72 +95,39 @@ def parse_circuit(text: str) -> Circuit:
         head = line.words()[0].lower()
 
         if head == "mode":
-            words = arity(line, 1)
-            name = words[1]
+            name = arity(line, 1)[1]
             if not _MODE_NAME.match(name):
                 raise line.fail(f"invalid mode name {name!r}", 1)
-            if name in declared:
-                raise line.fail(f"mode {name!r} declared twice", 1)
-            declared.add(name)
-            modes.append(name)
+            sections["modes"].append((name, line))
 
         elif head == "photon":
             words = line.words()
             if len(words) not in (3, 4):
                 raise line.fail("'photon' takes <mode> <H|V> [tag]")
-            mode = known_mode(line, 1)
             pol = words[2].upper()
             if pol not in (H, V):
                 raise line.fail(f"polarization must be H or V, got {words[2]!r}", 2)
             tag = words[3] if len(words) == 4 else ""
-            inputs.append(PhotonIn(mode, pol, tag))
+            sections["inputs"].append((PhotonIn(words[1], pol, tag), line))
 
         elif head == "qubit":
             words = arity(line, 2)
-            inputs.append(QubitSlot(known_mode(line, 1), words[2]))
+            sections["inputs"].append((QubitSlot(*words[1:]), line))
 
         elif head == "qudit":
             words = arity(line, 3)
-            inputs.append(QuditSlot(known_mode(line, 1), known_mode(line, 2), words[3]))
+            sections["inputs"].append((QuditSlot(*words[1:]), line))
 
-        elif head == "hwp":
-            words = arity(line, 2)
-            mode = known_mode(line, 1)
-            try:
-                theta = float(words[2])
-            except ValueError:
-                raise line.fail(f"angle must be a number, got {words[2]!r}", 2) from None
-            elements.append(Hwp(mode, theta))
-
-        elif head == "pbs":
-            arity(line, 4)
-            elements.append(
-                Pbs(*(known_mode(line, i) for i in (1, 2, 3, 4)))
-            )
-
-        elif head == "unfold":
-            arity(line, 3)
-            src = known_mode(line, 1)
-            out_h = known_mode(line, 2)
-            out_v = known_mode(line, 3)
-            elements.append(Unfold(src, out_h, out_v))
-            retired.add(src)
-
-        elif head == "merge":
-            arity(line, 3)
-            elements.append(Merge(*(known_mode(line, i) for i in (1, 2, 3))))
-
-        elif head == "sigmax":
-            arity(line, 1)
-            elements.append(SigmaX(known_mode(line, 1)))
-
-        elif head == "signflipv":
-            arity(line, 1)
-            elements.append(SignFlipV(known_mode(line, 1)))
-
-        elif head == "relabel":
-            arity(line, 2)
-            elements.append(Relabel(known_mode(line, 1), known_mode(line, 2)))
+        elif head in _ELEMENTS:
+            cls, kinds = _ELEMENTS[head]
+            words = arity(line, len(kinds))
+            args: list = []
+            for i, (word, kind) in enumerate(zip(words[1:], kinds), start=1):
+                try:
+                    args.append(kind(word))
+                except ValueError:
+                    raise line.fail(f"angle must be a number, got {word!r}", i) from None
+            sections["elements"].append((cls(*args), line))
 
         elif head == "detect":
             words = line.words()
@@ -167,13 +136,6 @@ def parse_circuit(text: str) -> Circuit:
             spec: dict = {}
             for i in range(1, len(words), 2):
                 group = tuple(words[i].split("+"))
-                for g in group:
-                    if g not in declared:
-                        raise line.fail(f"undeclared mode {g!r}", i)
-                    if g in retired:
-                        raise line.fail(
-                            f"mode {g!r} reused after being unfolded away", i
-                        )
                 req = words[i + 1]
                 req = req.upper() if req.upper() in (H, V) else req.lower()
                 if req not in (H, V, "any", "none"):
@@ -188,7 +150,7 @@ def parse_circuit(text: str) -> Circuit:
                     raise line.fail(f"mode {words[i]!r} constrained twice", i)
                 spec[key] = req
             try:
-                patterns.append(DetectionPattern.of(spec))
+                sections["patterns"].append((DetectionPattern.of(spec), line))
             except ValueError as exc:
                 raise line.fail(str(exc)) from None
 
@@ -196,15 +158,19 @@ def parse_circuit(text: str) -> Circuit:
             raise line.fail(f"unknown directive {line.words()[0]!r}")
 
     circuit = Circuit(
-        modes=tuple(modes),
-        inputs=tuple(inputs),
-        elements=tuple(elements),
-        patterns=tuple(patterns),
+        **{section: tuple(entry for entry, _ in entries) for section, entries in sections.items()}
     )
     try:
         circuit.validate()
     except CircuitError as exc:
-        raise ParseError(len(text.splitlines()) or 1, 1, str(exc)) from None
+        section, index = exc.entry
+        line = sections[section][index][1]
+        words = line.words()
+        if section == "patterns":  # a detect line names modes in its odd, `+`-joined tokens
+            at = next(i for i in range(1, len(words), 2) if exc.mode in words[i].split("+"))
+        else:
+            at = words.index(exc.mode, 1)
+        raise line.fail(str(exc), at) from None
     return circuit
 
 
@@ -222,22 +188,10 @@ def serialize_circuit(circuit: Circuit) -> str:
             lines.append(f"qudit {inp.mode1} {inp.mode2} {inp.name}")
     lines.append("")
     for el in circuit.elements:
-        if isinstance(el, Hwp):
-            lines.append(f"hwp {el.mode} {el.theta:g}")
-        elif isinstance(el, Pbs):
-            lines.append(f"pbs {el.in1} {el.in2} {el.out1} {el.out2}")
-        elif isinstance(el, Unfold):
-            lines.append(f"unfold {el.src} {el.out_h} {el.out_v}")
-        elif isinstance(el, Merge):
-            lines.append(f"merge {el.in_h} {el.in_v} {el.out}")
-        elif isinstance(el, Relabel):
-            lines.append(f"relabel {el.src} {el.dst}")
-        elif isinstance(el, SigmaX):
-            lines.append(f"sigmax {el.mode}")
-        elif isinstance(el, SignFlipV):
-            lines.append(f"signflipv {el.mode}")
-        else:
-            raise TypeError(f"unknown element {el!r}")
+        head = type(el).__name__.lower()
+        kinds = _ELEMENTS[head][1]
+        # str() of a float is its repr, which parses back to the same float
+        lines.append(" ".join([head, *(str(kind(v)) for v, kind in zip(astuple(el), kinds))]))
     lines.append("")
     for pattern in circuit.patterns:
         parts = ["detect"]

@@ -186,6 +186,19 @@ class TestFitP:
         assert code == 2 and out == ""
         assert err == "error: observed matrix entries must be finite\n"
 
+    @pytest.mark.parametrize("labels,needle", [
+        ({"row_labels": 5}, "row labels must be four strings, got 5"),
+        ({"col_labels": ["a", "b", "c"]}, "column labels must be four strings"),
+        ({"row_labels": ["a", "b", "c", 4]}, "row labels must be four strings"),
+    ])
+    def test_json_bad_labels_report_error(self, capsys, tmp_path, labels, needle):
+        path = tmp_path / "observed.json"
+        path.write_text(json.dumps({"basis": "ii", "entries": [[0.25] * 4] * 4, **labels}))
+        code, out, err = run_cli(capsys, "fit-p", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and needle in err
+        assert len(err.splitlines()) == 1
+
 
 class TestRunCommand:
     def test_run_shipped_fusion(self, capsys, tmp_path):

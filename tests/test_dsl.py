@@ -1,12 +1,24 @@
+from dataclasses import fields
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fockfuse.circuits import build_fission_circuit, build_fusion_circuit, run_circuit
+from fockfuse.circuits import (
+    Circuit,
+    CircuitError,
+    PhotonIn,
+    QubitSlot,
+    QuditSlot,
+    build_fission_circuit,
+    build_fusion_circuit,
+    run_circuit,
+)
 from fockfuse.dsl import ParseError, load_named_circuit, parse_circuit, serialize_circuit
-from fockfuse.elements import Hwp
-from fockfuse.states import fidelity
+from fockfuse.elements import Hwp, OpticalElement, Unfold
+from fockfuse.states import H, V, DetectionPattern, fidelity
 
 DATA = Path(__file__).parent / "data"
 
@@ -115,3 +127,127 @@ class TestErrors:
         with pytest.raises(ParseError) as excinfo:
             parse_circuit("mode a\nhwp a nope\n")
         assert excinfo.value.column == 7  # points at the angle token
+
+
+# -- generated circuits -------------------------------------------------------
+
+MODE_POOL = ("a", "b", "c", "t1", "t2", "c'", "x_0")
+DIRECTIVES = ("mode", "photon", "qubit", "qudit", "detect") + tuple(
+    cls.__name__.lower() for cls in get_args(OpticalElement)
+)
+
+
+@st.composite
+def detection_patterns(draw, outputs):
+    chosen = draw(st.lists(st.sampled_from(outputs), min_size=1, unique=True))
+    spec, start = {}, 0
+    while start < len(chosen):
+        group = tuple(chosen[start:start + draw(st.integers(1, 2))])
+        start += len(group)
+        spec[group[0] if len(group) == 1 else group] = draw(st.sampled_from((H, V, "any", "none")))
+    return DetectionPattern.of(spec)
+
+
+@st.composite
+def valid_circuits(draw):
+    """Circuits of every element kind that pass ``Circuit.validate``."""
+    modes = tuple(draw(st.lists(st.sampled_from(MODE_POOL), min_size=1, max_size=5, unique=True)))
+    mode = st.sampled_from(modes)
+    inputs = tuple(draw(st.lists(st.one_of(
+        st.builds(PhotonIn, mode, st.sampled_from((H, V)), st.sampled_from(("", "A", "tag_2"))),
+        st.builds(QubitSlot, mode, st.sampled_from(("psi", "phi"))),
+        st.builds(QuditSlot, mode, mode, st.just("input")),
+    ), max_size=3)))
+    elements, retired = [], set()
+    for _ in range(draw(st.integers(0, 8))):
+        live = st.sampled_from([m for m in modes if m not in retired])
+        kind = draw(st.sampled_from(get_args(OpticalElement)))
+        if kind is Hwp:
+            element = Hwp(draw(live), draw(st.floats(allow_nan=False, allow_infinity=False)))
+        else:
+            element = kind(*(draw(live) for _ in fields(kind)))
+        elements.append(element)
+        if isinstance(element, Unfold):
+            retired.add(element.src)
+            if retired == set(modes):
+                break
+    circuit = Circuit(modes, inputs, tuple(elements), ())
+    outputs = sorted(circuit.output_modes())
+    patterns = draw(st.lists(detection_patterns(outputs), max_size=3)) if outputs else []
+    return Circuit(modes, inputs, tuple(elements), tuple(patterns))
+
+
+class TestGenerated:
+    @settings(deadline=None)
+    @given(valid_circuits())
+    def test_parse_inverts_serialize(self, circuit):
+        circuit.validate()
+        assert parse_circuit(serialize_circuit(circuit)) == circuit
+
+    @settings(deadline=None)
+    @given(st.one_of(
+        st.text(),
+        st.lists(
+            st.lists(
+                st.sampled_from(DIRECTIVES + MODE_POOL + (
+                    "H", "V", "any", "none", "t1+t2", "a+a", "+", "22.5", "-1e999", "nan", "#", "x",
+                )),
+                max_size=6,
+            ).map(" ".join),
+            max_size=8,
+        ).map("\n".join),
+    ))
+    def test_random_text_raises_only_parse_errors(self, text):
+        try:
+            parse_circuit(text)
+        except ParseError:
+            pass
+
+
+# -- validation errors carry their own line and token --------------------------
+
+PLAIN = "mode a\nmode b\nmode t\nphoton a H\n"
+
+POSITIONED = {
+    "undeclared element mode": (PLAIN + "pbs a b a x\nhwp a 1\n", 5, 11, "undeclared mode 'x'"),
+    "undeclared photon mode": (PLAIN + "photon q V\nhwp a 1\n", 5, 8, "undeclared mode 'q'"),
+    "undeclared qudit mode": (PLAIN + "qudit a  q s\nhwp a 1\n", 5, 10, "undeclared mode 'q'"),
+    "undeclared detect mode": (PLAIN + "detect a H t+zz any\nhwp a 1\n", 5, 12, "undeclared mode 'zz'"),
+    "reuse after unfold": (PLAIN + "unfold t a b\nhwp b 1\npbs a t a b\nhwp a 2\n", 7, 7,
+                           "mode 't' reused after being unfolded away"),
+    "duplicate mode": ("mode a\nmode b\n  mode   a\nphoton a H\n", 3, 10, "mode 'a' declared twice"),
+    "detect on a non-output": (PLAIN + "relabel a b\nhwp b 10\ndetect a any\nhwp b 20\nhwp b 30\n", 7, 8,
+                               "detection references non-output mode 'a'"),
+    "detect on an unfolded mode": (PLAIN + "unfold t a b\ndetect t any\nhwp a 1\n", 6, 8,
+                                   "detection references non-output mode 't'"),
+}
+
+
+class TestValidationPositions:
+    @pytest.mark.parametrize("name", sorted(POSITIONED))
+    def test_error_points_at_its_line_and_token(self, name):
+        text, line, column, message = POSITIONED[name]
+        with pytest.raises(ParseError) as excinfo:
+            parse_circuit(text)
+        err = excinfo.value
+        assert (err.line, err.column, err.message) == (line, column, message)
+
+    def test_mode_declared_after_its_first_use(self):
+        circuit = parse_circuit("photon a H\nhwp a 45\nmode a\n")
+        assert circuit.modes == ("a",) and circuit.elements == (Hwp("a", 45.0),)
+
+    def test_input_after_an_unfold_of_its_mode(self):
+        circuit = parse_circuit("mode t\nmode u\nmode v\nunfold t u v\nqubit t psi\n")
+        assert circuit.inputs == (QubitSlot("t", "psi"),)
+
+    def test_circuit_error_names_entry_and_mode(self):
+        circuit = Circuit(("a", "b", "a"), (), (), ())
+        with pytest.raises(CircuitError, match="mode 'a' declared twice") as excinfo:
+            circuit.validate()
+        assert (excinfo.value.entry, excinfo.value.mode) == (("modes", 2), "a")
+
+    def test_angles_serialize_exactly(self):
+        circuit = parse_circuit("mode a\nhwp a 10.123456789\nhwp a 45\n")
+        text = serialize_circuit(circuit)
+        assert "hwp a 10.123456789\n" in text and "hwp a 45.0\n" in text
+        assert parse_circuit(text) == circuit

@@ -11,8 +11,10 @@ from fockfuse.circuits import (
     build_fusion_circuit,
     fused_target,
     initial_state,
+    normalized_amplitudes,
     product_qudit,
     run_circuit,
+    run_fission,
     run_fusion,
 )
 from fockfuse.elements import Hwp, Pbs, SigmaX, Unfold
@@ -193,3 +195,28 @@ class TestGenericRunner:
     def test_unbound_slot_raises(self):
         with pytest.raises(ValueError, match="unbound"):
             initial_state(build_fusion_circuit(), {"psi": (1, 0)})
+
+
+class TestAmplitudes:
+    @pytest.mark.parametrize("run", [
+        lambda: run_fusion((math.nan, 1), (1, 0)),
+        lambda: run_fusion((1, 0), (1, math.inf)),
+        lambda: run_fusion(entangled=(1, 0, 0, math.nan)),
+        lambda: run_fission((math.nan, 0, 0, 1)),
+    ])
+    def test_non_finite_amplitude_raises(self, run):
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            run()
+
+    def test_zero_and_miscounted_amplitudes_raise(self):
+        with pytest.raises(ValueError, match="all zero"):
+            normalized_amplitudes((0, 0), 2)
+        with pytest.raises(ValueError, match="expected 4 amplitudes, got 2"):
+            normalized_amplitudes((1, 0), 4)
+
+    def test_library_inputs_are_normalized(self):
+        scaled = run_fusion((3, 4j), (2, 2))
+        unit = run_fusion((0.6, 0.8j), (INV_SQRT2, INV_SQRT2))
+        for got, want in zip(scaled, unit):
+            assert got.probability == pytest.approx(want.probability, abs=1e-15)
+            assert fidelity(got.state, want.state) == pytest.approx(1.0, abs=1e-12)
