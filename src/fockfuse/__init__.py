@@ -23,9 +23,6 @@ from .elements import (
     SignFlipV,
     Unfold,
     apply_element,
-    apply_hwp,
-    apply_pbs,
-    apply_unfold,
 )
 from .circuits import (
     Circuit,
@@ -57,11 +54,9 @@ from .rails import (
 from .distinguishability import (
     BASIS_KEYS,
     Basis,
-    DistModel,
     ProbabilityMatrix,
     average_fidelity,
     basis_mean_fidelity_law,
-    build_input_mixture,
     closed_form_matrix,
     coincidence_weighted_fidelity,
     fit_p,

@@ -17,6 +17,7 @@ branch; feed-forward corrections are applied the same way.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -52,13 +53,16 @@ class CircuitError(ValueError):
 
     ``entry`` is the failing ``(section, index)``, a section being one of
     ``"modes"``, ``"inputs"``, ``"elements"`` and ``"patterns"``; ``mode`` is
-    the mode involved.
+    the mode involved, or ``field`` the element field holding a bad value.
     """
 
-    def __init__(self, message: str, entry: tuple[str, int], mode: str):
+    def __init__(
+        self, message: str, entry: tuple[str, int], mode: str | None = None, field: str | None = None
+    ):
         super().__init__(message)
         self.entry = entry
         self.mode = mode
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -129,7 +133,7 @@ class Circuit:
     def validate(self) -> None:
         """Raise ``CircuitError`` at the first entry naming a mode that is
         declared twice, undeclared, reused after an unfold, or (in a
-        detection pattern) not an output."""
+        detection pattern) not an output, or holding a non-finite angle."""
         declared: set[str] = set()
         for i, mode in enumerate(self.modes):
             if mode in declared:
@@ -145,13 +149,17 @@ class Circuit:
                 check(mode, ("inputs", i))
         retired: set[str] = set()
         for i, el in enumerate(self.elements):
-            # every string field of an element names a mode
-            for mode in (v for v in vars(el).values() if isinstance(v, str)):
-                check(mode, ("elements", i))
-                if mode in retired:
+            for name, value in vars(el).items():
+                if isinstance(value, float) and not math.isfinite(value):
                     raise CircuitError(
-                        f"mode {mode!r} reused after being unfolded away", ("elements", i), mode
+                        f"angle must be finite, got {value!r}", ("elements", i), field=name
                     )
+                if isinstance(value, str):  # every string field of an element names a mode
+                    check(value, ("elements", i))
+                    if value in retired:
+                        raise CircuitError(
+                            f"mode {value!r} reused after being unfolded away", ("elements", i), value
+                        )
             if isinstance(el, Unfold):
                 retired.add(el.src)
         live = self.output_modes()
@@ -304,6 +312,17 @@ def fused_target(amps) -> PureState:
     return superpose(PureState.vacuum(), amps, [((m, p),) for m in ("t1", "t2") for p in (H, V)])
 
 
+def fusion_input(amps, ancilla_tag: str = "", pair_tag: str = "") -> PureState:
+    """The fusion apparatus's input: an H ancilla on ``a`` and the (t, c)
+    pair with joint amplitudes (tH cH, tH cV, tV cH, tV cV).
+
+    The tags are the ancilla's and the pair's distinguishability labels.
+    """
+    kets = [(("t", tp), ("c", cp)) for tp in (H, V) for cp in (H, V)]
+    base = PureState.vacuum().create("a", H, ancilla_tag)
+    return superpose(base, amps, kets, {"t": pair_tag, "c": pair_tag})
+
+
 def product_qudit(psi, phi) -> tuple[complex, ...]:
     """Tensor-product amplitudes (a0*c0, a0*c1, a1*c0, a1*c1)."""
     a0, a1 = (complex(x) for x in psi)
@@ -326,9 +345,7 @@ def run_fusion(
     if entangled is not None:
         if psi is not None or phi is not None:
             raise ValueError("give either psi/phi or an entangled input")
-        amps = normalized_amplitudes(entangled, 4)
-        kets = [(("t", tp), ("c", cp)) for tp in (H, V) for cp in (H, V)]
-        state = superpose(PureState.vacuum().create("a", H), amps, kets)
+        state = fusion_input(normalized_amplitudes(entangled, 4))
         return run_circuit(circuit, input_state=state)
     if psi is None or phi is None:
         raise ValueError("psi and phi amplitude pairs are required")

@@ -5,8 +5,8 @@ Subcommands reproduce the model predictions and verification suites:
 ``basis-scan``, ``fidelity-curve``, ``fit-p``, ``run <file.lop>`` and
 ``verify``.  Output is deterministic byte-for-byte for identical arguments;
 ``--format json`` emits machine-readable reports with 12 significant
-digits.  The env var FOCKFUSE_TOL overrides the default comparison
-tolerance of 1e-10 used by ``verify``.
+digits.  ``verify`` runs every check of ``fockfuse.verify.CHECKS`` at one
+seed, comparing at a fixed tolerance of 1e-10.
 """
 
 from __future__ import annotations
@@ -104,8 +104,9 @@ def _branch_label(pattern) -> str:
     return " ".join(parts)
 
 
-def _amplitude_list(state: PureState, components) -> list[complex]:
-    return [state.amplitude((((m, pol, ""), 1),)) for m, pol in components]
+def _amplitude_list(state: PureState, kets) -> list[complex]:
+    """Amplitudes of untagged kets, each a sequence of ``(mode, pol)`` photons."""
+    return [state.amplitude(tuple(((m, pol, ""), 1) for m, pol in ket)) for ket in kets]
 
 
 def cmd_fuse(args) -> int:
@@ -131,12 +132,10 @@ def cmd_fuse(args) -> int:
         )
         total += outcome.probability
     fused = apply_feed_forward(outcomes[0])
-    components = (("t1", H), ("t1", V), ("t2", H), ("t2", V))
+    kets = [((m, pol),) for m in ("t1", "t2") for pol in (H, V)]
     tables = {
         "heralded branches": rows,
-        "fused amplitudes (t1H, t1V, t2H, t2V)": _amplitude_list(
-            fused.normalized(), components
-        ),
+        "fused amplitudes (t1H, t1V, t2H, t2V)": _amplitude_list(fused.normalized(), kets),
         "summary": {
             "total success probability": total,
             "target fidelity": fidelity(fused, target),
@@ -165,10 +164,11 @@ def cmd_fission(args) -> int:
         )
         total += outcome.probability
     split = fission_feed_forward(outcomes[0]).normalized()
-    components = (("t", H), ("t", V), ("c", H), ("c", V))
+    # the two-photon kets in fission_success_target's order
+    kets = [(("t", tp), ("c", cp)) for cp in (H, V) for tp in (H, V)]
     tables = {
         "heralded branches": rows,
-        "split amplitudes (tH, tV, cH, cV)": _amplitude_list(split, components),
+        "split two-photon amplitudes (tH cH, tV cH, tH cV, tV cV)": _amplitude_list(split, kets),
         "summary": {"total heralded probability": total},
     }
     if args.dump_state:

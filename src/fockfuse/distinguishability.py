@@ -30,16 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import apply_elements, build_fusion_circuit
-from .states import (
-    H,
-    INV_SQRT2,
-    V,
-    DetectionPattern,
-    MixedState,
-    PureState,
-    projector_probability,
-)
+from .circuits import apply_elements, build_fusion_circuit, fusion_input, product_qudit
+from .states import H, INV_SQRT2, V, DetectionPattern, projector_probability
 
 KET_H = (1.0, 0.0)
 KET_V = (0.0, 1.0)
@@ -64,45 +56,6 @@ def indistinguishable_fraction(p: float) -> float:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"indistinguishability parameter p={p} outside [0, 1]")
     return 2.0 * p / (3.0 - p)
-
-
-@dataclass(frozen=True)
-class DistModel:
-    """Source model parametrized by the pair indistinguishability ``p``."""
-
-    p: float
-
-    def __post_init__(self) -> None:
-        indistinguishable_fraction(self.p)  # range check
-
-    @property
-    def r(self) -> float:
-        return indistinguishable_fraction(self.p)
-
-
-def _three_photon_state(psi, phi, ancilla_tag: str, pair_tag: str) -> PureState:
-    a0, a1 = (complex(x) for x in psi)
-    b0, b1 = (complex(x) for x in phi)
-    state = PureState.vacuum().create("a", H, ancilla_tag)
-    state = a0 * state.create("t", H, pair_tag) + a1 * state.create("t", V, pair_tag)
-    return b0 * state.create("c", H, pair_tag) + b1 * state.create("c", V, pair_tag)
-
-
-def build_input_mixture(p: float, psi, phi) -> MixedState:
-    """Two-branch source mixture for qubit inputs psi (on t) and phi (on c).
-
-    The indistinguishable branch (weight r) is untagged; in the
-    distinguishable branch (weight 1-r) the ancilla is tagged "A" and the
-    control/target photons "B".
-    """
-    r = indistinguishable_fraction(p)
-    ind = _three_photon_state(psi, phi, "", "")
-    dist = _three_photon_state(psi, phi, "A", "B")
-    if r >= 1.0:
-        return MixedState(((1.0, ind),))
-    if r <= 0.0:
-        return MixedState(((1.0, dist),))
-    return MixedState(((r, ind), (1.0 - r, dist)))
 
 
 # -- measurement bases ------------------------------------------------------
@@ -242,7 +195,9 @@ class ProbabilityMatrix:
         arr = np.asarray(rows, dtype=float)
         if arr.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {arr.shape}")
-        b = BASES.get(basis.lower()) if basis else None
+        if not isinstance(basis, str):
+            raise ValueError(f"basis must be a string, got {basis!r}")
+        b = BASES.get(basis.lower())
 
         def labels(given, kind: str, default: tuple[str, ...]) -> tuple[str, ...]:
             if given is None:
@@ -288,7 +243,7 @@ def _branch_raw_rows(basis_key: str) -> tuple[tuple[tuple[float, ...], ...], ...
     for ancilla_tag, pair_tag in (("", ""), ("A", "B")):
         rows = []
         for psi, phi in basis.input_states:
-            state = _three_photon_state(psi, phi, ancilla_tag, pair_tag)
+            state = fusion_input(product_qudit(psi, phi), ancilla_tag, pair_tag)
             evolved = apply_elements(state, circuit.elements)
             detected = evolved.project(ANCILLA_H_PATTERN)
             row = []

@@ -23,8 +23,9 @@ mode name or a ``+``-joined group (e.g. ``t1+t2``) constrained as a whole,
 which expresses the one-photon-across-both-target-outputs coincidence.
 
 Declarations may come in any order: the parser checks syntax only, and
-``Circuit.validate`` checks the modes.  Every error, its own or a
-validation error, carries the 1-based line and column of the offending token.
+``Circuit.validate`` checks the modes and that angles are finite.  Every
+error, its own or a validation error, carries the 1-based line and column
+of the offending token.
 """
 
 from __future__ import annotations
@@ -164,9 +165,11 @@ def parse_circuit(text: str) -> Circuit:
         circuit.validate()
     except CircuitError as exc:
         section, index = exc.entry
-        line = sections[section][index][1]
+        entry, line = sections[section][index]
         words = line.words()
-        if section == "patterns":  # a detect line names modes in its odd, `+`-joined tokens
+        if exc.field:  # an element's arguments follow its fields in order
+            at = 1 + [f.name for f in fields(entry)].index(exc.field)
+        elif section == "patterns":  # a detect line names modes in its odd, `+`-joined tokens
             at = next(i for i in range(1, len(words), 2) if exc.mode in words[i].split("+"))
         else:
             at = words.index(exc.mode, 1)

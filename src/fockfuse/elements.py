@@ -173,22 +173,6 @@ def apply_element(state: PureState, element: OpticalElement) -> PureState:
     return apply_elements(state, (element,))
 
 
-def apply_hwp(state: PureState, mode: str, theta: float) -> PureState:
-    return apply_element(state, Hwp(mode, theta))
-
-
-def apply_pbs(state: PureState, in1: str, in2: str, out1: str, out2: str) -> PureState:
-    return apply_element(state, Pbs(in1, in2, out1, out2))
-
-
-def apply_unfold(state: PureState, src: str, out_h: str, out_v: str) -> PureState:
-    return apply_element(state, Unfold(src, out_h, out_v))
-
-
-def apply_merge(state: PureState, in_h: str, in_v: str, out: str) -> PureState:
-    return apply_element(state, Merge(in_h, in_v, out))
-
-
 def apply_relabel(state: PureState, src: str, dst: str) -> PureState:
     return apply_element(state, Relabel(src, dst))
 

@@ -1,14 +1,14 @@
 """Self-verification suite: every library invariant as a runnable check.
 
-Each check returns None on success or a short failure description.  The
-suite is deterministic for a fixed seed.  The comparison tolerance defaults
-to 1e-10 and can be overridden through the FOCKFUSE_TOL environment
-variable.
+``CHECKS`` is the one statement of these invariants: ``fockfuse verify``
+runs it at one seed and the acceptance tests at several.  Each check takes
+a seed and returns None on success or a short failure description, and is
+deterministic for a fixed seed.  Amplitudes, fidelities and matrix entries
+are compared at ``TOL``.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -31,13 +31,14 @@ from .distinguishability import (
     BASIS_KEYS,
     average_fidelity,
     closed_form_matrix,
+    coincidence_weighted_fidelity,
     fit_p,
     similarity,
     simulate_basis_matrix,
     simulated_average_fidelity,
 )
 from .dsl import ParseError, load_named_circuit, parse_circuit, serialize_circuit
-from .elements import Hwp, Pbs, SigmaX, apply_element, apply_hwp
+from .elements import Hwp, Pbs, SigmaX, apply_element
 from .rails import (
     FusionBranches,
     _fuse_with_vacuum_amps,
@@ -55,6 +56,9 @@ from .states import (
     PureState,
     fidelity,
 )
+
+TOL = 1e-10
+
 BASIS_KETS = {
     "H": (1.0, 0.0),
     "V": (0.0, 1.0),
@@ -63,20 +67,35 @@ BASIS_KETS = {
 }
 
 
-def comparison_tol() -> float:
-    return float(os.environ.get("FOCKFUSE_TOL", "1e-10"))
-
-
-def _random_qubit(rng) -> tuple[complex, complex]:
+def random_qubit(rng) -> tuple[complex, complex]:
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
     v = v / np.linalg.norm(v)
     return (complex(v[0]), complex(v[1]))
 
 
-def _random_qudit(rng) -> tuple[complex, ...]:
+def random_qudit(rng) -> tuple[complex, ...]:
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     v = v / np.linalg.norm(v)
     return tuple(complex(x) for x in v)
+
+
+def phase_aligned_difference(got, want) -> float:
+    """Largest entrywise gap after removing the global phase of ``got``."""
+    got, want = np.asarray(got), np.asarray(want)
+    pivot = int(np.argmax(np.abs(want)))
+    if abs(got[pivot]) == 0:
+        return float(np.abs(got - want).max())
+    phase = want[pivot] / got[pivot]
+    return float(np.abs(got * phase / abs(phase) - want).max())
+
+
+def _fused_qudit(state: PureState) -> np.ndarray:
+    """Normalized single-photon amplitudes (t1H, t1V, t2H, t2V) of a fused state."""
+    amps = np.array([
+        state.amplitude((((mode, pol, ""), 1),))
+        for mode, pol in (("t1", H), ("t1", V), ("t2", H), ("t2", V))
+    ])
+    return amps / np.linalg.norm(amps)
 
 
 def _random_state(rng, n_photons: int = 2) -> PureState:
@@ -121,7 +140,7 @@ def check_hwp_involution(seed: int) -> str | None:
     for _ in range(20):
         theta = float(rng.uniform(-90, 90))
         state = _random_state(rng)
-        twice = apply_hwp(apply_hwp(state, "a", theta), "a", theta)
+        twice = apply_element(apply_element(state, Hwp("a", theta)), Hwp("a", theta))
         if abs(fidelity(twice, state) - 1.0) > 1e-12:
             return f"HWP({theta}) applied twice is not the identity"
     return None
@@ -132,7 +151,7 @@ def check_projection_completeness(seed: int) -> str | None:
     reqs = (H, V, "none")
     for _ in range(10):
         # one photon in each of two modes keeps the mode family exhaustive
-        psi, phi = _random_qubit(rng), _random_qubit(rng)
+        psi, phi = random_qubit(rng), random_qubit(rng)
         state = PureState.zero()
         for i, pa in enumerate((H, V)):
             for j, pc in enumerate((H, V)):
@@ -149,10 +168,9 @@ def check_projection_completeness(seed: int) -> str | None:
 
 
 def check_fusion_correctness(seed: int, n_random: int = 20) -> str | None:
-    tol = comparison_tol()
     rng = np.random.default_rng(seed)
     for _ in range(n_random):
-        psi, phi = _random_qubit(rng), _random_qubit(rng)
+        psi, phi = random_qubit(rng), random_qubit(rng)
         outcomes = run_fusion(psi, phi)
         target = fused_target(product_qudit(psi, phi))
         total = 0.0
@@ -160,7 +178,7 @@ def check_fusion_correctness(seed: int, n_random: int = 20) -> str | None:
             if abs(outcome.probability - 1 / 32) > 1e-12:
                 return f"branch probability {outcome.probability} is not 1/32"
             corrected = apply_feed_forward(outcome)
-            if fidelity(corrected, target) < 1.0 - tol:
+            if fidelity(corrected, target) < 1.0 - TOL:
                 return f"feed-forward fidelity {fidelity(corrected, target)}"
             total += outcome.probability
         if abs(total - 1 / 8) > 1e-12:
@@ -171,7 +189,7 @@ def check_fusion_correctness(seed: int, n_random: int = 20) -> str | None:
 def check_fusion_hom_filter(seed: int) -> str | None:
     rng = np.random.default_rng(seed)
     for _ in range(10):
-        outcomes = run_fusion(_random_qubit(rng), _random_qubit(rng))
+        outcomes = run_fusion(random_qubit(rng), random_qubit(rng))
         for outcome in outcomes:
             for occ, _amp in outcome.state.items():
                 per_mode: dict = {}
@@ -181,28 +199,28 @@ def check_fusion_hom_filter(seed: int) -> str | None:
                     return f"kept term with occupancy {per_mode}"
                 if per_mode.get("t1", 0) + per_mode.get("t2", 0) != 1:
                     return f"kept term with {per_mode} photons across t1/t2"
+                if max(per_mode.values()) > 1:
+                    return f"kept term with two photons in one mode: {per_mode}"
     return None
 
 
 def check_fusion_entangled_linearity(seed: int) -> str | None:
-    tol = comparison_tol()
     rng = np.random.default_rng(seed)
     for _ in range(10):
-        amps = _random_qudit(rng)
+        amps = random_qudit(rng)
         outcome = run_fusion(entangled=amps)[0]
         target = fused_target(amps)
         corrected = apply_feed_forward(outcome)
-        if fidelity(corrected, target) < 1.0 - tol:
+        if fidelity(corrected, target) < 1.0 - TOL:
             return f"entangled-input fidelity {fidelity(corrected, target)}"
     return None
 
 
 def check_fusion_spectator_entanglement(seed: int) -> str | None:
-    tol = comparison_tol()
     rng = np.random.default_rng(seed)
     circuit = build_fusion_circuit()
     for _ in range(5):
-        psi = _random_qubit(rng)
+        psi = random_qubit(rng)
         # spectator photon on mode s maximally entangled with the c photon
         state = PureState.vacuum().create("a", H)
         state = psi[0] * state.create("t", H) + psi[1] * state.create("t", V)
@@ -211,6 +229,8 @@ def check_fusion_spectator_entanglement(seed: int) -> str | None:
         )
         evolved = apply_elements(state, circuit.elements)
         detected = evolved.project(DetectionPattern.of({"a": H, "c": H, ("t1", "t2"): "any"}))
+        if abs(detected.probability - 1 / 32) > 1e-12:
+            return f"spectator branch probability {detected.probability} is not 1/32"
         expected = PureState.zero()
         for j, pol in enumerate((H, V)):
             amps = [0.0, 0.0, 0.0, 0.0]
@@ -220,31 +240,28 @@ def check_fusion_spectator_entanglement(seed: int) -> str | None:
                 fused_target(amps).create("s", pol)
             )
         joint = detected.state.factor_on_modes(("s", "t1", "t2"))
-        if fidelity(joint, expected) < 1.0 - tol:
+        if fidelity(joint, expected) < 1.0 - TOL:
             return f"spectator joint-state fidelity {fidelity(joint, expected)}"
     return None
 
 
 def check_oracle_equivalence(seed: int, n_random: int = 20) -> str | None:
-    tol = comparison_tol()
     rng = np.random.default_rng(seed)
     pairs = [
         (BASIS_KETS[a], BASIS_KETS[b])
         for a in ("H", "V", "+", "-")
         for b in ("H", "V", "+", "-")
     ]
-    pairs += [(_random_qubit(rng), _random_qubit(rng)) for _ in range(n_random)]
+    pairs += [(random_qubit(rng), random_qubit(rng)) for _ in range(n_random)]
     for psi, phi in pairs:
-        optical = apply_feed_forward(run_fusion(psi, phi)[0])
-        abstract = rail_fuse(psi, phi).plus_amps
-        target = fused_target(abstract)
-        if fidelity(optical, target) < 1.0 - tol:
-            return f"optical/abstract mismatch at psi={psi}, phi={phi}"
+        optical = _fused_qudit(apply_feed_forward(run_fusion(psi, phi)[0]))
+        gap = phase_aligned_difference(optical, rail_fuse(psi, phi).plus_amps)
+        if gap > TOL:
+            return f"optical/abstract amplitude gap {gap:.2e} at psi={psi}, phi={phi}"
     return None
 
 
 def check_eta_requirement(seed: int) -> str | None:
-    tol = comparison_tol()
     rng = np.random.default_rng(seed)
     plus = BASIS_KETS["+"]
     reference = rail_fuse(plus, plus).plus_amps
@@ -252,7 +269,7 @@ def check_eta_requirement(seed: int) -> str | None:
         eta = complex(rng.uniform(0.2, 1.0) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
         branches = rail_fuse(plus, plus, vacuum_amp=eta)
         overlap = abs(np.vdot(np.array(reference), np.array(branches.plus_amps))) ** 2
-        if overlap < 1.0 - tol:
+        if overlap < 1.0 - TOL:
             return f"shared vacuum amplitude {eta} changed the fused state"
     mismatched: FusionBranches = _fuse_with_vacuum_amps(plus, plus, 1.0, 0.5)
     overlap = abs(np.vdot(np.array(reference), np.array(mismatched.plus_amps))) ** 2
@@ -262,7 +279,6 @@ def check_eta_requirement(seed: int) -> str | None:
 
 
 def check_iterated_fusion(seed: int) -> str | None:
-    tol = comparison_tol()
     rng = np.random.default_rng(seed)
     for n in range(1, 5):
         for index in range(2**n):
@@ -273,62 +289,60 @@ def check_iterated_fusion(seed: int) -> str | None:
             amps, _prob = fuse_iterated(qubits)
             expected = np.zeros(2**n)
             expected[index] = 1.0
-            if np.abs(np.abs(np.array(amps)) - expected).max() > tol:
+            if phase_aligned_difference(amps, expected) > TOL:
                 return f"basis input {index} of n={n} not reproduced"
     for _ in range(10):
-        qubits = [_random_qubit(rng) for _ in range(3)]
+        qubits = [random_qubit(rng) for _ in range(3)]
         amps, _prob = fuse_iterated(qubits)
-        target = np.kron(np.kron(qubits[0], qubits[1]), qubits[2])
-        overlap = abs(np.vdot(target, np.array(amps))) ** 2
-        if overlap < 1.0 - tol:
-            return f"n=3 iterated fusion overlap {overlap}"
+        gap = phase_aligned_difference(amps, np.kron(np.kron(qubits[0], qubits[1]), qubits[2]))
+        if gap > TOL:
+            return f"n=3 iterated fusion amplitude gap {gap:.2e}"
     return None
 
 
 def check_fission_output(seed: int) -> str | None:
-    tol = comparison_tol()
     rng = np.random.default_rng(seed)
     for _ in range(10):
-        amps = _random_qudit(rng)
+        amps = random_qudit(rng)
         outcomes = run_fission(amps)
         target = fission_success_target(amps)
         for outcome in outcomes:
             if abs(outcome.probability - 1 / 32) > 1e-12:
                 return f"fission branch probability {outcome.probability}"
             corrected = fission_feed_forward(outcome)
-            if fidelity(corrected, target) < 1.0 - tol:
+            if fidelity(corrected, target) < 1.0 - TOL:
                 return f"fission feed-forward fidelity {fidelity(corrected, target)}"
     return None
 
 
 def check_roundtrip(seed: int) -> str | None:
-    tol = comparison_tol()
     rng = np.random.default_rng(seed)
+    runs = []
     for _ in range(10):
-        psi, phi = _random_qubit(rng), _random_qubit(rng)
-        fused = apply_feed_forward(run_fusion(psi, phi)[0])
-        qudit = [
-            fused.amplitude((((mode, pol, ""), 1),))
-            for mode, pol in (("t1", H), ("t1", V), ("t2", H), ("t2", V))
-        ]
-        split = fission_feed_forward(run_fission(np.array(qudit) / np.linalg.norm(qudit))[0])
-        expected = fission_success_target(product_qudit(psi, phi))
-        if fidelity(split, expected) < 1.0 - tol:
+        psi, phi = random_qubit(rng), random_qubit(rng)
+        runs.append((run_fusion(psi, phi), product_qudit(psi, phi)))
+    for _ in range(4):  # entangled t/c pairs
+        amps = random_qudit(rng)
+        runs.append((run_fusion(entangled=amps), amps))
+    for outcomes, amps in runs:
+        fused = apply_feed_forward(outcomes[0])
+        split = fission_feed_forward(run_fission(_fused_qudit(fused))[0])
+        expected = fission_success_target(amps)
+        if fidelity(split, expected) < 1.0 - TOL:
             return f"fusion->fission round trip fidelity {fidelity(split, expected)}"
     return None
 
 
 def check_abstract_roundtrip(seed: int) -> str | None:
-    tol = comparison_tol()
     rng = np.random.default_rng(seed)
     for _ in range(10):
-        psi, phi = _random_qubit(rng), _random_qubit(rng)
+        psi, phi = random_qubit(rng), random_qubit(rng)
         fused = rail_fuse(psi, phi).plus_amps
         state, probability = rail_fission(fused)
         if abs(probability - 0.5) > 1e-12:
             return f"abstract fission success probability {probability}"
         expected = two_qubit_state(psi, phi)
-        if fidelity(state, expected) < 1.0 - tol:
+        if fidelity(state, expected) < 1.0 - TOL:
             return f"abstract round trip fidelity {fidelity(state, expected)}"
     return None
 
@@ -337,12 +351,14 @@ def check_matrices(seed: int) -> str | None:
     for key in BASIS_KEYS:
         for p in (0.0, 0.25, 0.5, 0.77, 1.0):
             sim = simulate_basis_matrix(key, p).as_array()
+            if (sim < -1e-15).any():
+                return f"basis {key} p={p}: negative entry {sim.min()}"
             if np.abs(sim.sum(axis=1) - 1.0).max() > 1e-12:
                 return f"basis {key} p={p}: rows not stochastic"
             closed = closed_form_matrix(key, p).as_array()
-            if np.abs(sim - closed).max() > comparison_tol():
+            if np.abs(sim - closed).max() > TOL:
                 return f"basis {key} p={p}: simulation differs from closed form"
-        if np.abs(simulate_basis_matrix(key, 1.0).as_array() - np.eye(4)).max() > comparison_tol():
+        if np.abs(simulate_basis_matrix(key, 1.0).as_array() - np.eye(4)).max() > TOL:
             return f"basis {key}: no identity at p=1"
     return None
 
@@ -357,9 +373,8 @@ def check_diagonal_monotonicity(seed: int) -> str | None:
 
 
 def check_fidelity_law(seed: int) -> str | None:
-    tol = comparison_tol()
     for p in np.linspace(0.0, 1.0, 21):
-        if abs(simulated_average_fidelity(p) - average_fidelity(p)) > tol:
+        if abs(simulated_average_fidelity(p) - average_fidelity(p)) > TOL:
             return f"fidelity law violated at p={p}"
     if abs(average_fidelity(0.77) - 0.7320) > 1e-4:
         return f"average fidelity at p=0.77 is {average_fidelity(0.77)}"
@@ -384,14 +399,16 @@ def check_similarity_properties(seed: int) -> str | None:
     d = np.abs(rng.normal(size=(4, 4)))
     dp = np.abs(rng.normal(size=(4, 4)))
     if abs(similarity(3.0 * d, dp) - similarity(d, dp)) > 1e-12:
-        return "similarity is not scale invariant"
+        return "similarity is not invariant under rescaling its first argument"
+    if abs(similarity(d, 0.3 * dp) - similarity(d, dp)) > 1e-12:
+        return "similarity is not invariant under rescaling its second argument"
     return None
 
 
 def check_mixture_linearity(seed: int) -> str | None:
     rng = np.random.default_rng(seed)
     circuit = build_fusion_circuit()
-    psi, phi = _random_qubit(rng), _random_qubit(rng)
+    psi, phi = random_qubit(rng), random_qubit(rng)
     pure = initial_state(circuit, {"psi": psi, "phi": phi})
     tagged = initial_state(circuit, {"psi": psi, "phi": phi}, tags={"a": "A"})
     mixture = MixedState(((0.3, pure), (0.7, tagged)))
@@ -408,8 +425,8 @@ def check_mixture_linearity(seed: int) -> str | None:
 def check_dsl(seed: int) -> str | None:
     rng = np.random.default_rng(seed)
     for name, builder, bindings in (
-        ("fusion", build_fusion_circuit, lambda: {"psi": _random_qubit(rng), "phi": _random_qubit(rng)}),
-        ("fission", build_fission_circuit, lambda: {"input": _random_qudit(rng)}),
+        ("fusion", build_fusion_circuit, lambda: {"psi": random_qubit(rng), "phi": random_qubit(rng)}),
+        ("fission", build_fission_circuit, lambda: {"input": random_qudit(rng)}),
     ):
         parsed = load_named_circuit(name)
         built = builder()
@@ -436,11 +453,9 @@ def check_dsl(seed: int) -> str | None:
 def check_mean_fidelity_weighting(seed: int) -> str | None:
     # the 16-input coincidence-weighted mean has its own closed form
     for p in (0.0, 0.3, 0.77, 1.0):
-        from .distinguishability import coincidence_weighted_fidelity
-
         got = coincidence_weighted_fidelity(p)
         want = (63.0 + p) / (144.0 - 80.0 * p)
-        if abs(got - want) > comparison_tol():
+        if abs(got - want) > TOL:
             return f"coincidence-weighted 16-state mean off at p={p}"
     return None
 
@@ -485,6 +500,6 @@ def run_verification(seed: int = 12345, out=print) -> int:
             out(f"FAIL {name}: {detail}")
     out(
         f"{len(CHECKS) - failures}/{len(CHECKS)} checks passed "
-        f"in {time.monotonic() - started:.2f}s (seed {seed}, tol {comparison_tol():g})"
+        f"in {time.monotonic() - started:.2f}s (seed {seed}, tol {TOL:g})"
     )
     return failures

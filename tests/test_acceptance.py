@@ -1,263 +1,32 @@
-"""Acceptance suite: one test per exit criterion, one printed line each.
+"""Acceptance suite: every check of ``fockfuse.verify.CHECKS`` at fixed seeds.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see the pass/fail
-ledger lines as the criteria execute.
+``pytest tests/test_acceptance.py -v`` lists one line per check, named as in
+``fockfuse verify``, plus the two timing gates.
 """
 
-import math
 import time
-from pathlib import Path
 
-import numpy as np
+import pytest
 
-from fockfuse.circuits import (
-    apply_feed_forward,
-    build_fission_circuit,
-    build_fusion_circuit,
-    fission_feed_forward,
-    fission_success_target,
-    fused_target,
-    product_qudit,
-    run_circuit,
-    run_fission,
-    run_fusion,
-)
-from fockfuse.distinguishability import (
-    BASIS_KEYS,
-    average_fidelity,
-    closed_form_matrix,
-    fit_p,
-    similarity,
-    simulate_basis_matrix,
-    simulated_average_fidelity,
-)
-from fockfuse.dsl import ParseError, load_named_circuit, parse_circuit
-from fockfuse.rails import fuse as rail_fuse, fuse_iterated
-from fockfuse.states import H, V, fidelity
-from fockfuse.verify import run_verification
+from fockfuse.verify import CHECKS, check_fusion_correctness, run_verification
 
-DATA = Path(__file__).parent / "data"
-INV_SQRT2 = 1.0 / math.sqrt(2.0)
-BASIS_KETS = ((1.0, 0.0), (0.0, 1.0), (INV_SQRT2, INV_SQRT2), (INV_SQRT2, -INV_SQRT2))
+SEEDS = (1001, 1002, 1003, 1004, 1005)
 
 
-def _report(name: str, ok: bool, detail: str = "") -> None:
-    suffix = f" ({detail})" if detail else ""
-    print(f"[{'PASS' if ok else 'FAIL'}] {name}{suffix}")
-    assert ok, f"{name}{suffix}"
-
-
-def random_qubit(rng):
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    v /= np.linalg.norm(v)
-    return (complex(v[0]), complex(v[1]))
-
-
-def random_qudit(rng):
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    v /= np.linalg.norm(v)
-    return tuple(complex(x) for x in v)
-
-
-def extract_qudit(state):
-    amps = [
-        state.amplitude((((m, pol, ""), 1),))
-        for m, pol in (("t1", H), ("t1", V), ("t2", H), ("t2", V))
-    ]
-    return np.array(amps)
-
-
-def phase_aligned_difference(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    pivot = int(np.argmax(np.abs(want)))
-    if abs(got[pivot]) == 0:
-        return float(np.abs(got - want).max())
-    phase = want[pivot] / got[pivot]
-    phase /= abs(phase)
-    return float(np.abs(got * phase - want).max())
+@pytest.mark.parametrize("check", [check for _, check in CHECKS], ids=[name for name, _ in CHECKS])
+def test_check(check):
+    failures = {seed: detail for seed in SEEDS if (detail := check(seed)) is not None}
+    assert not failures
 
 
 def test_criterion_1_ideal_fusion_correctness():
+    # 20 random inputs per seed: 100 fusions, every branch fed forward
     started = time.monotonic()
-    rng = np.random.default_rng(1001)
-    ok = True
-    for _ in range(100):
-        psi, phi = random_qubit(rng), random_qubit(rng)
-        outcomes = run_fusion(psi, phi)
-        target = fused_target(product_qudit(psi, phi))
-        hh = outcomes[0]
-        ok &= abs(hh.probability - 1 / 32) <= 1e-12
-        ok &= fidelity(apply_feed_forward(hh), target) >= 1.0 - 1e-10
-        total = 0.0
-        for outcome in outcomes:
-            total += outcome.probability
-            ok &= fidelity(apply_feed_forward(outcome), target) >= 1.0 - 1e-10
-        ok &= abs(total - 1 / 8) <= 1e-12
-        if not ok:
-            break
-    elapsed = time.monotonic() - started
-    ok &= elapsed < 5.0
-    _report("criterion 1: ideal fusion correctness", ok, f"100 inputs in {elapsed:.2f}s")
-
-
-def test_criterion_2_oracle_equivalence():
-    rng = np.random.default_rng(1002)
-    pairs = [(a, b) for a in BASIS_KETS for b in BASIS_KETS]
-    pairs += [(random_qubit(rng), random_qubit(rng)) for _ in range(50)]
-    worst = 0.0
-    for psi, phi in pairs:
-        optical = extract_qudit(apply_feed_forward(run_fusion(psi, phi)[0]))
-        optical /= np.linalg.norm(optical)
-        abstract = np.array(rail_fuse(psi, phi).plus_amps)
-        worst = max(worst, phase_aligned_difference(optical, abstract))
-    _report(
-        "criterion 2: abstract/optical oracle equivalence",
-        worst <= 1e-10,
-        f"66 inputs, worst amplitude gap {worst:.2e}",
-    )
-
-
-def test_criterion_3_fission_and_round_trip():
-    rng = np.random.default_rng(1003)
-    ok = True
-    for _ in range(20):
-        amps = random_qudit(rng)
-        outcome = run_fission(amps)[0]
-        ok &= abs(outcome.probability - 1 / 32) <= 1e-12
-        ok &= fidelity(fission_feed_forward(outcome), fission_success_target(amps)) >= 1.0 - 1e-10
-    for _ in range(50):
-        psi, phi = random_qubit(rng), random_qubit(rng)
-        fused = extract_qudit(apply_feed_forward(run_fusion(psi, phi)[0]))
-        fused /= np.linalg.norm(fused)
-        split = fission_feed_forward(run_fission(tuple(fused))[0])
-        ok &= fidelity(split, fission_success_target(product_qudit(psi, phi))) >= 1.0 - 1e-10
-    for _ in range(20):
-        amps = random_qudit(rng)
-        fused = extract_qudit(apply_feed_forward(run_fusion(entangled=amps)[0]))
-        fused /= np.linalg.norm(fused)
-        split = fission_feed_forward(run_fission(tuple(fused))[0])
-        ok &= fidelity(split, fission_success_target(amps)) >= 1.0 - 1e-10
-    _report("criterion 3: fission correctness and round trip", ok)
-
-
-def test_criterion_4_distinguishability_matrices():
-    ok = True
-    detail = ""
-    for key in BASIS_KEYS:
-        for p in (0.0, 0.25, 0.5, 0.77, 1.0):
-            sim = simulate_basis_matrix(key, p).as_array()
-            ok &= np.abs(sim.sum(axis=1) - 1.0).max() <= 1e-12
-            ok &= np.abs(sim - closed_form_matrix(key, p).as_array()).max() <= 1e-10
-        ok &= np.abs(simulate_basis_matrix(key, 1.0).as_array() - np.eye(4)).max() <= 1e-10
-    # the i/ii off-diagonal reading must be recorded in the emitted report
-    from fockfuse.cli import main
-
-    import io
-    import json
-    from contextlib import redirect_stdout
-
-    buffer = io.StringIO()
-    with redirect_stdout(buffer):
-        main(["basis-scan", "--basis", "i", "--p", "0.5", "--format", "json"])
-    notes = json.loads(buffer.getvalue())["notes"]
-    recorded = any("3(1-p)" in note for note in notes)
-    ok &= recorded
-    detail = "closed forms confirmed; off-diagonal reading recorded in report"
-    _report("criterion 4: distinguishability matrices", ok, detail)
-
-
-def test_criterion_5_fidelity_law():
-    ok = True
-    for p in np.linspace(0.0, 1.0, 21):
-        ok &= abs(simulated_average_fidelity(p) - average_fidelity(p)) <= 1e-10
-    value = average_fidelity(0.77)
-    ok &= abs(value - 0.7320) <= 1e-4
-    ok &= abs(value - 0.750) < 0.03
-    _report(
-        "criterion 5: fidelity law (3+p)/(9-5p)",
-        ok,
-        f"F(0.77)={value:.6f}, |F-0.750|={abs(value - 0.750):.4f}",
-    )
-
-
-def test_criterion_6_fit_recovery():
-    worst = 0.0
-    for p_star in (0.3, 0.5, 0.77, 0.9):
-        estimate = fit_p(closed_form_matrix("ii", p_star), "ii")
-        worst = max(worst, abs(estimate - p_star))
-    _report("criterion 6: fit recovery", worst <= 1e-3, f"worst error {worst:.2e}")
-
-
-def test_criterion_7_similarity():
-    m = simulate_basis_matrix("ii", 0.77)
-    ok = similarity(m, m) == 1.0
-    ok &= abs(similarity(np.eye(4), np.full((4, 4), 0.25)) - 0.25) <= 1e-12
-    rng = np.random.default_rng(1007)
-    d = np.abs(rng.normal(size=(4, 4)))
-    dp = np.abs(rng.normal(size=(4, 4)))
-    ok &= abs(similarity(5.0 * d, dp) - similarity(d, dp)) <= 1e-12
-    ok &= abs(similarity(d, 0.3 * dp) - similarity(d, dp)) <= 1e-12
-    _report("criterion 7: similarity functional", ok)
-
-
-def test_criterion_8_iterated_fusion():
-    rng = np.random.default_rng(1008)
-    worst = 0.0
-    for index in range(8):
-        qubits = [
-            (1.0, 0.0) if (index >> (2 - k)) & 1 == 0 else (0.0, 1.0) for k in range(3)
-        ]
-        amps, _ = fuse_iterated(qubits)
-        expected = np.zeros(8)
-        expected[index] = 1.0
-        worst = max(worst, phase_aligned_difference(np.array(amps), expected))
-    for _ in range(20):
-        qubits = [random_qubit(rng) for _ in range(3)]
-        amps, _ = fuse_iterated(qubits)
-        expected = np.kron(np.kron(qubits[0], qubits[1]), qubits[2])
-        worst = max(worst, phase_aligned_difference(np.array(amps), expected))
-    _report("criterion 8: iterated fusion (n=3)", worst <= 1e-10, f"worst gap {worst:.2e}")
-
-
-def test_criterion_9_dsl_round_trip():
-    rng = np.random.default_rng(1009)
-    ok = True
-    for name, builder, make_bindings in (
-        ("fusion", build_fusion_circuit,
-         lambda: {"psi": random_qubit(rng), "phi": random_qubit(rng)}),
-        ("fission", build_fission_circuit,
-         lambda: {"input": random_qudit(rng)}),
-    ):
-        parsed = load_named_circuit(name)
-        built = builder()
-        ok &= parsed == built
-        for _ in range(5):
-            bindings = make_bindings()
-            for got, want in zip(
-                run_circuit(parsed, bindings=bindings),
-                run_circuit(built, bindings=bindings),
-            ):
-                ok &= abs(got.probability - want.probability) <= 1e-12
-                if want.probability > 0:
-                    ok &= fidelity(got.state, want.state) >= 1.0 - 1e-12
-    positioned = 0
-    for path in sorted(DATA.glob("bad_*.lop")):
-        try:
-            parse_circuit(path.read_text())
-        except ParseError as err:
-            positioned += int(err.line >= 1 and err.column >= 1)
-    ok &= positioned == 5
-    _report("criterion 9: DSL round trip", ok, f"{positioned}/5 malformed files positioned")
+    assert all(check_fusion_correctness(seed) is None for seed in SEEDS)
+    assert time.monotonic() - started < 5.0
 
 
 def test_criterion_10_verify_runtime():
-    lines = []
     started = time.monotonic()
-    failures = run_verification(seed=2026, out=lines.append)
-    elapsed = time.monotonic() - started
-    ok = failures == 0 and elapsed < 60.0
-    _report(
-        "criterion 10: full verify suite",
-        ok,
-        f"{len(lines) - 1} checks in {elapsed:.2f}s",
-    )
+    assert run_verification(seed=2026, out=lambda line: None) == 0
+    assert time.monotonic() - started < 60.0

@@ -67,6 +67,13 @@ class TestFissionCommand:
         assert out.count("0.031250") >= 4
         assert "fidelity=1.000000" in out
 
+    def test_split_amplitudes_are_the_normalized_input(self, capsys):
+        code, out, _ = run_cli(capsys, "fission", "--amps", "1,2,3j,-4", "--format", "json")
+        assert code == 0
+        table = json.loads(out)["tables"]["split two-photon amplitudes (tH cH, tV cH, tH cV, tV cV)"]
+        got = np.array([complex(a["re"], a["im"]) for a in table])
+        assert np.abs(got - np.array([1, 2, 3j, -4]) / np.sqrt(30)).max() < 1e-10
+
 
 class TestAbstractCommands:
     def test_abstract_fuse(self, capsys):
@@ -190,6 +197,7 @@ class TestFitP:
         ({"row_labels": 5}, "row labels must be four strings, got 5"),
         ({"col_labels": ["a", "b", "c"]}, "column labels must be four strings"),
         ({"row_labels": ["a", "b", "c", 4]}, "row labels must be four strings"),
+        ({"basis": 5}, "basis must be a string, got 5"),
     ])
     def test_json_bad_labels_report_error(self, capsys, tmp_path, labels, needle):
         path = tmp_path / "observed.json"
@@ -231,6 +239,13 @@ class TestRunCommand:
         assert code == 2
         assert "line 2" in err
 
+    def test_non_finite_angle_reports_error(self, capsys, tmp_path):
+        path = tmp_path / "nan.lop"
+        path.write_text("mode a\nphoton a H\nhwp a nan\ndetect a any\n")
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: line 3, column 7: angle must be finite, got nan\n"
+
     def test_dump_state(self, capsys, tmp_path):
         path = tmp_path / "fusion.lop"
         path.write_text(serialize_circuit(build_fusion_circuit()))
@@ -243,11 +258,3 @@ class TestRunCommand:
         dumped = json.loads(payload["tables"]["state dump"]["outcome 0"])
         assert isinstance(dumped, list) and dumped
 
-
-class TestTolerance:
-    def test_env_override_is_read(self, monkeypatch):
-        from fockfuse.verify import comparison_tol
-
-        assert comparison_tol() == 1e-10
-        monkeypatch.setenv("FOCKFUSE_TOL", "1e-6")
-        assert comparison_tol() == 1e-6

@@ -1,15 +1,13 @@
-"""Source-model tests: mixtures, probability matrices, fidelity laws, fit."""
+"""Source-model tests: mixture weights, probability matrices, fidelity laws, fit."""
 
 import numpy as np
 import pytest
 
 from fockfuse.distinguishability import (
     BASIS_KEYS,
-    DistModel,
     ProbabilityMatrix,
     average_fidelity,
     basis_mean_fidelity_law,
-    build_input_mixture,
     closed_form_matrix,
     coincidence_weighted_fidelity,
     fit_p,
@@ -30,26 +28,6 @@ class TestMixture:
         assert indistinguishable_fraction(0.0) == 0.0
         # 2*0.77 / (3-0.77)
         assert indistinguishable_fraction(0.77) == pytest.approx(0.6905829596412556)
-
-    def test_model_dataclass(self):
-        assert DistModel(0.77).r == pytest.approx(0.6905829596412556)
-        with pytest.raises(ValueError):
-            DistModel(1.5)
-
-    def test_pure_limits_have_one_branch(self):
-        mix = build_input_mixture(1.0, (1, 0), (1, 0))
-        assert len(mix.branches) == 1
-        (_, state), = mix.branches
-        assert state.tags() == [""]
-        mix = build_input_mixture(0.0, (1, 0), (1, 0))
-        (_, state), = mix.branches
-        assert set(state.tags()) == {"A", "B"}
-
-    def test_intermediate_weights(self):
-        mix = build_input_mixture(0.77, (1, 0), (0, 1))
-        weights = [w for w, _ in mix.branches]
-        assert weights[0] == pytest.approx(0.6905829596412556)
-        assert weights[1] == pytest.approx(0.3094170403587444)
 
 
 class TestMatrices:

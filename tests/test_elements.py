@@ -7,18 +7,16 @@ from hypothesis import strategies as st
 
 from fockfuse.elements import (
     Hwp,
+    Merge,
     Pbs,
     Relabel,
     SigmaX,
     SignFlipV,
+    Unfold,
     apply_element,
-    apply_hwp,
-    apply_merge,
-    apply_pbs,
     apply_relabel,
     apply_sigma_x,
     apply_sign_flip_v,
-    apply_unfold,
 )
 from fockfuse.states import H, V, PureState, fidelity
 
@@ -43,29 +41,29 @@ def random_two_photon_state(rng):
 
 class TestHwp:
     def test_hadamard_angle(self):
-        out = apply_hwp(ket(("a", H)), "a", 22.5)
+        out = apply_element(ket(("a", H)), Hwp("a", 22.5))
         expected = (ket(("a", H)) + ket(("a", V))) * (1 / SQRT2)
         assert fidelity(out, expected) == pytest.approx(1.0)
         assert abs(out.inner(expected) - 1.0) < 1e-12  # exact phase
 
     def test_not_angle(self):
-        out = apply_hwp(ket(("t", H)), "t", 45.0)
+        out = apply_element(ket(("t", H)), Hwp("t", 45.0))
         assert abs(out.inner(ket(("t", V))) - 1.0) < 1e-12
 
     def test_zero_angle_flips_v_sign(self):
-        out = apply_hwp(ket(("t", V)), "t", 0.0)
+        out = apply_element(ket(("t", V)), Hwp("t", 0.0))
         assert abs(out.inner(ket(("t", V))) + 1.0) < 1e-12
 
     @given(st.floats(-90, 90, allow_nan=False))
     @settings(max_examples=40)
     def test_involution(self, theta):
         state = (ket(("a", H)) + 2j * ket(("a", V))).normalized()
-        twice = apply_hwp(apply_hwp(state, "a", theta), "a", theta)
+        twice = apply_element(apply_element(state, Hwp("a", theta)), Hwp("a", theta))
         assert abs(twice.inner(state) - 1.0) < 1e-12
 
     def test_acts_per_tag_sector(self):
         mixed_tags = ket(("a", H, "A"), ("a", H, "B"))
-        out = apply_hwp(mixed_tags, "a", 22.5)
+        out = apply_element(mixed_tags, Hwp("a", 22.5))
         # each tag transforms independently: (H+V)_A (H+V)_B / 2
         expected = (
             ket(("a", H, "A"), ("a", H, "B"))
@@ -78,16 +76,16 @@ class TestHwp:
 
 class TestPbs:
     def test_transmits_h(self):
-        out = apply_pbs(ket(("x", H)), "x", "y", "x", "y")
+        out = apply_element(ket(("x", H)), Pbs("x", "y", "x", "y"))
         assert abs(out.inner(ket(("x", H))) - 1.0) < 1e-12
 
     def test_reflects_v(self):
-        out = apply_pbs(ket(("x", V)), "x", "y", "x", "y")
+        out = apply_element(ket(("x", V)), Pbs("x", "y", "x", "y"))
         assert abs(out.inner(ket(("y", V))) - 1.0) < 1e-12
 
     def test_two_photon_product_substitution(self):
         # H and V on the same input split pairwise with amplitude preserved
-        out = apply_pbs(ket(("x", H), ("x", V)), "x", "y", "x", "y")
+        out = apply_element(ket(("x", H), ("x", V)), Pbs("x", "y", "x", "y"))
         assert abs(out.inner(ket(("x", H), ("y", V))) - 1.0) < 1e-12
 
     def test_preserves_inner_products(self):
@@ -95,19 +93,20 @@ class TestPbs:
         for _ in range(10):
             x, y = random_two_photon_state(rng), random_two_photon_state(rng)
             before = x.inner(y)
-            after = apply_pbs(x, "a", "c", "a", "c").inner(apply_pbs(y, "a", "c", "a", "c"))
+            pbs = Pbs("a", "c", "a", "c")
+            after = apply_element(x, pbs).inner(apply_element(y, pbs))
             assert abs(before - after) < 1e-12
 
 
 class TestUnfoldMerge:
     def test_unfold_splits_by_polarization(self):
         state = (0.6 * ket(("t", H)) + 0.8 * ket(("t", V)))
-        out = apply_unfold(state, "t", "t1", "t2")
+        out = apply_element(state, Unfold("t", "t1", "t2"))
         expected = 0.6 * ket(("t1", H)) + 0.8 * ket(("t2", V))
         assert abs(out.inner(expected) - 1.0) < 1e-12
 
     def test_unfold_vacuum(self):
-        out = apply_unfold(PureState.vacuum(), "t", "t1", "t2")
+        out = apply_element(PureState.vacuum(), Unfold("t", "t1", "t2"))
         assert out.amplitude(()) == 1.0
 
     def test_merge_inverts_unfold(self):
@@ -115,16 +114,17 @@ class TestUnfoldMerge:
         for _ in range(5):
             amps = rng.normal(size=2) + 1j * rng.normal(size=2)
             state = (amps[0] * ket(("t", H)) + amps[1] * ket(("t", V))).normalized()
-            out = apply_merge(apply_unfold(state, "t", "t1", "t2"), "t1", "t2", "t")
+            unfolded = apply_element(state, Unfold("t", "t1", "t2"))
+            out = apply_element(unfolded, Merge("t1", "t2", "t"))
             assert abs(out.inner(state) - 1.0) < 1e-12
 
     def test_unfold_rejects_occupied_targets(self):
         with pytest.raises(ValueError):
-            apply_unfold(ket(("t", H), ("t1", H)), "t", "t1", "t2")
+            apply_element(ket(("t", H), ("t1", H)), Unfold("t", "t1", "t2"))
 
     def test_merge_rejects_wrong_polarization(self):
         with pytest.raises(ValueError):
-            apply_merge(ket(("t1", V)), "t1", "t2", "t")
+            apply_element(ket(("t1", V)), Merge("t1", "t2", "t"))
 
 
 class TestSmallElements:
@@ -145,8 +145,6 @@ class TestSmallElements:
     def test_dispatch_matches_direct_calls(self):
         state = (ket(("a", H)) + ket(("c", V))).normalized()
         pairs = [
-            (Hwp("a", 22.5), apply_hwp(state, "a", 22.5)),
-            (Pbs("a", "c", "a", "c"), apply_pbs(state, "a", "c", "a", "c")),
             (SigmaX("a"), apply_sigma_x(state, "a")),
             (SignFlipV("c"), apply_sign_flip_v(state, "c")),
             (Relabel("a", "b"), apply_relabel(state, "a", "b")),

@@ -2,32 +2,22 @@
 
 The branch oracle below spells out the expected heralded output for all
 four detection branches (ancilla polarization x exit channel), including
-the sign structure that the feed-forward rules must undo.
+the sign structure that the feed-forward rules must undo.  The
+fusion-then-fission round trip is the ``optical-roundtrip`` check of
+``fockfuse.verify``, run by ``test_acceptance.py``.
 """
-
-import math
 
 import numpy as np
 import pytest
 
 from fockfuse.circuits import (
-    apply_feed_forward,
     build_fission_circuit,
     fission_feed_forward,
     fission_success_target,
-    product_qudit,
     run_fission,
-    run_fusion,
 )
 from fockfuse.states import H, V, PureState, fidelity
-
-INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-def random_qudit(rng):
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    v /= np.linalg.norm(v)
-    return tuple(complex(x) for x in v)
+from fockfuse.verify import random_qudit
 
 
 def branch_oracle(amps, a_pol, channel):
@@ -103,37 +93,6 @@ class TestFeedForward:
                 total += outcome.probability
                 assert fidelity(fission_feed_forward(outcome), target) >= 1.0 - 1e-10
             assert total == pytest.approx(1 / 8, abs=1e-12)
-
-
-class TestRoundTrip:
-    def test_fission_inverts_fusion_on_products(self):
-        rng = np.random.default_rng(11)
-        for _ in range(15):
-            v = rng.normal(size=2) + 1j * rng.normal(size=2)
-            psi = tuple(v / np.linalg.norm(v))
-            w = rng.normal(size=2) + 1j * rng.normal(size=2)
-            phi = tuple(w / np.linalg.norm(w))
-            fused = apply_feed_forward(run_fusion(psi, phi)[0])
-            qudit = [
-                fused.amplitude((((m, pol, ""), 1),))
-                for m, pol in (("t1", H), ("t1", V), ("t2", H), ("t2", V))
-            ]
-            qudit = np.array(qudit) / np.linalg.norm(qudit)
-            split = fission_feed_forward(run_fission(tuple(qudit))[0])
-            assert fidelity(split, fission_success_target(product_qudit(psi, phi))) >= 1.0 - 1e-10
-
-    def test_fission_inverts_fusion_on_entangled_qudits(self):
-        rng = np.random.default_rng(12)
-        for _ in range(8):
-            amps = random_qudit(rng)
-            fused = apply_feed_forward(run_fusion(entangled=amps)[0])
-            qudit = [
-                fused.amplitude((((m, pol, ""), 1),))
-                for m, pol in (("t1", H), ("t1", V), ("t2", H), ("t2", V))
-            ]
-            qudit = np.array(qudit) / np.linalg.norm(qudit)
-            split = fission_feed_forward(run_fission(tuple(qudit))[0])
-            assert fidelity(split, fission_success_target(amps)) >= 1.0 - 1e-10
 
 
 class TestStructure:

@@ -22,17 +22,11 @@ from fockfuse.rails import (
     two_qubit_ket,
     two_qubit_state,
 )
-from fockfuse.states import fidelity
+from fockfuse.states import INV_SQRT2, fidelity
+from fockfuse.verify import random_qubit
 
-INV_SQRT2 = 1.0 / math.sqrt(2.0)
 C = ("c0", "c1")
 T = ("t0", "t1")
-
-
-def random_qubit(rng):
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    v /= np.linalg.norm(v)
-    return (complex(v[0]), complex(v[1]))
 
 
 class TestCnot:
