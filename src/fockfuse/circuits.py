@@ -11,7 +11,10 @@ all heralded branches onto the canonical output.
 A circuit's elements compile once into a single linear substitution of the
 creation operators (``elements.compile_elements``, cached), which
 ``run_circuit`` applies in one ``PureState.substituted`` call per pure input
-branch; feed-forward corrections are applied the same way.
+branch; feed-forward corrections are applied the same way.  The compiled map
+memoizes each input monomial's image (bounded by ``states.MEMO_TERMS`` image
+terms), so after the first run of a circuit on given occupations every later
+run only accumulates cached terms.
 """
 
 from __future__ import annotations

@@ -457,9 +457,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: options whose value may start with a minus sign (``--psi -0.6,0.8``)
+_AMPLITUDE_OPTIONS = ("--psi", "--phi", "--entangled", "--amps", "--vacuum-amp")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join an amplitude option and a following ``-…`` value into
+    ``--option=-…``; argparse would read the value as an unknown option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _AMPLITUDE_OPTIONS and arg[:1] == "-" and arg[1:2] not in ("-", "h"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     if args.command == "fuse" and args.entangled is None and (args.psi is None or args.phi is None):
         parser.error("fuse needs either --psi and --phi, or --entangled")
     try:

@@ -9,7 +9,10 @@ distinguishability tag sector.
 Each element is a small substitution block on the ``(mode, channel)``
 creation operators it touches.  ``compile_elements`` composes a sequence's
 blocks into one sparse linear map, so a circuit compiles once and is applied
-in a single ``PureState.substituted`` call.  Unfold, Merge and Relabel need
+in a single ``PureState.substituted`` call.  The map is a ``MemoRules``: it
+expands each input monomial once and then reuses the image, so repeat runs
+of a circuit only accumulate (the memo holds at most ``states.MEMO_TERMS``
+image terms over all circuits).  Unfold, Merge and Relabel need
 their targets empty; each such check becomes structural: the set of input
 operators reaching the forbidden operator at that step with a coefficient
 above ``PRUNE_TOL``.  A state fails when its support meets that set, so the
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .states import H, PRUNE_TOL, V, PureState
+from .states import H, PRUNE_TOL, V, MemoRules, PureState
 
 
 @dataclass(frozen=True)
@@ -132,7 +135,8 @@ def _block(element: OpticalElement) -> tuple[Rules, tuple]:
 def compile_elements(elements: tuple[OpticalElement, ...]) -> tuple[Rules, tuple]:
     """Compose the elements' blocks, in order, into one sparse linear map.
 
-    Returns the rules (operators no element touches are left out) and, in
+    Returns the rules as a ``MemoRules`` (operators no element touches are
+    left out; monomial images are memoized per compiled map) and, in
     step order, the checks: (frozenset of input operators that reach a
     forbidden operator, the error that step raises).
     """
@@ -151,7 +155,7 @@ def compile_elements(elements: tuple[OpticalElement, ...]) -> tuple[Rules, tuple
                 for dst, u in block.get(mid, ((mid, 1.0),)):
                     out[dst] = out.get(dst, 0.0) + coeff * u
             images[src] = {dst: u for dst, u in out.items() if abs(u) > PRUNE_TOL}
-    return {src: tuple(image.items()) for src, image in images.items()}, tuple(checks)
+    return MemoRules({src: tuple(image.items()) for src, image in images.items()}), tuple(checks)
 
 
 def apply_elements(state: PureState, elements: Iterable[OpticalElement]) -> PureState:

@@ -15,8 +15,10 @@ inputs.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -68,6 +70,63 @@ def _mode_channel_counts(occ: Occupation, modes: frozenset[str]) -> tuple[int, i
     return n_h, n_v
 
 
+#: most image terms (about 240 B each) memoized across all ``MemoRules``
+#: maps; the memo empties when one more image would pass it
+MEMO_TERMS = 1 << 16
+_memo: dict = {}
+_memo_terms = 0
+_memo_tokens = itertools.count()
+_memo_lock = threading.Lock()
+
+
+def monomial_image(occ: Occupation, rules: Mapping):
+    """``occ``'s creation-operator monomial expanded under ``rules``, as
+    ``(√Π n_in!, ((out_occ, coeff, √Π n_out!), ...))``."""
+    poly: dict[Occupation, complex] = {(): 1.0 + 0.0j}
+    fact_in = 1.0
+    for (mode, channel, tag), n in occ:
+        fact_in *= math.factorial(n)
+        images = rules.get((mode, channel))
+        if images is None:
+            images = (((mode, channel), 1.0 + 0.0j),)
+        for _ in range(n):
+            nxt: dict[Occupation, complex] = {}
+            for mono, coeff in poly.items():
+                for (m2, c2), u in images:
+                    if u == 0:
+                        continue
+                    bumped = _occ_bump(mono, (m2, c2, tag))
+                    nxt[bumped] = nxt.get(bumped, 0.0) + coeff * u
+            poly = nxt
+    return math.sqrt(fact_in), tuple(
+        (mono, coeff, math.sqrt(math.prod(math.factorial(n) for _, n in mono)))
+        for mono, coeff in poly.items()
+    )
+
+
+class MemoRules(dict):
+    """Substitution rules that memoize each input monomial's image, keyed by
+    the occupation (tags included); the rules must not change afterwards."""
+
+    def __init__(self, rules):
+        super().__init__(rules)
+        self.token = next(_memo_tokens)
+
+    def image(self, occ: Occupation):
+        global _memo_terms
+        found = _memo.get((self.token, occ))
+        if found is None:
+            found = monomial_image(occ, self)
+            with _memo_lock:  # the memo and its term count change together
+                if (self.token, occ) not in _memo and len(found[1]) <= MEMO_TERMS:
+                    if _memo_terms + len(found[1]) > MEMO_TERMS:
+                        _memo.clear()
+                        _memo_terms = 0
+                    _memo[self.token, occ] = found
+                    _memo_terms += len(found[1])
+        return found
+
+
 class PureState:
     """Sparse complex-amplitude expansion over occupation basis vectors."""
 
@@ -115,9 +174,6 @@ class PureState:
     def modes(self) -> list[str]:
         return sorted({k[0] for occ in self._terms for k, _ in occ})
 
-    def tags(self) -> list[str]:
-        return sorted({k[2] for occ in self._terms for k, _ in occ})
-
     def max_photons(self) -> int:
         return max((total_photons(occ) for occ in self._terms), default=0)
 
@@ -135,9 +191,6 @@ class PureState:
         for occ, amp in other._terms.items():
             out[occ] = out.get(occ, 0.0) + amp
         return PureState(out)
-
-    def __sub__(self, other: "PureState") -> "PureState":
-        return self + (-1.0) * other
 
     def __mul__(self, factor: complex) -> "PureState":
         return PureState({occ: amp * factor for occ, amp in self._terms.items()})
@@ -192,32 +245,17 @@ class PureState:
         ``rules`` maps ``(mode, channel)`` to the image as a list of
         ``((mode, channel), coefficient)`` pairs; absent keys are left alone.
         Tags ride along unchanged, so every tag sector transforms identically.
+        A ``MemoRules`` map (what ``elements.compile_elements`` returns)
+        expands each input monomial once and reuses its image, within the
+        ``MEMO_TERMS`` bound; any other mapping is expanded afresh.
         """
+        image = rules.image if isinstance(rules, MemoRules) else lambda occ: monomial_image(occ, rules)
         out: dict[Occupation, complex] = {}
         for occ, amp in self._terms.items():
-            # Expand the creation-operator monomial for this term.
-            poly: dict[Occupation, complex] = {(): 1.0 + 0.0j}
-            fact_in = 1.0
-            for (mode, channel, tag), n in occ:
-                fact_in *= math.factorial(n)
-                images = rules.get((mode, channel))
-                if images is None:
-                    images = (((mode, channel), 1.0 + 0.0j),)
-                for _ in range(n):
-                    nxt: dict[Occupation, complex] = {}
-                    for mono, coeff in poly.items():
-                        for (m2, c2), u in images:
-                            if u == 0:
-                                continue
-                            bumped = _occ_bump(mono, (m2, c2, tag))
-                            nxt[bumped] = nxt.get(bumped, 0.0) + coeff * u
-                    poly = nxt
-            scale = amp / math.sqrt(fact_in)
-            for mono, coeff in poly.items():
-                fact_out = 1.0
-                for _, n in mono:
-                    fact_out *= math.factorial(n)
-                out[mono] = out.get(mono, 0.0) + scale * coeff * math.sqrt(fact_out)
+            root_fact_in, terms = image(occ)
+            scale = amp / root_fact_in
+            for mono, coeff, root_fact_out in terms:
+                out[mono] = out.get(mono, 0.0) + scale * coeff * root_fact_out
         return PureState(out)
 
     def project(self, pattern: "DetectionPattern") -> "ConditionalOutcome":

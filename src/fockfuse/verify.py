@@ -312,6 +312,9 @@ def check_fission_output(seed: int) -> str | None:
             corrected = fission_feed_forward(outcome)
             if fidelity(corrected, target) < 1.0 - TOL:
                 return f"fission feed-forward fidelity {fidelity(corrected, target)}"
+        total = sum(outcome.probability for outcome in outcomes)
+        if abs(total - 1 / 8) > 1e-12:
+            return f"fission heralded total {total}"
     return None
 
 

@@ -97,6 +97,33 @@ class TestAbstractCommands:
         assert branch["probability"] == pytest.approx(0.5)
 
 
+class TestNegativeAmplitudes:
+    """A value that starts with a minus sign may follow its option as a
+    separate argument, and reads as the ``--option=value`` form."""
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("fuse", [("--psi", "-0.6,0.8"), ("--phi", "-1j,0.5")]),
+            ("fuse", [("--entangled", "-1.3-1.8j,0.4,0.2,1")]),
+            ("fission", [("--amps", "-1.3-1.8j,0.4,0.2,1")]),
+            (
+                "abstract-fuse",
+                [("--psi", "-0.6,0.8"), ("--phi", "-.5,1"), ("--vacuum-amp", "-0.5+1j")],
+            ),
+            ("abstract-fission", [("--amps", "-1,2j,0,1"), ("--vacuum-amp", "-2-1j")]),
+        ],
+    )
+    def test_separate_value_gives_the_equals_report(self, capsys, command, options):
+        joined = [f"{option}={value}" for option, value in options]
+        separate = [arg for pair in options for arg in pair]
+        code, expected, _ = run_cli(capsys, command, *joined, "--format", "json")
+        assert code == 0
+        code, out, err = run_cli(capsys, command, *separate, "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == expected
+
+
 class TestBasisScan:
     def test_json_contains_both_matrices_and_note(self, capsys):
         code, out, _ = run_cli(

@@ -2,7 +2,8 @@
 
 A whole element sequence is applied as one composed substitution; these
 tests hold it to element-by-element application and to an independent
-transfer-matrix/permanent calculation.
+transfer-matrix/permanent calculation.  Each compiled map memoizes its
+monomial images; the memo must never change a result or skip a check.
 """
 
 import itertools
@@ -25,7 +26,8 @@ from fockfuse.elements import (
     apply_elements,
     compile_elements,
 )
-from fockfuse.states import H, INV_SQRT2, V, PureState
+from fockfuse import states
+from fockfuse.states import H, INV_SQRT2, V, PureState, monomial_image
 
 MODES = ("a", "b", "c", "d")
 #: free names that unfold/relabel/merge can also write to
@@ -220,3 +222,72 @@ def test_identity_pair_before_unfold_does_not_raise():
         assert max_difference(out, sequential(state, elements)) <= 1e-12
     image = dict(compile_elements((Hwp("a", 22.5), Hwp("a", 22.5)))[0][("a", H)])
     assert list(image) == [("a", H)] and image[("a", H)] == pytest.approx(1.0, abs=1e-15)
+
+
+# -- the monomial-image memo -----------------------------------------------------
+
+
+@st.composite
+def multi_photon_states(draw, modes):
+    """A superposition of tagged Fock terms, some with several photons per mode."""
+    tag = st.sampled_from(("", "A", "B"))
+    photon = st.tuples(st.sampled_from(modes), st.sampled_from((H, V)), tag)
+    photons = st.lists(photon, min_size=1, max_size=4)
+    terms = draw(st.lists(photons, min_size=1, max_size=3))
+    coeffs = draw(st.lists(st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0), min_size=3))
+    return sum((z * ket(*photons) for z, photons in zip(coeffs, terms)), PureState.zero())
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_memoized_application_equals_fresh_expansion(data):
+    modes, elements = data.draw(circuits())
+    state = data.draw(multi_photon_states(modes))
+    rules, _checks = compile_elements(elements)
+    fresh = state.substituted(dict(rules)) if rules else state
+    for _ in range(2):  # the repeat call reuses the first call's images
+        got = outcome(lambda: apply_elements(state, elements))
+        if got[0] == "ok":
+            assert list(got[1].items()) == list(fresh.items())
+    for occ, _amp in state.items():
+        assert rules.image(occ) is rules.image(occ)
+        assert rules.image(occ) == monomial_image(occ, dict(rules))
+
+
+@pytest.mark.parametrize(
+    "state, elements, message",
+    [
+        (ket(("t", H), ("t1", H)), (Unfold("t", "t1", "t2"),), "unfold target 't1' already"),
+        (ket(("t1", V)), (Merge("t1", "t2", "t"),), "merge undefined: 't1' carries"),
+        (ket(("t", H), ("u", V)), (Relabel("t", "u"),), "relabel target 'u' already"),
+    ],
+)
+def test_checks_still_raise_when_the_images_are_memoized(state, elements, message):
+    rules, _checks = compile_elements(elements)
+    for occ, _amp in state.items():
+        rules.image(occ)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            apply_elements(state, elements)
+
+
+def test_memo_never_holds_more_terms_than_its_bound(monkeypatch):
+    monkeypatch.setattr(states, "MEMO_TERMS", 40)
+    monkeypatch.setattr(states, "_memo", {})
+    monkeypatch.setattr(states, "_memo_terms", 0)
+    mesh = (Hwp("a", 22.5), Pbs("a", "b", "a", "b"), Hwp("b", 30.0), Pbs("b", "c", "b", "c"))
+    mesh += (Hwp("a", 67.5), Hwp("c", 22.5))
+    inputs = [ket(("a", H)), ket(("a", H), ("b", V, "A")), ket(("a", H), ("a", V), ("b", H))]
+    inputs.append(ket(("a", H), ("a", H), ("b", V), ("c", H)))  # a 66-term image
+    expanded = 0
+    for angle in range(0, 90, 5):
+        elements = (Hwp("c", float(angle)),) + mesh
+        for state in inputs:
+            for _ in range(2):
+                out = apply_elements(state, elements)
+                rules, _checks = compile_elements(elements)
+                assert list(out.items()) == list(state.substituted(dict(rules)).items())
+                cached = sum(len(terms) for _root, terms in states._memo.values())
+                assert cached == states._memo_terms <= states.MEMO_TERMS
+            expanded += sum(len(rules.image(occ)[1]) for occ, _amp in state.items())
+    assert expanded > 10 * states.MEMO_TERMS

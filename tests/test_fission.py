@@ -83,17 +83,6 @@ class TestFeedForward:
         outcome_p = run_fission(amps)[2]
         assert fidelity(fission_feed_forward(outcome_p), target) >= 1.0 - 1e-10
 
-    def test_all_branches_agree_after_correction(self):
-        rng = np.random.default_rng(10)
-        for _ in range(10):
-            amps = random_qudit(rng)
-            target = fission_success_target(amps)
-            total = 0.0
-            for outcome in run_fission(amps):
-                total += outcome.probability
-                assert fidelity(fission_feed_forward(outcome), target) >= 1.0 - 1e-10
-            assert total == pytest.approx(1 / 8, abs=1e-12)
-
 
 class TestStructure:
     def test_output_modes(self):
