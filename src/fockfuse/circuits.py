@@ -1,12 +1,15 @@
-"""Circuit container, apparatus builders, and end-to-end runners.
+"""Circuit container, the two apparatuses, and end-to-end runners.
 
 The fusion apparatus merges two polarization qubits (spatial modes ``t`` and
 ``c``, plus an H-polarized ancilla on ``a``) into one photon spanning modes
 ``t1``/``t2`` and polarization.  The fission apparatus splits such a
 four-dimensional photon (entering on ``c1``/``c2``) back onto two photons
-exiting on ``t`` and on one of the two channels ``c``/``c'``.  Detection
-heralds success; pattern-dependent unitary corrections (feed-forward) fold
-all heralded branches onto the canonical output.
+exiting on ``t`` and on one of the two channels ``c``/``c'``.  Each is
+defined once, by the ``fusion.lop`` or ``fission.lop`` file shipped in
+``fockfuse.data``; ``build_fusion_circuit`` and ``build_fission_circuit``
+parse it once per process.  Detection heralds success; pattern-dependent
+unitary corrections (feed-forward) fold all heralded branches onto the
+canonical output.
 
 A circuit's elements compile once into a single linear substitution of the
 creation operators (``elements.compile_elements``, cached), which
@@ -27,7 +30,6 @@ from functools import cache
 import numpy as np
 
 from .elements import (
-    Hwp,
     Merge,
     OpticalElement,
     Pbs,
@@ -45,7 +47,6 @@ from .states import (
     V,
     ConditionalOutcome,
     DetectionPattern,
-    DEFAULT_PHOTON_CAP,
     MixedState,
     PureState,
 )
@@ -200,7 +201,6 @@ def initial_state(
     bindings: dict[str, tuple[complex, ...]] | None = None,
     *,
     tags: dict[str, str] | None = None,
-    cap: int | None = DEFAULT_PHOTON_CAP,
 ) -> PureState:
     """Build the input state, binding slot amplitudes by name.
 
@@ -223,11 +223,11 @@ def initial_state(
             kets = tuple(((m, p),) for m in (inp.mode1, inp.mode2) for p in (H, V))
             tag = tags.get(inp.mode1, "")
         mode_tags = {m: tags.get(m, tag) for ket in kets for m, _ in ket}
-        state = superpose(state, amps, kets, mode_tags, cap)
+        state = superpose(state, amps, kets, mode_tags)
     return state
 
 
-def superpose(base: PureState, amps, kets, tags=None, cap=DEFAULT_PHOTON_CAP) -> PureState:
+def superpose(base: PureState, amps, kets, tags=None) -> PureState:
     """Sum of ``a * (base with the ket's photons created)`` over nonzero ``a``.
 
     A ket is a sequence of ``(mode, pol)`` photons; ``tags`` maps a mode to
@@ -239,7 +239,7 @@ def superpose(base: PureState, amps, kets, tags=None, cap=DEFAULT_PHOTON_CAP) ->
         if a != 0:
             term = base
             for mode, pol in ket:
-                term = term.create(mode, pol, tags.get(mode, ""), cap=cap)
+                term = term.create(mode, pol, tags.get(mode, ""))
             out = out + complex(a) * term
     return out
 
@@ -263,51 +263,16 @@ def run_circuit(
 
 # -- fusion apparatus -------------------------------------------------------
 
-FUSION_BRANCH_ORDER = ((H, H), (H, V), (V, H), (V, V))
-
-
-def fusion_patterns() -> tuple[DetectionPattern, ...]:
-    """One pattern per (a, c) polarization pair, plus exactly one photon
-    across the two target outputs (the fourfold coincidence)."""
-    return tuple(
-        DetectionPattern.of({"a": pa, "c": pc, ("t1", "t2"): "any"})
-        for pa, pc in FUSION_BRANCH_ORDER
-    )
-
 
 @cache
 def build_fusion_circuit() -> Circuit:
-    """Three-photon fusion apparatus.
+    """The three-photon fusion apparatus defined by the shipped ``fusion.lop``.
 
-    Ancilla Hadamard, copy of ``c`` onto ``a`` at a PBS, Hadamards, unfolding
-    of ``t`` into ``t1``/``t2``, target Hadamards (the ``t2`` plate is a NOT
-    followed by a Hadamard), the two PBS CNOTs, and exit Hadamards on all
-    four outputs.  Built and validated once; later calls return the same
-    frozen circuit.
+    Parsed and validated once; later calls return the same frozen circuit.
     """
-    circuit = Circuit(
-        modes=("a", "c", "t", "t1", "t2"),
-        inputs=(PhotonIn("a", H), QubitSlot("t", "psi"), QubitSlot("c", "phi")),
-        elements=(
-            Hwp("a", 22.5),
-            Pbs("c", "a", "c", "a"),
-            Hwp("a", 22.5),
-            Hwp("c", 22.5),
-            Unfold("t", "t1", "t2"),
-            Hwp("t1", 22.5),
-            SigmaX("t2"),
-            Hwp("t2", 22.5),
-            Pbs("a", "t1", "a", "t1"),
-            Pbs("c", "t2", "c", "t2"),
-            Hwp("a", 22.5),
-            Hwp("c", 22.5),
-            Hwp("t1", 22.5),
-            Hwp("t2", 22.5),
-        ),
-        patterns=fusion_patterns(),
-    )
-    circuit.validate()
-    return circuit
+    from .dsl import load_named_circuit  # dsl imports this module
+
+    return load_named_circuit("fusion")
 
 
 def fused_target(amps) -> PureState:
@@ -373,53 +338,16 @@ def apply_feed_forward(outcome: ConditionalOutcome) -> PureState:
 
 # -- fission apparatus ------------------------------------------------------
 
-FISSION_BRANCH_ORDER = ((H, "c"), (V, "c"), (H, "c'"), (V, "c'"))
-
-
-def fission_patterns() -> tuple[DetectionPattern, ...]:
-    out = []
-    for pa, channel in FISSION_BRANCH_ORDER:
-        other = "c'" if channel == "c" else "c"
-        out.append(
-            DetectionPattern.of({"a": pa, "t": "any", channel: "any", other: "none"})
-        )
-    return tuple(out)
-
 
 @cache
 def build_fission_circuit() -> Circuit:
-    """Three-photon fission apparatus (the fusion layout traversed backwards).
+    """The three-photon fission apparatus defined by the shipped ``fission.lop``.
 
-    The four-dimensional photon enters on ``c1``/``c2``; target and ancilla
-    photons enter H-polarized on ``t`` and ``a``.  The PBS recombining
-    ``c1``/``c2`` has two exits ``c`` and ``c'``; a NOT plate on ``c'``
-    aligns that channel's polarization with the ``c`` exit.  Built and
-    validated once, like the fusion circuit.
+    Parsed and validated once, like the fusion circuit.
     """
-    circuit = Circuit(
-        modes=("c1", "c2", "t", "a", "c", "c'"),
-        inputs=(QuditSlot("c1", "c2", "input"), PhotonIn("t", H), PhotonIn("a", H)),
-        elements=(
-            Hwp("a", 22.5),
-            Hwp("t", 22.5),
-            Hwp("c1", 22.5),
-            Hwp("c2", 22.5),
-            Pbs("t", "c2", "t", "c2"),
-            Pbs("a", "c1", "a", "c1"),
-            Hwp("c1", 22.5),
-            Hwp("c2", 22.5),
-            SigmaX("c2"),
-            Pbs("c1", "c2", "c", "c'"),
-            SigmaX("c'"),
-            Hwp("a", 22.5),
-            Hwp("t", 22.5),
-            Pbs("t", "a", "t", "a"),
-            Hwp("a", 22.5),
-        ),
-        patterns=fission_patterns(),
-    )
-    circuit.validate()
-    return circuit
+    from .dsl import load_named_circuit  # dsl imports this module
+
+    return load_named_circuit("fission")
 
 
 def run_fission(amps) -> list[ConditionalOutcome]:

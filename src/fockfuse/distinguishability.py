@@ -31,16 +31,12 @@ from functools import lru_cache
 import numpy as np
 
 from .circuits import apply_elements, build_fusion_circuit, fusion_input, product_qudit
-from .states import H, INV_SQRT2, V, DetectionPattern, projector_probability
+from .states import H, INV_SQRT2, V, projector_probability
 
 KET_H = (1.0, 0.0)
 KET_V = (0.0, 1.0)
 KET_PLUS = (INV_SQRT2, INV_SQRT2)
 KET_MINUS = (INV_SQRT2, -INV_SQRT2)
-
-#: detection used for all model predictions: both ancillary outputs in H,
-#: one photon across the target outputs
-ANCILLA_H_PATTERN = DetectionPattern.of({"a": H, "c": H, ("t1", "t2"): "any"})
 
 CLOSED_FORM_NOTE = (
     "bases i/ii off-diagonal closed-form numerators are 3(1-p), the unique "
@@ -245,7 +241,8 @@ def _branch_raw_rows(basis_key: str) -> tuple[tuple[tuple[float, ...], ...], ...
         for psi, phi in basis.input_states:
             state = fusion_input(product_qudit(psi, phi), ancilla_tag, pair_tag)
             evolved = apply_elements(state, circuit.elements)
-            detected = evolved.project(ANCILLA_H_PATTERN)
+            # the first pattern: a and c both H, one photon across t1/t2
+            detected = evolved.project(circuit.patterns[0])
             row = []
             for j in range(4):
                 if detected.probability <= 0.0:

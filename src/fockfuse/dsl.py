@@ -135,6 +135,7 @@ def parse_circuit(text: str) -> Circuit:
             if len(words) < 3 or len(words) % 2 == 0:
                 raise line.fail("'detect' takes <modespec> <H|V|any|none> pairs")
             spec: dict = {}
+            seen: set[str] = set()
             for i in range(1, len(words), 2):
                 group = tuple(words[i].split("+"))
                 req = words[i + 1]
@@ -144,16 +145,12 @@ def parse_circuit(text: str) -> Circuit:
                         f"requirement must be H, V, any or none, got {words[i + 1]!r}",
                         i + 1,
                     )
-                key = group[0] if len(group) == 1 else group
-                if key in spec or (isinstance(key, str) and any(
-                    key in (k if isinstance(k, tuple) else (k,)) for k in spec
-                )):
-                    raise line.fail(f"mode {words[i]!r} constrained twice", i)
-                spec[key] = req
-            try:
-                sections["patterns"].append((DetectionPattern.of(spec), line))
-            except ValueError as exc:
-                raise line.fail(str(exc)) from None
+                for mode in group:
+                    if mode in seen:
+                        raise line.fail(f"mode {mode!r} constrained twice", i)
+                    seen.add(mode)
+                spec[group[0] if len(group) == 1 else group] = req
+            sections["patterns"].append((DetectionPattern.of(spec), line))
 
         else:
             raise line.fail(f"unknown directive {line.words()[0]!r}")

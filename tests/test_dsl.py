@@ -1,4 +1,5 @@
 from dataclasses import fields
+from importlib import resources
 from pathlib import Path
 from typing import get_args
 
@@ -11,14 +12,16 @@ from fockfuse.circuits import (
     PhotonIn,
     QubitSlot,
     QuditSlot,
-    build_fission_circuit,
-    build_fusion_circuit,
 )
-from fockfuse.dsl import ParseError, load_named_circuit, parse_circuit, serialize_circuit
+from fockfuse.dsl import ParseError, parse_circuit, serialize_circuit
 from fockfuse.elements import Hwp, OpticalElement, Unfold
 from fockfuse.states import H, V, DetectionPattern
 
 DATA = Path(__file__).parent / "data"
+SHIPPED = sorted(
+    (path for path in resources.files("fockfuse.data").iterdir() if path.name.endswith(".lop")),
+    key=lambda path: path.name,
+)
 
 BAD_FILES = {
     "bad_arity.lop": (4, "argument"),
@@ -38,12 +41,6 @@ class TestParsing:
         circuit = parse_circuit("# header\n\nmode a  # trailing\nhwp a 10\n")
         assert circuit.modes == ("a",)
 
-    def test_shipped_fusion_matches_builder(self):
-        assert load_named_circuit("fusion") == build_fusion_circuit()
-
-    def test_shipped_fission_matches_builder(self):
-        assert load_named_circuit("fission") == build_fission_circuit()
-
     def test_detect_group_syntax(self):
         circuit = parse_circuit("mode a\nmode b\nphoton a H\ndetect a+b any\n")
         (pattern,) = circuit.patterns
@@ -52,9 +49,9 @@ class TestParsing:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("builder", [build_fusion_circuit, build_fission_circuit])
-    def test_round_trip(self, builder):
-        circuit = builder()
+    @pytest.mark.parametrize("path", SHIPPED, ids=[path.name for path in SHIPPED])
+    def test_round_trip(self, path):
+        circuit = parse_circuit(path.read_text())
         assert parse_circuit(serialize_circuit(circuit)) == circuit
 
 
@@ -185,6 +182,11 @@ POSITIONED = {
                                    "detection references non-output mode 't'"),
     "NaN angle": (PLAIN + "hwp a nan\nhwp a 1\n", 5, 7, "angle must be finite, got nan"),
     "infinite angle": (PLAIN + "hwp  a -1e999\n", 5, 8, "angle must be finite, got -inf"),
+    "mode repeated in a later group": (PLAIN + "detect a any a+b none\n", 5, 14,
+                                       "mode 'a' constrained twice"),
+    "mode repeated across groups": (PLAIN + "detect a+b any b+c none\n", 5, 16,
+                                    "mode 'b' constrained twice"),
+    "mode repeated within a group": (PLAIN + "detect a+a any\n", 5, 8, "mode 'a' constrained twice"),
 }
 
 

@@ -28,6 +28,7 @@ from fockfuse.verify import random_qubit
 
 class TestStructure:
     def test_element_sequence(self):
+        # fusion.lop's elements, spelled out independently of the parser
         circuit = build_fusion_circuit()
         assert circuit.elements == (
             Hwp("a", 22.5),
