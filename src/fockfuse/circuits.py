@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
-import numpy as np
-
 from .elements import (
     Merge,
     OpticalElement,
@@ -190,10 +188,10 @@ def normalized_amplitudes(amps, n: int) -> tuple[complex, ...]:
         raise ValueError(f"expected {n} amplitudes, got {len(vec)}")
     if not all(cmath.isfinite(z) for z in vec):
         raise ValueError("amplitudes must be finite")
-    norm = np.linalg.norm(vec)
+    norm = math.sqrt(sum(z.real * z.real for z in vec) + sum(z.imag * z.imag for z in vec))
     if norm == 0:
         raise ValueError("amplitudes are all zero")
-    return tuple(complex(z / norm) for z in vec)
+    return tuple(z / norm for z in vec)
 
 
 def initial_state(

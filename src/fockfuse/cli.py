@@ -18,8 +18,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from .circuits import (
     apply_feed_forward,
     fission_feed_forward,
@@ -264,9 +262,9 @@ def cmd_fidelity_curve(args) -> int:
     if not (0.0 <= args.p_min <= args.p_max <= 1.0) or args.steps < 2:
         print("error: need 0 <= p-min <= p-max <= 1 and steps >= 2", file=sys.stderr)
         return 2
+    step = (args.p_max - args.p_min) / (args.steps - 1)
     rows = []
-    for p in np.linspace(args.p_min, args.p_max, args.steps):
-        p = float(p)
+    for p in [args.p_min + i * step for i in range(args.steps - 1)] + [args.p_max]:
         row = {
             "p": p,
             "law": average_fidelity(p),
@@ -306,6 +304,8 @@ def cmd_fit_p(args) -> int:
             payload.get("row_labels"),
             payload.get("col_labels"),
         )
+        if observed.basis.lower() in BASIS_KEYS and observed.basis.lower() != args.basis:
+            raise ValueError(f"{path}: file basis {observed.basis!r} differs from --basis {args.basis}")
     else:
         observed = ProbabilityMatrix.from_csv(text, basis=args.basis)
     estimate = fit_p(observed, args.basis)

@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .circuits import apply_elements, build_fusion_circuit, fusion_input, product_qudit
 from .states import H, INV_SQRT2, V, projector_probability
 
@@ -169,9 +167,6 @@ class ProbabilityMatrix:
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=float)
-
     def to_json_obj(self) -> dict:
         return {
             "basis": self.basis,
@@ -188,9 +183,6 @@ class ProbabilityMatrix:
 
     @classmethod
     def from_rows(cls, basis: str, rows, row_labels=None, col_labels=None) -> "ProbabilityMatrix":
-        arr = np.asarray(rows, dtype=float)
-        if arr.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got shape {arr.shape}")
         if not isinstance(basis, str):
             raise ValueError(f"basis must be a string, got {basis!r}")
         b = BASES.get(basis.lower())
@@ -205,7 +197,7 @@ class ProbabilityMatrix:
 
         return cls(
             basis=basis,
-            entries=tuple(tuple(float(x) for x in row) for row in arr),
+            entries=_read_matrix(rows),
             row_labels=labels(row_labels, "row", b.input_labels if b else ("r0", "r1", "r2", "r3")),
             col_labels=labels(col_labels, "column", b.output_labels if b else ("c0", "c1", "c2", "c3")),
         )
@@ -222,6 +214,26 @@ class ProbabilityMatrix:
             row_labels.append(cells[0])
             rows.append([float(x) for x in cells[1:]])
         return cls.from_rows(basis, rows, row_labels, col_labels)
+
+
+def _read_matrix(value) -> tuple[tuple[float, ...], ...]:
+    """The rows of a 4x4 matrix of finite reals, from a ``ProbabilityMatrix``
+    or a sequence of rows."""
+    if isinstance(value, ProbabilityMatrix):
+        return value.entries
+    try:
+        rows = tuple(tuple(float(x) for x in row) for row in value)
+    except (TypeError, ValueError):
+        raise ValueError(f"expected a matrix of real numbers, got {value!r}") from None
+    if [len(row) for row in rows] != [4] * 4:
+        raise ValueError(f"expected a 4x4 matrix, got rows of lengths {[len(row) for row in rows]}")
+    if not all(math.isfinite(x) for row in rows for x in row):
+        raise ValueError("observed matrix entries must be finite")
+    return rows
+
+
+def _total(rows) -> float:
+    return sum(x for row in rows for x in row)
 
 
 @lru_cache(maxsize=None)
@@ -257,10 +269,10 @@ def _branch_raw_rows(basis_key: str) -> tuple[tuple[tuple[float, ...], ...], ...
     return tuple(tables)
 
 
-def _raw_matrix(basis_key: str, p: float) -> np.ndarray:
+def _raw_matrix(basis_key: str, p: float) -> tuple[tuple[float, ...], ...]:
     r = indistinguishable_fraction(p)
     ind, dist = _branch_raw_rows(basis_key)
-    return r * np.array(ind) + (1.0 - r) * np.array(dist)
+    return tuple(tuple(r * x + (1.0 - r) * y for x, y in zip(*rows)) for rows in zip(ind, dist))
 
 
 def simulate_basis_matrix(basis, p: float) -> ProbabilityMatrix:
@@ -271,7 +283,7 @@ def simulate_basis_matrix(basis, p: float) -> ProbabilityMatrix:
     """
     key = basis if isinstance(basis, str) else basis.key
     raw = _raw_matrix(key, p)
-    rows = raw / raw.sum(axis=1, keepdims=True)
+    rows = [[x / total for x in row] for row, total in zip(raw, map(sum, raw))]
     return ProbabilityMatrix.from_rows(key, rows)
 
 
@@ -359,7 +371,7 @@ def simulated_basis_mean_fidelity(basis, p: float) -> float:
     """
     key = basis if isinstance(basis, str) else basis.key
     raw = _raw_matrix(key, p)
-    return float(np.trace(raw) / raw.sum())
+    return sum(raw[i][i] for i in range(4)) / _total(raw)
 
 
 def basis_mean_fidelity_law(basis, p: float) -> float:
@@ -385,29 +397,26 @@ def coincidence_weighted_fidelity(p: float) -> float:
     total = 0.0
     for key in BASIS_KEYS:
         raw = _raw_matrix(key, p)
-        diag += float(np.trace(raw))
-        total += float(raw.sum())
+        diag += sum(raw[i][i] for i in range(4))
+        total += _total(raw)
     return diag / total
 
 
 def similarity(d, d_prime) -> float:
-    """Bhattacharyya-style overlap between two non-negative matrices.
+    """Bhattacharyya-style overlap between two non-negative 4x4 matrices.
 
     S = (sum_ij sqrt(D_ij D'_ij))^2 / (sum_ij D_ij * sum_ij D'_ij); equals 1
     exactly when the matrices are proportional and is invariant under
     positive rescaling of either argument.
     """
-    a = d.as_array() if isinstance(d, ProbabilityMatrix) else np.asarray(d, dtype=float)
-    b = d_prime.as_array() if isinstance(d_prime, ProbabilityMatrix) else np.asarray(d_prime, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if (a < 0).any() or (b < 0).any():
+    a, b = _read_matrix(d), _read_matrix(d_prime)
+    if any(x < 0 for row in a + b for x in row):
         raise ValueError("similarity requires non-negative entries")
-    sum_a = float(a.sum())
-    sum_b = float(b.sum())
+    sum_a = _total(a)
+    sum_b = _total(b)
     if sum_a == 0.0 or sum_b == 0.0:
         raise ValueError("similarity undefined for an all-zero matrix")
-    overlap = float(np.sqrt(a * b).sum())
+    overlap = sum(math.sqrt(x * y) for row_a, row_b in zip(a, b) for x, y in zip(row_a, row_b))
     return overlap * overlap / (sum_a * sum_b)
 
 
@@ -417,12 +426,10 @@ def fit_p(observed, basis="ii", *, tol: float = 1e-4) -> float:
     Golden-section search over p in [0, 1] on the closed-form matrices of
     the given basis.
     """
-    obs = observed.as_array() if isinstance(observed, ProbabilityMatrix) else np.asarray(observed, dtype=float)
-    if not np.isfinite(obs).all():
-        raise ValueError("observed matrix entries must be finite")
-    if (obs < 0).any():
+    obs = _read_matrix(observed)
+    if any(x < 0 for row in obs for x in row):
         raise ValueError("observed matrix must be non-negative")
-    if obs.sum() == 0.0:
+    if _total(obs) == 0.0:
         raise ValueError("observed matrix is degenerate (all zero)")
     key = basis if isinstance(basis, str) else basis.key
 

@@ -146,6 +146,8 @@ def parse_circuit(text: str) -> Circuit:
                         i + 1,
                     )
                 for mode in group:
+                    if not mode:
+                        raise line.fail(f"empty mode name in group {words[i]!r}", i)
                     if mode in seen:
                         raise line.fail(f"mode {mode!r} constrained twice", i)
                     seen.add(mode)

@@ -9,10 +9,11 @@ are compared at ``TOL``.
 
 from __future__ import annotations
 
+import cmath
+import math
+import random
 import time
 from importlib import resources
-
-import numpy as np
 
 from .circuits import (
     apply_elements,
@@ -22,6 +23,7 @@ from .circuits import (
     fission_success_target,
     fused_target,
     initial_state,
+    normalized_amplitudes,
     product_qudit,
     run_circuit,
     run_fission,
@@ -58,6 +60,7 @@ from .states import (
 )
 
 TOL = 1e-10
+IDENTITY = tuple(tuple(float(i == j) for j in range(4)) for i in range(4))
 
 BASIS_KETS = {
     "H": (1.0, 0.0),
@@ -67,35 +70,33 @@ BASIS_KETS = {
 }
 
 
-def random_qubit(rng) -> tuple[complex, complex]:
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    v = v / np.linalg.norm(v)
-    return (complex(v[0]), complex(v[1]))
+def random_qubit(rng: random.Random) -> tuple[complex, ...]:
+    return normalized_amplitudes([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(2)], 2)
 
 
-def random_qudit(rng) -> tuple[complex, ...]:
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    v = v / np.linalg.norm(v)
-    return tuple(complex(x) for x in v)
+def random_qudit(rng: random.Random) -> tuple[complex, ...]:
+    return normalized_amplitudes([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)], 4)
 
 
 def phase_aligned_difference(got, want) -> float:
     """Largest entrywise gap after removing the global phase of ``got``."""
-    got, want = np.asarray(got), np.asarray(want)
-    pivot = int(np.argmax(np.abs(want)))
-    if abs(got[pivot]) == 0:
-        return float(np.abs(got - want).max())
-    phase = want[pivot] / got[pivot]
-    return float(np.abs(got * phase / abs(phase) - want).max())
+    pivot = max(range(len(want)), key=lambda i: abs(want[i]))
+    phase = 1.0 if abs(got[pivot]) == 0 else want[pivot] / got[pivot]
+    return max(abs(g * phase / abs(phase) - w) for g, w in zip(got, want))
 
 
-def _fused_qudit(state: PureState) -> np.ndarray:
+def _max_gap(a, b) -> float:
+    """Largest entrywise difference of two matrices."""
+    return max(abs(x - y) for row_a, row_b in zip(a, b) for x, y in zip(row_a, row_b))
+
+
+def _fused_qudit(state: PureState) -> tuple[complex, ...]:
     """Normalized single-photon amplitudes (t1H, t1V, t2H, t2V) of a fused state."""
-    amps = np.array([
+    amps = [
         state.amplitude((((mode, pol, ""), 1),))
         for mode, pol in (("t1", H), ("t1", V), ("t2", H), ("t2", V))
-    ])
-    return amps / np.linalg.norm(amps)
+    ]
+    return normalized_amplitudes(amps, 4)
 
 
 def _random_state(rng, n_photons: int = 2) -> PureState:
@@ -104,18 +105,14 @@ def _random_state(rng, n_photons: int = 2) -> PureState:
     for _ in range(3):
         term = PureState.vacuum()
         for _ in range(n_photons):
-            term = term.create(
-                modes[rng.integers(len(modes))],
-                H if rng.random() < 0.5 else V,
-                ("", "A", "B")[rng.integers(3)],
-            )
-        z = complex(rng.normal(), rng.normal())
+            term = term.create(rng.choice(modes), rng.choice((H, V)), rng.choice(("", "A", "B")))
+        z = complex(rng.gauss(0, 1), rng.gauss(0, 1))
         state = state + z * term
     return state.normalized()
 
 
 def check_element_conservation(seed: int) -> str | None:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     elements = [
         Hwp("a", 22.5),
         Hwp("t1", -22.5),
@@ -126,7 +123,7 @@ def check_element_conservation(seed: int) -> str | None:
     ]
     for _ in range(30):
         state = _random_state(rng)
-        element = elements[rng.integers(len(elements))]
+        element = rng.choice(elements)
         out = apply_element(state, element)
         if abs(out.squared_norm() - 1.0) > 1e-12:
             return f"{element} changed the norm to {out.squared_norm()}"
@@ -136,9 +133,9 @@ def check_element_conservation(seed: int) -> str | None:
 
 
 def check_hwp_involution(seed: int) -> str | None:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for _ in range(20):
-        theta = float(rng.uniform(-90, 90))
+        theta = rng.uniform(-90, 90)
         state = _random_state(rng)
         twice = apply_element(apply_element(state, Hwp("a", theta)), Hwp("a", theta))
         if abs(fidelity(twice, state) - 1.0) > 1e-12:
@@ -147,7 +144,7 @@ def check_hwp_involution(seed: int) -> str | None:
 
 
 def check_projection_completeness(seed: int) -> str | None:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     reqs = (H, V, "none")
     for _ in range(10):
         # one photon in each of two modes keeps the mode family exhaustive
@@ -168,7 +165,7 @@ def check_projection_completeness(seed: int) -> str | None:
 
 
 def check_fusion_correctness(seed: int, n_random: int = 20) -> str | None:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for _ in range(n_random):
         psi, phi = random_qubit(rng), random_qubit(rng)
         outcomes = run_fusion(psi, phi)
@@ -187,7 +184,7 @@ def check_fusion_correctness(seed: int, n_random: int = 20) -> str | None:
 
 
 def check_fusion_hom_filter(seed: int) -> str | None:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for _ in range(10):
         outcomes = run_fusion(random_qubit(rng), random_qubit(rng))
         for outcome in outcomes:
@@ -205,7 +202,7 @@ def check_fusion_hom_filter(seed: int) -> str | None:
 
 
 def check_fusion_entangled_linearity(seed: int) -> str | None:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for _ in range(10):
         amps = random_qudit(rng)
         outcome = run_fusion(entangled=amps)[0]
@@ -217,7 +214,7 @@ def check_fusion_entangled_linearity(seed: int) -> str | None:
 
 
 def check_fusion_spectator_entanglement(seed: int) -> str | None:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     circuit = build_fusion_circuit()
     for _ in range(5):
         psi = random_qubit(rng)
@@ -246,7 +243,7 @@ def check_fusion_spectator_entanglement(seed: int) -> str | None:
 
 
 def check_oracle_equivalence(seed: int, n_random: int = 20) -> str | None:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     pairs = [
         (BASIS_KETS[a], BASIS_KETS[b])
         for a in ("H", "V", "+", "-")
@@ -262,24 +259,22 @@ def check_oracle_equivalence(seed: int, n_random: int = 20) -> str | None:
 
 
 def check_eta_requirement(seed: int) -> str | None:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     plus = BASIS_KETS["+"]
-    reference = rail_fuse(plus, plus).plus_amps
+    reference = fused_target(rail_fuse(plus, plus).plus_amps)
     for _ in range(10):
-        eta = complex(rng.uniform(0.2, 1.0) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+        eta = cmath.rect(rng.uniform(0.2, 1.0), rng.uniform(0, 2 * math.pi))
         branches = rail_fuse(plus, plus, vacuum_amp=eta)
-        overlap = abs(np.vdot(np.array(reference), np.array(branches.plus_amps))) ** 2
-        if overlap < 1.0 - TOL:
+        if fidelity(reference, fused_target(branches.plus_amps)) < 1.0 - TOL:
             return f"shared vacuum amplitude {eta} changed the fused state"
     mismatched: FusionBranches = _fuse_with_vacuum_amps(plus, plus, 1.0, 0.5)
-    overlap = abs(np.vdot(np.array(reference), np.array(mismatched.plus_amps))) ** 2
-    if overlap > 1.0 - 1e-6:
+    if fidelity(reference, fused_target(mismatched.plus_amps)) > 1.0 - 1e-6:
         return "mismatched vacuum amplitudes were not detected"
     return None
 
 
 def check_iterated_fusion(seed: int) -> str | None:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for n in range(1, 5):
         for index in range(2**n):
             qubits = [
@@ -287,21 +282,21 @@ def check_iterated_fusion(seed: int) -> str | None:
                 for k in range(n)
             ]
             amps, _prob = fuse_iterated(qubits)
-            expected = np.zeros(2**n)
-            expected[index] = 1.0
+            expected = [float(i == index) for i in range(2**n)]
             if phase_aligned_difference(amps, expected) > TOL:
                 return f"basis input {index} of n={n} not reproduced"
     for _ in range(10):
         qubits = [random_qubit(rng) for _ in range(3)]
         amps, _prob = fuse_iterated(qubits)
-        gap = phase_aligned_difference(amps, np.kron(np.kron(qubits[0], qubits[1]), qubits[2]))
+        product = [x * y * z for x in qubits[0] for y in qubits[1] for z in qubits[2]]
+        gap = phase_aligned_difference(amps, product)
         if gap > TOL:
             return f"n=3 iterated fusion amplitude gap {gap:.2e}"
     return None
 
 
 def check_fission_output(seed: int) -> str | None:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for _ in range(10):
         amps = random_qudit(rng)
         outcomes = run_fission(amps)
@@ -319,7 +314,7 @@ def check_fission_output(seed: int) -> str | None:
 
 
 def check_roundtrip(seed: int) -> str | None:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     runs = []
     for _ in range(10):
         psi, phi = random_qubit(rng), random_qubit(rng)
@@ -337,7 +332,7 @@ def check_roundtrip(seed: int) -> str | None:
 
 
 def check_abstract_roundtrip(seed: int) -> str | None:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for _ in range(10):
         psi, phi = random_qubit(rng), random_qubit(rng)
         fused = rail_fuse(psi, phi).plus_amps
@@ -353,30 +348,28 @@ def check_abstract_roundtrip(seed: int) -> str | None:
 def check_matrices(seed: int) -> str | None:
     for key in BASIS_KEYS:
         for p in (0.0, 0.25, 0.5, 0.77, 1.0):
-            sim = simulate_basis_matrix(key, p).as_array()
-            if (sim < -1e-15).any():
-                return f"basis {key} p={p}: negative entry {sim.min()}"
-            if np.abs(sim.sum(axis=1) - 1.0).max() > 1e-12:
+            sim = simulate_basis_matrix(key, p).entries
+            if min(map(min, sim)) < -1e-15:
+                return f"basis {key} p={p}: negative entry {min(map(min, sim))}"
+            if max(abs(sum(row) - 1.0) for row in sim) > 1e-12:
                 return f"basis {key} p={p}: rows not stochastic"
-            closed = closed_form_matrix(key, p).as_array()
-            if np.abs(sim - closed).max() > TOL:
+            if _max_gap(sim, closed_form_matrix(key, p).entries) > TOL:
                 return f"basis {key} p={p}: simulation differs from closed form"
-        if np.abs(simulate_basis_matrix(key, 1.0).as_array() - np.eye(4)).max() > TOL:
+        if _max_gap(simulate_basis_matrix(key, 1.0).entries, IDENTITY) > TOL:
             return f"basis {key}: no identity at p=1"
     return None
 
 
 def check_diagonal_monotonicity(seed: int) -> str | None:
-    grid = np.linspace(0.0, 1.0, 21)
     for key in BASIS_KEYS:
-        diags = np.array([np.diag(simulate_basis_matrix(key, p).as_array()) for p in grid])
-        if (np.diff(diags, axis=0) < -1e-12).any():
+        matrices = [simulate_basis_matrix(key, i / 20).entries for i in range(21)]
+        if any(b[j][j] - a[j][j] < -1e-12 for a, b in zip(matrices, matrices[1:]) for j in range(4)):
             return f"basis {key}: diagonal not monotone in p"
     return None
 
 
 def check_fidelity_law(seed: int) -> str | None:
-    for p in np.linspace(0.0, 1.0, 21):
+    for p in [i / 20 for i in range(21)]:
         if abs(simulated_average_fidelity(p) - average_fidelity(p)) > TOL:
             return f"fidelity law violated at p={p}"
     if abs(average_fidelity(0.77) - 0.7320) > 1e-4:
@@ -393,23 +386,22 @@ def check_fit_recovery(seed: int) -> str | None:
 
 
 def check_similarity_properties(seed: int) -> str | None:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     m = simulate_basis_matrix("ii", 0.5)
     if similarity(m, m) != 1.0:
         return "self-similarity is not exactly 1"
-    if abs(similarity(np.eye(4), np.full((4, 4), 0.25)) - 0.25) > 1e-12:
+    if abs(similarity(IDENTITY, [[0.25] * 4] * 4) - 0.25) > 1e-12:
         return "identity/uniform similarity is not 0.25"
-    d = np.abs(rng.normal(size=(4, 4)))
-    dp = np.abs(rng.normal(size=(4, 4)))
-    if abs(similarity(3.0 * d, dp) - similarity(d, dp)) > 1e-12:
+    d, dp = ([[abs(rng.gauss(0, 1)) for _ in range(4)] for _ in range(4)] for _ in range(2))
+    if abs(similarity([[3.0 * x for x in row] for row in d], dp) - similarity(d, dp)) > 1e-12:
         return "similarity is not invariant under rescaling its first argument"
-    if abs(similarity(d, 0.3 * dp) - similarity(d, dp)) > 1e-12:
+    if abs(similarity(d, [[0.3 * x for x in row] for row in dp]) - similarity(d, dp)) > 1e-12:
         return "similarity is not invariant under rescaling its second argument"
     return None
 
 
 def check_mixture_linearity(seed: int) -> str | None:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     circuit = build_fusion_circuit()
     psi, phi = random_qubit(rng), random_qubit(rng)
     pure = initial_state(circuit, {"psi": psi, "phi": phi})

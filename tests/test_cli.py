@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fockfuse
 from fockfuse.cli import main
 from fockfuse.dsl import serialize_circuit
 from fockfuse.circuits import build_fusion_circuit
@@ -234,6 +239,29 @@ class TestFitP:
         assert err.startswith("error: ") and needle in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("entries", [
+        0.25, [[0.25] * 4] * 3 + [[0.25] * 3], "0.25", None, {"a": 1}, [[{}] + [0.25] * 3] * 4,
+    ], ids=["scalar", "ragged", "string", "null", "object", "object cell"])
+    def test_json_malformed_entries_report_error(self, capsys, tmp_path, entries):
+        path = tmp_path / "observed.json"
+        path.write_text(json.dumps({"basis": "ii", "entries": entries}))
+        code, out, err = run_cli(capsys, "fit-p", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: expected a ")
+        assert len(err.splitlines()) == 1
+
+    def test_json_basis_must_match_option(self, capsys, tmp_path):
+        from fockfuse.distinguishability import closed_form_matrix
+
+        path = tmp_path / "observed.json"
+        path.write_text(json.dumps(closed_form_matrix("iii", 0.5).to_json_obj()))
+        code, out, err = run_cli(capsys, "fit-p", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: file basis 'iii' differs from --basis ii\n"
+        code, out, _ = run_cli(capsys, "fit-p", "--input", str(path), "--basis", "iii", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["tables"]["fit"]["p"] == pytest.approx(0.5, abs=1e-3)
+
 
 class TestRunCommand:
     def test_run_shipped_fusion(self, capsys, tmp_path):
@@ -285,3 +313,20 @@ class TestRunCommand:
         dumped = json.loads(payload["tables"]["state dump"]["outcome 0"])
         assert isinstance(dumped, list) and dumped
 
+
+
+@pytest.mark.parametrize("argv", [
+    ["-c", "import fockfuse"],
+    ["-m", "fockfuse.cli", "fuse", "--psi", "1,0", "--phi", "0,1"],
+], ids=["import", "fuse"])
+def test_runs_without_numpy(argv):
+    """The package runs on the standard library: a child never imports numpy."""
+    src = str(Path(fockfuse.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    child = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    imported = [line.rsplit("|", 1)[-1].strip() for line in child.stderr.splitlines()]
+    assert "fockfuse" in imported
+    assert not [name for name in imported if name.split(".")[0] == "numpy"]

@@ -38,33 +38,33 @@ class TestMatrices:
     @pytest.mark.parametrize("key", BASIS_KEYS)
     @pytest.mark.parametrize("p", P_GRID)
     def test_simulation_matches_closed_form(self, key, p):
-        sim = simulate_basis_matrix(key, p).as_array()
-        closed = closed_form_matrix(key, p).as_array()
+        sim = np.array(simulate_basis_matrix(key, p).entries)
+        closed = np.array(closed_form_matrix(key, p).entries)
         assert np.abs(sim - closed).max() < 1e-10
 
     @pytest.mark.parametrize("key", BASIS_KEYS)
     @pytest.mark.parametrize("p", P_GRID)
     def test_rows_are_stochastic(self, key, p):
-        sim = simulate_basis_matrix(key, p).as_array()
+        sim = np.array(simulate_basis_matrix(key, p).entries)
         assert (sim >= -1e-15).all()
         assert np.abs(sim.sum(axis=1) - 1.0).max() < 1e-12
 
     def test_basis_i_ancilla_independent_rows(self):
         # middle rows stay perfect even for a fully distinguishable ancilla
         for p in P_GRID:
-            sim = simulate_basis_matrix("i", p).as_array()
+            sim = np.array(simulate_basis_matrix("i", p).entries)
             assert np.abs(sim[1] - np.array([0, 1, 0, 0])).max() < 1e-12
             assert np.abs(sim[2] - np.array([0, 0, 1, 0])).max() < 1e-12
 
     def test_closed_form_spot_values(self):
         # basis iii diagonal: (15+p)/(4(9-5p))
         p = 0.77
-        m = closed_form_matrix("iii", p).as_array()
+        m = np.array(closed_form_matrix("iii", p).entries)
         assert m[0, 0] == pytest.approx((15 + p) / (4 * (9 - 5 * p)), abs=1e-15)
         # basis ii diagonal at p=0 is 1/3
-        assert closed_form_matrix("ii", 0.0).as_array()[0, 0] == pytest.approx(1 / 3)
+        assert np.array(closed_form_matrix("ii", 0.0).entries)[0, 0] == pytest.approx(1 / 3)
         # basis iv top row: (3+p)/(12-8p) and 9(1-p)/(12-8p)
-        m = closed_form_matrix("iv", p).as_array()
+        m = np.array(closed_form_matrix("iv", p).entries)
         assert m[0, 0] == pytest.approx((3 + p) / (12 - 8 * p), abs=1e-15)
         assert m[0, 3] == pytest.approx(9 * (1 - p) / (12 - 8 * p), abs=1e-15)
 
@@ -87,7 +87,7 @@ class TestFidelity:
 
     def test_law_equals_every_basis_ii_diagonal_entry(self):
         for p in P_GRID:
-            diag = np.diag(simulate_basis_matrix("ii", p).as_array())
+            diag = np.diag(np.array(simulate_basis_matrix("ii", p).entries))
             assert np.abs(diag - average_fidelity(p)).max() < 1e-10
 
     def test_per_basis_means(self):
@@ -135,7 +135,7 @@ class TestFit:
 
     def test_perturbed_matrix_recovery(self):
         # compare golden-section result against a brute-force grid oracle
-        noisy = closed_form_matrix("ii", 0.5).as_array() + 0.01
+        noisy = np.array(closed_form_matrix("ii", 0.5).entries) + 0.01
         noisy /= noisy.sum(axis=1, keepdims=True)
         estimate = fit_p(noisy, "ii")
         grid = np.linspace(0.0, 1.0, 1001)
@@ -154,7 +154,7 @@ class TestMatrixIO:
     def test_csv_round_trip(self):
         m = simulate_basis_matrix("ii", 0.77)
         again = ProbabilityMatrix.from_csv(m.to_csv(), basis="ii")
-        assert np.abs(m.as_array() - again.as_array()).max() < 1e-12
+        assert np.abs(np.array(m.entries) - np.array(again.entries)).max() < 1e-12
         assert again.row_labels == m.row_labels
 
     def test_json_obj_shape(self):

@@ -29,6 +29,7 @@ BAD_FILES = {
     "bad_undeclared_mode.lop": (2, "undeclared mode"),
     "bad_angle.lop": (2, "angle"),
     "bad_reuse_after_unfold.lop": (6, "unfolded"),
+    "bad_unnamed_group_member.lop": (4, "empty mode name in group 'a+'"),
 }
 
 
@@ -187,6 +188,7 @@ POSITIONED = {
     "mode repeated across groups": (PLAIN + "detect a+b any b+c none\n", 5, 16,
                                     "mode 'b' constrained twice"),
     "mode repeated within a group": (PLAIN + "detect a+a any\n", 5, 8, "mode 'a' constrained twice"),
+    "empty group member": (PLAIN + "detect a H  + any\n", 5, 13, "empty mode name in group '+'"),
 }
 
 

@@ -7,8 +7,8 @@ the runner API.
 """
 
 import math
+import random
 
-import numpy as np
 import pytest
 
 from fockfuse.circuits import (
@@ -90,7 +90,7 @@ class TestLogicalBasis:
 
 class TestGenericRunner:
     def test_runner_matches_run_fusion(self):
-        rng = np.random.default_rng(46)
+        rng = random.Random(46)
         psi, phi = random_qubit(rng), random_qubit(rng)
         circuit = build_fusion_circuit()
         via_runner = run_circuit(circuit, bindings={"psi": psi, "phi": phi})
@@ -113,7 +113,7 @@ class TestGenericRunner:
         assert outcomes[1].probability == 0.0
 
     def test_mixture_input_is_weighted(self):
-        rng = np.random.default_rng(47)
+        rng = random.Random(47)
         circuit = build_fusion_circuit()
         psi, phi = random_qubit(rng), random_qubit(rng)
         plain = initial_state(circuit, {"psi": psi, "phi": phi})

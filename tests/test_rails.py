@@ -1,6 +1,7 @@
 """Rail-level protocol tests: the CNOT table, fusion, fission, iteration."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ class TestCnot:
 
 class TestFuse:
     def test_product_amplitudes(self):
-        rng = np.random.default_rng(21)
+        rng = random.Random(21)
         for _ in range(20):
             psi, phi = random_qubit(rng), random_qubit(rng)
             branches = fuse(psi, phi)
@@ -89,7 +90,7 @@ class TestFuse:
     @given(st.integers(0, 10_000))
     @settings(max_examples=25)
     def test_vacuum_amplitude_independence(self, seed):
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         psi, phi = random_qubit(rng), random_qubit(rng)
         eta = complex(rng.uniform(0.1, 1.0) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
         reference = np.array(fuse(psi, phi).plus_amps)
@@ -103,7 +104,7 @@ class TestFuse:
         assert abs(np.vdot(target, np.array(branches.plus_amps))) ** 2 < 1.0 - 1e-3
 
     def test_matches_optical_fusion(self):
-        rng = np.random.default_rng(22)
+        rng = random.Random(22)
         for _ in range(10):
             psi, phi = random_qubit(rng), random_qubit(rng)
             abstract = fuse(psi, phi).plus_amps
@@ -118,7 +119,7 @@ class TestFuseIterated:
         assert prob == 1.0
 
     def test_two_qubits_match_fuse(self):
-        rng = np.random.default_rng(23)
+        rng = random.Random(23)
         psi, phi = random_qubit(rng), random_qubit(rng)
         amps, prob = fuse_iterated([psi, phi])
         reference = fuse(psi, phi)
@@ -143,7 +144,7 @@ class TestFuseIterated:
                 assert np.allclose(np.abs(amps), expected)
 
     def test_random_inputs_match_kron(self):
-        rng = np.random.default_rng(24)
+        rng = random.Random(24)
         for _ in range(10):
             qubits = [random_qubit(rng) for _ in range(3)]
             amps, _ = fuse_iterated(qubits)
@@ -162,7 +163,7 @@ class TestFission:
         assert fidelity(state, two_qubit_ket(0, 0)) == pytest.approx(1.0)
 
     def test_product_qudit_separates(self):
-        rng = np.random.default_rng(25)
+        rng = random.Random(25)
         for _ in range(10):
             psi, phi = random_qubit(rng), random_qubit(rng)
             state, prob = fission(product_qudit(psi, phi))
@@ -175,7 +176,7 @@ class TestFission:
         assert fidelity(state, bell) >= 1.0 - 1e-12
 
     def test_inverts_fuse(self):
-        rng = np.random.default_rng(26)
+        rng = random.Random(26)
         for _ in range(10):
             psi, phi = random_qubit(rng), random_qubit(rng)
             state, _ = fission(fuse(psi, phi).plus_amps)
