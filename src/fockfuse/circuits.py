@@ -133,9 +133,9 @@ class Circuit:
         return live
 
     def validate(self) -> None:
-        """Raise ``CircuitError`` at the first entry naming a mode that is
-        declared twice, undeclared, reused after an unfold, or (in a
-        detection pattern) not an output, or holding a non-finite angle."""
+        """Raise ``CircuitError`` at the first entry that declares a mode or
+        slot twice, names an undeclared mode or one unfolded away, detects
+        on a non-output mode, or holds a non-finite angle."""
         declared: set[str] = set()
         for i, mode in enumerate(self.modes):
             if mode in declared:
@@ -146,9 +146,14 @@ class Circuit:
             if mode not in declared:
                 raise CircuitError(f"undeclared mode {mode!r}", entry, mode)
 
+        slots: set[str] = set()
         for i, inp in enumerate(self.inputs):
             for mode in _input_modes(inp):
                 check(mode, ("inputs", i))
+            if not isinstance(inp, PhotonIn):
+                if inp.name in slots:
+                    raise CircuitError(f"slot {inp.name!r} declared twice", ("inputs", i), field="name")
+                slots.add(inp.name)
         retired: set[str] = set()
         for i, el in enumerate(self.elements):
             for name, value in vars(el).items():
@@ -182,15 +187,19 @@ def _input_modes(inp: CircuitInput) -> tuple[str, ...]:
 
 
 def normalized_amplitudes(amps, n: int) -> tuple[complex, ...]:
-    """``n`` finite, not all zero amplitudes, scaled to unit norm."""
+    """``n`` finite, not all zero amplitudes, scaled to unit norm at any scale."""
     vec = [complex(a) for a in amps]
     if len(vec) != n:
         raise ValueError(f"expected {n} amplitudes, got {len(vec)}")
     if not all(cmath.isfinite(z) for z in vec):
         raise ValueError("amplitudes must be finite")
-    norm = math.sqrt(sum(z.real * z.real for z in vec) + sum(z.imag * z.imag for z in vec))
-    if norm == 0:
+    peak = max((max(abs(z.real), abs(z.imag)) for z in vec), default=0.0)
+    if peak == 0:
         raise ValueError("amplitudes are all zero")
+    # an exact power-of-two rescale keeps the sum of squares finite and nonzero
+    shift = -math.frexp(peak)[1]
+    vec = [complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift)) for z in vec]
+    norm = math.sqrt(sum(z.real * z.real for z in vec) + sum(z.imag * z.imag for z in vec))
     return tuple(z / norm for z in vec)
 
 
@@ -200,26 +209,29 @@ def initial_state(
     *,
     tags: dict[str, str] | None = None,
 ) -> PureState:
-    """Build the input state, binding slot amplitudes by name.
-
-    ``tags`` optionally assigns a distinguishability tag per input mode.
-    """
+    """Build the input state, binding each slot's amplitudes by name; ``tags``
+    optionally assigns a distinguishability tag per input mode."""
     bindings = bindings or {}
     tags = tags or {}
-    missing = [n for n in circuit.slot_names() if n not in bindings]
+    slots = circuit.slot_names()
+    missing = [n for n in slots if n not in bindings]
     if missing:
         raise ValueError(f"unbound input slots: {', '.join(missing)}")
+    unknown = [n for n in bindings if n not in slots]
+    if unknown:
+        raise ValueError(f"no input slot named {', '.join(map(repr, unknown))}")
     state = PureState.vacuum()
     for inp in circuit.inputs:
         if isinstance(inp, PhotonIn):
             amps, kets, tag = (1.0,), (((inp.mode, inp.pol),),), inp.tag
-        elif isinstance(inp, QubitSlot):
-            amps = normalized_amplitudes(bindings[inp.name], 2)
-            kets, tag = (((inp.mode, H),), ((inp.mode, V),)), ""
         else:
-            amps = normalized_amplitudes(bindings[inp.name], 4)
-            kets = tuple(((m, p),) for m in (inp.mode1, inp.mode2) for p in (H, V))
-            tag = tags.get(inp.mode1, "")
+            modes = _input_modes(inp)
+            kets = tuple(((m, p),) for m in modes for p in (H, V))
+            tag = tags.get(modes[0], "")
+            try:
+                amps = normalized_amplitudes(bindings[inp.name], len(kets))
+            except ValueError as exc:
+                raise ValueError(f"slot {inp.name!r}: {exc}") from None
         mode_tags = {m: tags.get(m, tag) for ket in kets for m, _ in ket}
         state = superpose(state, amps, kets, mode_tags)
     return state
@@ -273,9 +285,13 @@ def build_fusion_circuit() -> Circuit:
     return load_named_circuit("fusion")
 
 
+#: ket order of the fused photon: t1H, t1V, t2H, t2V
+FUSED_KETS = tuple(((m, p),) for m in ("t1", "t2") for p in (H, V))
+
+
 def fused_target(amps) -> PureState:
-    """The merged single-photon state for qudit amplitudes (t1H, t1V, t2H, t2V)."""
-    return superpose(PureState.vacuum(), amps, [((m, p),) for m in ("t1", "t2") for p in (H, V)])
+    """The merged single-photon state for qudit amplitudes over ``FUSED_KETS``."""
+    return superpose(PureState.vacuum(), amps, FUSED_KETS)
 
 
 def fusion_input(amps, ancilla_tag: str = "", pair_tag: str = "") -> PureState:
@@ -357,10 +373,13 @@ def run_fission(amps) -> list[ConditionalOutcome]:
     return run_circuit(circuit, bindings={"input": tuple(amps)})
 
 
+#: ket order of the split photon pair: tH cH, tV cH, tH cV, tV cV
+SPLIT_KETS = tuple((("t", tp), ("c", cp)) for cp in (H, V) for tp in (H, V))
+
+
 def fission_success_target(amps) -> PureState:
-    """Expected split two-photon state on (t, c) for the heralded branch."""
-    kets = [(("t", tp), ("c", cp)) for cp in (H, V) for tp in (H, V)]
-    return superpose(PureState.vacuum(), amps, kets)
+    """Expected heralded two-photon state on (t, c) over ``SPLIT_KETS``."""
+    return superpose(PureState.vacuum(), amps, SPLIT_KETS)
 
 
 def fission_feed_forward(outcome: ConditionalOutcome) -> PureState:

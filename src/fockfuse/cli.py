@@ -19,6 +19,8 @@ import time
 from pathlib import Path
 
 from .circuits import (
+    FUSED_KETS,
+    SPLIT_KETS,
     apply_feed_forward,
     fission_feed_forward,
     fission_success_target,
@@ -44,9 +46,9 @@ from .distinguishability import (
     simulated_basis_mean_fidelity,
 )
 from .dsl import load_named_circuit, parse_circuit
-from .rails import fission as rail_fission, fuse as rail_fuse
+from .rails import SPLIT_RAIL_KETS, fission as rail_fission, fuse as rail_fuse
 from .reports import REFERENCE, ExperimentReport
-from .states import H, V, PureState, fidelity
+from .states import PureState, fidelity
 from .verify import run_verification
 
 
@@ -102,9 +104,18 @@ def _branch_label(pattern) -> str:
     return " ".join(parts)
 
 
-def _amplitude_list(state: PureState, kets) -> list[complex]:
-    """Amplitudes of untagged kets, each a sequence of ``(mode, pol)`` photons."""
-    return [state.amplitude(tuple(((m, pol, ""), 1) for m, pol in ket)) for ket in kets]
+def _heralded_rows(outcomes, feed_forward, target) -> tuple[list[dict], list[PureState]]:
+    """A report row per heralded branch, and each branch's corrected state."""
+    corrected = [feed_forward(outcome) for outcome in outcomes]
+    rows = [
+        {
+            "branch": _branch_label(outcome.pattern),
+            "probability": outcome.probability,
+            "fidelity": fidelity(state, target),
+        }
+        for outcome, state in zip(outcomes, corrected)
+    ]
+    return rows, corrected
 
 
 def cmd_fuse(args) -> int:
@@ -117,25 +128,13 @@ def cmd_fuse(args) -> int:
         amps = product_qudit(args.psi, args.phi)
         parameters = {"psi": list(args.psi), "phi": list(args.phi)}
     target = fused_target(amps)
-    rows = []
-    total = 0.0
-    for outcome in outcomes:
-        corrected = apply_feed_forward(outcome)
-        rows.append(
-            {
-                "branch": _branch_label(outcome.pattern),
-                "probability": outcome.probability,
-                "fidelity": fidelity(corrected, target),
-            }
-        )
-        total += outcome.probability
-    fused = apply_feed_forward(outcomes[0])
-    kets = [((m, pol),) for m in ("t1", "t2") for pol in (H, V)]
+    rows, corrected = _heralded_rows(outcomes, apply_feed_forward, target)
+    fused = corrected[0]
     tables = {
         "heralded branches": rows,
-        "fused amplitudes (t1H, t1V, t2H, t2V)": _amplitude_list(fused.normalized(), kets),
+        "fused amplitudes (t1H, t1V, t2H, t2V)": fused.normalized().amplitudes(FUSED_KETS),
         "summary": {
-            "total success probability": total,
+            "total success probability": sum(outcome.probability for outcome in outcomes),
             "target fidelity": fidelity(fused, target),
         },
     }
@@ -149,25 +148,12 @@ def cmd_fuse(args) -> int:
 def cmd_fission(args) -> int:
     outcomes = run_fission(args.amps)
     target = fission_success_target(args.amps)
-    rows = []
-    total = 0.0
-    for outcome in outcomes:
-        corrected = fission_feed_forward(outcome)
-        rows.append(
-            {
-                "branch": _branch_label(outcome.pattern),
-                "probability": outcome.probability,
-                "fidelity": fidelity(corrected, target),
-            }
-        )
-        total += outcome.probability
-    split = fission_feed_forward(outcomes[0]).normalized()
-    # the two-photon kets in fission_success_target's order
-    kets = [(("t", tp), ("c", cp)) for cp in (H, V) for tp in (H, V)]
+    rows, corrected = _heralded_rows(outcomes, fission_feed_forward, target)
+    split = corrected[0].normalized()
     tables = {
         "heralded branches": rows,
-        "split two-photon amplitudes (tH cH, tV cH, tH cV, tV cV)": _amplitude_list(split, kets),
-        "summary": {"total heralded probability": total},
+        "split two-photon amplitudes (tH cH, tV cH, tH cV, tV cV)": split.amplitudes(SPLIT_KETS),
+        "summary": {"total heralded probability": sum(outcome.probability for outcome in outcomes)},
     }
     if args.dump_state:
         tables["state dump"] = {"split": split.to_canonical_text()}
@@ -203,25 +189,13 @@ def cmd_abstract_fuse(args) -> int:
 
 def cmd_abstract_fission(args) -> int:
     state, probability = rail_fission(args.amps, vacuum_amp=args.vacuum_amp)
-    kets = []
-    for c_bit in (0, 1):
-        for t_bit in (0, 1):
-            occ = tuple(
-                sorted(
-                    (
-                        ((f"c_{c_bit}", "", ""), 1),
-                        ((f"t_{t_bit}", "", ""), 1),
-                    )
-                )
-            )
-            kets.append(state.amplitude(occ))
     report = ExperimentReport(
         "abstract-fission",
         {"amps": list(args.amps), "vacuum_amp": args.vacuum_amp},
         {
             "success branch": {
                 "probability": probability,
-                "amplitudes (c0t0, c0t1, c1t0, c1t1)": kets,
+                "amplitudes (c0t0, c0t1, c1t0, c1t1)": state.amplitudes(SPLIT_RAIL_KETS),
             }
         },
     )
@@ -476,8 +450,10 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
-    if args.command == "fuse" and args.entangled is None and (args.psi is None or args.phi is None):
-        parser.error("fuse needs either --psi and --phi, or --entangled")
+    if args.command == "fuse":
+        qubits = [q for q in (args.psi, args.phi) if q is not None]
+        if len(qubits) != (0 if args.entangled is not None else 2):
+            parser.error("fuse needs either --psi and --phi, or --entangled alone")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

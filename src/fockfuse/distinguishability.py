@@ -28,13 +28,15 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .circuits import apply_elements, build_fusion_circuit, fusion_input, product_qudit
-from .states import H, INV_SQRT2, V, projector_probability
-
-KET_H = (1.0, 0.0)
-KET_V = (0.0, 1.0)
-KET_PLUS = (INV_SQRT2, INV_SQRT2)
-KET_MINUS = (INV_SQRT2, -INV_SQRT2)
+from .circuits import (
+    FUSED_KETS,
+    apply_elements,
+    build_fusion_circuit,
+    fused_target,
+    fusion_input,
+    product_qudit,
+)
+from .states import INV_SQRT2, projector_probability
 
 CLOSED_FORM_NOTE = (
     "bases i/ii off-diagonal closed-form numerators are 3(1-p), the unique "
@@ -54,21 +56,8 @@ def indistinguishable_fraction(p: float) -> float:
 
 # -- measurement bases ------------------------------------------------------
 
-
-def _pol_projector(mode: str, pol_amps) -> dict[tuple[str, str], complex]:
-    c0, c1 = (complex(x) for x in pol_amps)
-    return {(mode, H): c0, (mode, V): c1}
-
-
-def _spatial_projector(pol_amps, sign: float) -> dict[tuple[str, str], complex]:
-    """Projector on (|pol>_t1 + sign |pol>_t2)/sqrt(2) superpositions."""
-    c0, c1 = (complex(x) for x in pol_amps)
-    return {
-        ("t1", H): c0 * INV_SQRT2,
-        ("t1", V): c1 * INV_SQRT2,
-        ("t2", H): sign * c0 * INV_SQRT2,
-        ("t2", V): sign * c1 * INV_SQRT2,
-    }
+#: single-qubit kets by label
+KETS = {"H": (1.0, 0.0), "V": (0.0, 1.0), "+": (INV_SQRT2, INV_SQRT2), "-": (INV_SQRT2, -INV_SQRT2)}
 
 
 @dataclass(frozen=True)
@@ -79,73 +68,43 @@ class Basis:
     input_states: tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]
     input_labels: tuple[str, ...]
     output_labels: tuple[str, ...]
-    projectors: tuple[tuple[tuple[tuple[str, str], complex], ...], ...]
+    projectors: tuple[dict[tuple[str, str], complex], ...]
+
+    @classmethod
+    def of(cls, key: str, target: str, control: str) -> "Basis":
+        """The basis whose inputs are the (target, control) products of the
+        ``KETS`` labelled in ``target`` and ``control``, in label order.
+
+        Output analyzer j is the ideal fused image of input j: the target
+        bit picks the spatial mode (t1/t2, or their +/- superpositions) and
+        the control bit the polarization.
+        """
+        pairs = [(t, c) for t in target for c in control]
+        states = tuple((KETS[t], KETS[c]) for t, c in pairs)
+        spatial = {"H": "1", "V": "2"}  # an H/V target bit routes to t1/t2
+        photons = [ket[0] for ket in FUSED_KETS]
+        return cls(
+            key,
+            states,
+            tuple(f"{t}_t {c}_c" for t, c in pairs),
+            tuple(f"{c}_t{spatial.get(t, t)}" for t, c in pairs),
+            tuple(
+                dict(zip(photons, fused_target(product_qudit(*state)).amplitudes(FUSED_KETS)))
+                for state in states
+            ),
+        )
 
     def projector(self, j: int) -> dict[tuple[str, str], complex]:
-        return dict(self.projectors[j])
+        return self.projectors[j]
 
 
-def _freeze(proj: dict) -> tuple:
-    return tuple(sorted(proj.items()))
-
-
-def _make_bases() -> dict[str, Basis]:
-    bases: dict[str, Basis] = {}
-    bases["i"] = Basis(
-        key="i",
-        input_states=((KET_H, KET_H), (KET_H, KET_V), (KET_V, KET_H), (KET_V, KET_V)),
-        input_labels=("H_t H_c", "H_t V_c", "V_t H_c", "V_t V_c"),
-        output_labels=("H_t1", "V_t1", "H_t2", "V_t2"),
-        projectors=tuple(
-            _freeze(_pol_projector(mode, pol))
-            for mode, pol in (("t1", KET_H), ("t1", KET_V), ("t2", KET_H), ("t2", KET_V))
-        ),
+BASES = {
+    key: Basis.of(key, target, control)
+    for key, target, control in (
+        ("i", "HV", "HV"), ("ii", "HV", "+-"), ("iii", "+-", "HV"), ("iv", "+-", "+-")
     )
-    bases["ii"] = Basis(
-        key="ii",
-        input_states=((KET_H, KET_PLUS), (KET_H, KET_MINUS), (KET_V, KET_PLUS), (KET_V, KET_MINUS)),
-        input_labels=("H_t +_c", "H_t -_c", "V_t +_c", "V_t -_c"),
-        output_labels=("+_t1", "-_t1", "+_t2", "-_t2"),
-        projectors=tuple(
-            _freeze(_pol_projector(mode, pol))
-            for mode, pol in (
-                ("t1", KET_PLUS),
-                ("t1", KET_MINUS),
-                ("t2", KET_PLUS),
-                ("t2", KET_MINUS),
-            )
-        ),
-    )
-    bases["iii"] = Basis(
-        key="iii",
-        input_states=((KET_PLUS, KET_H), (KET_PLUS, KET_V), (KET_MINUS, KET_H), (KET_MINUS, KET_V)),
-        input_labels=("+_t H_c", "+_t V_c", "-_t H_c", "-_t V_c"),
-        output_labels=("H_t+", "V_t+", "H_t-", "V_t-"),
-        projectors=tuple(
-            _freeze(_spatial_projector(pol, sign))
-            for pol, sign in ((KET_H, 1.0), (KET_V, 1.0), (KET_H, -1.0), (KET_V, -1.0))
-        ),
-    )
-    bases["iv"] = Basis(
-        key="iv",
-        input_states=(
-            (KET_PLUS, KET_PLUS),
-            (KET_PLUS, KET_MINUS),
-            (KET_MINUS, KET_PLUS),
-            (KET_MINUS, KET_MINUS),
-        ),
-        input_labels=("+_t +_c", "+_t -_c", "-_t +_c", "-_t -_c"),
-        output_labels=("+_t+", "-_t+", "+_t-", "-_t-"),
-        projectors=tuple(
-            _freeze(_spatial_projector(pol, sign))
-            for pol, sign in ((KET_PLUS, 1.0), (KET_MINUS, 1.0), (KET_PLUS, -1.0), (KET_MINUS, -1.0))
-        ),
-    )
-    return bases
-
-
-BASES = _make_bases()
-BASIS_KEYS = ("i", "ii", "iii", "iv")
+}
+BASIS_KEYS = tuple(BASES)
 
 
 def get_basis(key: str) -> Basis:

@@ -166,7 +166,7 @@ def parse_circuit(text: str) -> Circuit:
         section, index = exc.entry
         entry, line = sections[section][index]
         words = line.words()
-        if exc.field:  # an element's arguments follow its fields in order
+        if exc.field:  # an element's or slot's arguments follow its fields in order
             at = 1 + [f.name for f in fields(entry)].index(exc.field)
         elif section == "patterns":  # a detect line names modes in its odd, `+`-joined tokens
             at = next(i for i in range(1, len(words), 2) if exc.mode in words[i].split("+"))

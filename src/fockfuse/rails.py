@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .circuits import product_qudit
 from .states import INV_SQRT2, PureState
 
 RailPair = tuple[str, str]
@@ -22,6 +23,8 @@ RailPair = tuple[str, str]
 #: rails of the two-qubit state returned by ``fission``
 FISSION_C_RAILS: RailPair = ("c_0", "c_1")
 FISSION_T_RAILS: RailPair = ("t_0", "t_1")
+#: its kets in the order c0t0, c0t1, c1t0, c1t1
+SPLIT_RAIL_KETS = tuple(((c, ""), (t, "")) for c in FISSION_C_RAILS for t in FISSION_T_RAILS)
 
 MAX_FUSED_QUBITS = 4
 
@@ -140,12 +143,8 @@ def erase_to_zero_port(state: PureState, pair: RailPair) -> PureState:
 
 # -- fusion -----------------------------------------------------------------
 
-_CONTROL: RailPair = ("c0", "c1")
-_TARGET1: RailPair = ("t1a", "t1b")
-_TARGET2: RailPair = ("t2a", "t2b")
-
-#: ket order of the fused four-dimensional state
-_QUDIT_RAILS = ("t1a", "t1b", "t2a", "t2b")
+#: control rails of a fusion round; register qubit k sits on rails (r2k, r2k+1)
+_CONTROL: RailPair = ("cx0", "cx1")
 
 MINUS_BRANCH_CORRECTION = (1.0, -1.0, 1.0, -1.0)
 
@@ -163,11 +162,18 @@ class FusionBranches:
         return tuple(a * c for a, c in zip(self.minus_amps, MINUS_BRANCH_CORRECTION))
 
 
-def _qudit_amplitudes(state: PureState) -> tuple[complex, ...]:
-    amps = []
-    for rail in _QUDIT_RAILS:
-        amps.append(state.amplitude(((_rail_key(rail), 1),)))
-    return tuple(amps)
+def _register_kets(width: int):
+    """One-photon kets of register rails r0..r{width-1}, in rail order."""
+    return tuple(((f"r{i}", ""),) for i in range(width))
+
+
+def _fusion_round(joint: PureState, vacuum_amps):
+    """CNOT register pair k from the control with passthrough amplitude
+    ``vacuum_amps[k]``, then erase the control in the +/- basis; returns
+    ``measure_plus_minus``'s (plus, minus) branches."""
+    for k, amp in enumerate(vacuum_amps):
+        joint = cnot(joint, _CONTROL, (f"r{2 * k}", f"r{2 * k + 1}"), amp)
+    return measure_plus_minus(joint, _CONTROL)
 
 
 def fuse(psi, phi, vacuum_amp: complex = 1.0) -> FusionBranches:
@@ -188,10 +194,7 @@ def _fuse_with_vacuum_amps(psi, phi, amp1, amp2) -> FusionBranches:
     Exposed for fault-injection checks of the shared-passthrough
     requirement.
     """
-    a0, a1 = (complex(x) for x in psi)
-    b0, b1 = (complex(x) for x in phi)
-    joint = (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
-    return _fuse_joint_with_vacuum_amps(joint, amp1, amp2)
+    return _fuse_joint_with_vacuum_amps(product_qudit(psi, phi), amp1, amp2)
 
 
 def fuse_joint(amps, vacuum_amp: complex = 1.0) -> FusionBranches:
@@ -208,27 +211,22 @@ def _fuse_joint_with_vacuum_amps(amps, amp1, amp2) -> FusionBranches:
     amps = tuple(complex(x) for x in amps)
     if len(amps) != 4:
         raise ValueError(f"expected 4 joint amplitudes, got {len(amps)}")
-    # unfolded target: logical 0 sits on pair t1, logical 1 on pair t2
+    # unfolded target: logical 0 sits on pair (r0, r1), logical 1 on (r2, r3)
     joint = PureState.zero()
     for index, amp in enumerate(amps):
-        if amp == 0:
-            continue
-        t_rail = _TARGET1[0] if index < 2 else _TARGET2[0]
-        c_rail = _CONTROL[index % 2]
-        joint = joint + amp * rail_ket((t_rail, c_rail))
-    joint = cnot(joint, _CONTROL, _TARGET1, amp1)
-    joint = cnot(joint, _CONTROL, _TARGET2, amp2)
-    (p_plus, plus), (p_minus, minus) = measure_plus_minus(joint, _CONTROL)
+        if amp != 0:
+            joint = joint + amp * rail_ket((f"r{2 * (index // 2)}", _CONTROL[index % 2]))
+    (p_plus, plus), (p_minus, minus) = _fusion_round(joint, (amp1, amp2))
     return FusionBranches(
-        plus_amps=_qudit_amplitudes(plus),
-        minus_amps=_qudit_amplitudes(minus),
+        plus_amps=plus.amplitudes(_register_kets(4)),
+        minus_amps=minus.amplitudes(_register_kets(4)),
         plus_probability=p_plus,
         minus_probability=p_minus,
     )
 
 
 def fuse_iterated(qubits, vacuum_amp: complex = 1.0):
-    """Merge n qubits into one 2^n-dimensional carrier, one CNOT round each.
+    """Merge n qubits into one 2^n-dimensional carrier, one fusion round each.
 
     Returns (amplitudes, success_probability); the amplitudes equal the full
     tensor product of the input pairs (first qubit = most significant bit),
@@ -247,20 +245,14 @@ def fuse_iterated(qubits, vacuum_amp: complex = 1.0):
         rules = {("r%d" % i, ""): ((("r%d" % (2 * i), ""), 1.0),) for i in reversed(range(width))}
         state = state.substituted(rules)
         width *= 2
-        control = ("cx0", "cx1")
         parts = []
-        for c_amp, c_rail in zip(q, control):
+        for c_amp, c_rail in zip(q, _CONTROL):
             if c_amp != 0:
                 parts.append(c_amp * state.create(c_rail, "", cap=None))
         state = sum(parts, PureState.zero())
-        for i in range(0, width, 2):
-            state = cnot(state, control, ("r%d" % i, "r%d" % (i + 1)), vacuum_amp)
-        p_plus, state = measure_plus_minus(state, control)[0]
+        p_plus, state = _fusion_round(state, [vacuum_amp] * (width // 2))[0]
         probability *= p_plus
-    amps = tuple(
-        state.amplitude(((_rail_key("r%d" % i), 1),)) for i in range(width)
-    )
-    return amps, probability
+    return state.amplitudes(_register_kets(width)), probability
 
 
 # -- fission ----------------------------------------------------------------

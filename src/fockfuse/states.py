@@ -165,6 +165,11 @@ class PureState:
     def amplitude(self, occ: Occupation) -> complex:
         return self._terms.get(tuple(sorted(occ)), 0.0 + 0.0j)
 
+    def amplitudes(self, kets) -> tuple[complex, ...]:
+        """Amplitudes of untagged kets, each a sequence of ``(mode, channel)``
+        photons, one photon per pair."""
+        return tuple(self.amplitude(tuple((make_key(m, ch), 1) for m, ch in ket)) for ket in kets)
+
     def squared_norm(self) -> float:
         return sum(abs(a) ** 2 for a in self._terms.values())
 

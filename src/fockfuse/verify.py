@@ -16,6 +16,7 @@ import time
 from importlib import resources
 
 from .circuits import (
+    FUSED_KETS,
     apply_elements,
     apply_feed_forward,
     build_fusion_circuit,
@@ -31,6 +32,7 @@ from .circuits import (
 )
 from .distinguishability import (
     BASIS_KEYS,
+    KETS,
     average_fidelity,
     closed_form_matrix,
     coincidence_weighted_fidelity,
@@ -61,13 +63,8 @@ from .states import (
 
 TOL = 1e-10
 IDENTITY = tuple(tuple(float(i == j) for j in range(4)) for i in range(4))
-
-BASIS_KETS = {
-    "H": (1.0, 0.0),
-    "V": (0.0, 1.0),
-    "+": (INV_SQRT2, INV_SQRT2),
-    "-": (INV_SQRT2, -INV_SQRT2),
-}
+#: random inputs drawn by the fusion-correctness and oracle checks
+N_RANDOM = 20
 
 
 def random_qubit(rng: random.Random) -> tuple[complex, ...]:
@@ -91,12 +88,8 @@ def _max_gap(a, b) -> float:
 
 
 def _fused_qudit(state: PureState) -> tuple[complex, ...]:
-    """Normalized single-photon amplitudes (t1H, t1V, t2H, t2V) of a fused state."""
-    amps = [
-        state.amplitude((((mode, pol, ""), 1),))
-        for mode, pol in (("t1", H), ("t1", V), ("t2", H), ("t2", V))
-    ]
-    return normalized_amplitudes(amps, 4)
+    """Normalized single-photon amplitudes over ``FUSED_KETS`` of a fused state."""
+    return normalized_amplitudes(state.amplitudes(FUSED_KETS), 4)
 
 
 def _random_state(rng, n_photons: int = 2) -> PureState:
@@ -164,9 +157,9 @@ def check_projection_completeness(seed: int) -> str | None:
     return None
 
 
-def check_fusion_correctness(seed: int, n_random: int = 20) -> str | None:
+def check_fusion_correctness(seed: int) -> str | None:
     rng = random.Random(seed)
-    for _ in range(n_random):
+    for _ in range(N_RANDOM):
         psi, phi = random_qubit(rng), random_qubit(rng)
         outcomes = run_fusion(psi, phi)
         target = fused_target(product_qudit(psi, phi))
@@ -242,14 +235,10 @@ def check_fusion_spectator_entanglement(seed: int) -> str | None:
     return None
 
 
-def check_oracle_equivalence(seed: int, n_random: int = 20) -> str | None:
+def check_oracle_equivalence(seed: int) -> str | None:
     rng = random.Random(seed)
-    pairs = [
-        (BASIS_KETS[a], BASIS_KETS[b])
-        for a in ("H", "V", "+", "-")
-        for b in ("H", "V", "+", "-")
-    ]
-    pairs += [(random_qubit(rng), random_qubit(rng)) for _ in range(n_random)]
+    pairs = [(KETS[a], KETS[b]) for a in KETS for b in KETS]
+    pairs += [(random_qubit(rng), random_qubit(rng)) for _ in range(N_RANDOM)]
     for psi, phi in pairs:
         optical = _fused_qudit(apply_feed_forward(run_fusion(psi, phi)[0]))
         gap = phase_aligned_difference(optical, rail_fuse(psi, phi).plus_amps)
@@ -260,7 +249,7 @@ def check_oracle_equivalence(seed: int, n_random: int = 20) -> str | None:
 
 def check_eta_requirement(seed: int) -> str | None:
     rng = random.Random(seed)
-    plus = BASIS_KETS["+"]
+    plus = KETS["+"]
     reference = fused_target(rail_fuse(plus, plus).plus_amps)
     for _ in range(10):
         eta = cmath.rect(rng.uniform(0.2, 1.0), rng.uniform(0, 2 * math.pi))
@@ -278,7 +267,7 @@ def check_iterated_fusion(seed: int) -> str | None:
     for n in range(1, 5):
         for index in range(2**n):
             qubits = [
-                BASIS_KETS["H"] if (index >> (n - 1 - k)) & 1 == 0 else BASIS_KETS["V"]
+                KETS["H"] if (index >> (n - 1 - k)) & 1 == 0 else KETS["V"]
                 for k in range(n)
             ]
             amps, _prob = fuse_iterated(qubits)

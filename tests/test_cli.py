@@ -45,6 +45,13 @@ class TestFuseCommand:
         with pytest.raises(SystemExit):
             main(["fuse", "--psi", "1,0"])
 
+    @pytest.mark.parametrize("qubits", [["--psi=1,0", "--phi=1,0"], ["--phi=1,0"]])
+    def test_rejects_entangled_with_qubits(self, capsys, qubits):
+        with pytest.raises(SystemExit) as exc:
+            main(["fuse", *qubits, "--entangled=1,0,0,0"])
+        assert exc.value.code == 2
+        assert "--entangled alone" in capsys.readouterr().err
+
     def test_rejects_nan_amplitude(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fuse", "--psi", "nan,1", "--phi", "1,0"])
@@ -91,6 +98,11 @@ class TestAbstractCommands:
         minus = payload["tables"]["minus branch"]["corrected"]
         values = [complex(a["re"], a["im"]) for a in minus]
         assert np.allclose(values, [0.5, 0.5, 0.5, 0.5])
+
+    @pytest.mark.parametrize("psi", ["1e200,0", "1e-200,0"])
+    def test_amplitude_scale_is_irrelevant(self, capsys, psi):
+        want = run_cli(capsys, "abstract-fuse", "--psi=1,0", "--phi=1,0")
+        assert run_cli(capsys, "abstract-fuse", f"--psi={psi}", "--phi=1,0") == want
 
     def test_abstract_fission(self, capsys):
         code, out, _ = run_cli(
@@ -279,6 +291,20 @@ class TestRunCommand:
         code, _, err = run_cli(capsys, "run", str(path), "--bind", "psi=1,0")
         assert code == 2
         assert "phi" in err
+
+    def test_undeclared_slot_reports_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "run", "fusion.lop", "--bind", "psi=1,0", "--bind", "phi=1,0", "--bind", "zeta=1,0"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: no input slot named 'zeta'\n"
+
+    def test_wrong_arity_binding_names_its_slot(self, capsys):
+        code, out, err = run_cli(
+            capsys, "run", "fusion.lop", "--bind", "psi=1,0,0", "--bind", "phi=1,0"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: slot 'psi': expected 2 amplitudes, got 3\n"
 
     def test_zero_binding_reports_error(self, capsys):
         code, out, err = run_cli(

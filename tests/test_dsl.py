@@ -4,7 +4,7 @@ from pathlib import Path
 from typing import get_args
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fockfuse.circuits import (
     Circuit,
@@ -119,6 +119,8 @@ def valid_circuits(draw):
         st.builds(QubitSlot, mode, st.sampled_from(("psi", "phi"))),
         st.builds(QuditSlot, mode, mode, st.just("input")),
     ), max_size=3)))
+    slots = [i.name for i in inputs if not isinstance(i, PhotonIn)]
+    assume(len(slots) == len(set(slots)))
     elements, retired = [], set()
     for _ in range(draw(st.integers(0, 8))):
         live = st.sampled_from([m for m in modes if m not in retired])
@@ -177,6 +179,8 @@ POSITIONED = {
     "reuse after unfold": (PLAIN + "unfold t a b\nhwp b 1\npbs a t a b\nhwp a 2\n", 7, 7,
                            "mode 't' reused after being unfolded away"),
     "duplicate mode": ("mode a\nmode b\n  mode   a\nphoton a H\n", 3, 10, "mode 'a' declared twice"),
+    "duplicate slot name": (PLAIN + "qubit a q\nhwp a 1\nqubit b  q\n", 7, 10,
+                            "slot 'q' declared twice"),
     "detect on a non-output": (PLAIN + "relabel a b\nhwp b 10\ndetect a any\nhwp b 20\nhwp b 30\n", 7, 8,
                                "detection references non-output mode 'a'"),
     "detect on an unfolded mode": (PLAIN + "unfold t a b\ndetect t any\nhwp a 1\n", 6, 8,

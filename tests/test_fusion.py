@@ -150,8 +150,9 @@ class TestAmplitudes:
             normalized_amplitudes((1, 0), 4)
 
     def test_library_inputs_are_normalized(self):
-        scaled = run_fusion((3, 4j), (2, 2))
         unit = run_fusion((0.6, 0.8j), (INV_SQRT2, INV_SQRT2))
-        for got, want in zip(scaled, unit):
-            assert got.probability == pytest.approx(want.probability, abs=1e-15)
-            assert fidelity(got.state, want.state) == pytest.approx(1.0, abs=1e-12)
+        for scale in (1.0, 1e200, 1e-200):
+            scaled = run_fusion((3 * scale, 4j * scale), (2 * scale, 2 * scale))
+            for got, want in zip(scaled, unit):
+                assert got.probability == pytest.approx(want.probability, abs=1e-15)
+                assert fidelity(got.state, want.state) == pytest.approx(1.0, abs=1e-12)

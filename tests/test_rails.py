@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from fockfuse.circuits import apply_feed_forward, fused_target, product_qudit, run_fusion
 from fockfuse.rails import (
-    FISSION_C_RAILS,
-    FISSION_T_RAILS,
+    SPLIT_RAIL_KETS,
     _fuse_with_vacuum_amps,
     cnot,
     fission,
@@ -189,19 +188,7 @@ class TestFission:
             amps = rng.normal(size=4) + 1j * rng.normal(size=4)
             amps /= np.linalg.norm(amps)
             state, _ = fission(tuple(amps))
-            joint = [0j] * 4
-            for c_bit in (0, 1):
-                for t_bit in (0, 1):
-                    occ = tuple(
-                        sorted(
-                            (
-                                ((FISSION_C_RAILS[c_bit], "", ""), 1),
-                                ((FISSION_T_RAILS[t_bit], "", ""), 1),
-                            )
-                        )
-                    )
-                    joint[2 * c_bit + t_bit] = state.amplitude(occ)
-            refused = fuse_joint(tuple(joint))
+            refused = fuse_joint(state.amplitudes(SPLIT_RAIL_KETS))
             overlap = abs(np.vdot(amps, np.array(refused.plus_amps))) ** 2
             assert overlap >= 1.0 - 1e-10
 
