@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import cache
 
 from .elements import (
-    Merge,
     OpticalElement,
     Pbs,
     Relabel,
@@ -36,6 +35,7 @@ from .elements import (
     SignFlipV,
     Unfold,
     apply_elements,
+    block,
 )
 
 # one-element appliers, re-exported: perfbench/tracing.py wraps them here
@@ -113,29 +113,20 @@ class Circuit:
         return [m for i in self.inputs for m in _input_modes(i)]
 
     def output_modes(self) -> set[str]:
-        """Declared modes still live after tracking unfold/merge/relabel."""
+        """Modes live at the output: each element empties the modes of its
+        block's keys and fills the modes of their images."""
         live = set(self.modes) | set(self.input_modes())
         for el in self.elements:
-            if isinstance(el, Unfold):
-                live.discard(el.src)
-                live.update((el.out_h, el.out_v))
-            elif isinstance(el, Merge):
-                live.discard(el.in_h)
-                live.discard(el.in_v)
-                live.add(el.out)
-            elif isinstance(el, Relabel):
-                live.discard(el.src)
-                live.add(el.dst)
-            elif isinstance(el, Pbs) and (el.in1 in live or el.in2 in live):
-                live.discard(el.in1)
-                live.discard(el.in2)
-                live.update((el.out1, el.out2))
+            rules = block(el)[0]
+            live.difference_update(mode for mode, _ch in rules)
+            live.update(mode for image in rules.values() for (mode, _ch), _u in image)
         return live
 
     def validate(self) -> None:
         """Raise ``CircuitError`` at the first entry that declares a mode or
         slot twice, names an undeclared mode or one unfolded away, detects
-        on a non-output mode, or holds a non-finite angle."""
+        on a non-output mode, holds a non-finite angle, or is a PBS with
+        two equal inputs or two equal outputs."""
         declared: set[str] = set()
         for i, mode in enumerate(self.modes):
             if mode in declared:
@@ -167,6 +158,10 @@ class Circuit:
                         raise CircuitError(
                             f"mode {value!r} reused after being unfolded away", ("elements", i), value
                         )
+            if isinstance(el, Pbs) and (el.in1 == el.in2 or el.out1 == el.out2):
+                field = "in2" if el.in1 == el.in2 else "out2"
+                message = f"pbs names {getattr(el, field)!r} twice on one side"
+                raise CircuitError(message, ("elements", i), field=field)
             if isinstance(el, Unfold):
                 retired.add(el.src)
         live = self.output_modes()
@@ -186,8 +181,9 @@ def _input_modes(inp: CircuitInput) -> tuple[str, ...]:
 # -- state preparation and running ----------------------------------------
 
 
-def normalized_amplitudes(amps, n: int) -> tuple[complex, ...]:
-    """``n`` finite, not all zero amplitudes, scaled to unit norm at any scale."""
+def rescaled_amplitudes(amps, n: int) -> tuple[tuple[complex, ...], float]:
+    """``n`` finite, not all zero amplitudes times an exact power of two that
+    keeps their sum of squares finite and nonzero, and that sum of squares."""
     vec = [complex(a) for a in amps]
     if len(vec) != n:
         raise ValueError(f"expected {n} amplitudes, got {len(vec)}")
@@ -196,10 +192,15 @@ def normalized_amplitudes(amps, n: int) -> tuple[complex, ...]:
     peak = max((max(abs(z.real), abs(z.imag)) for z in vec), default=0.0)
     if peak == 0:
         raise ValueError("amplitudes are all zero")
-    # an exact power-of-two rescale keeps the sum of squares finite and nonzero
     shift = -math.frexp(peak)[1]
     vec = [complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift)) for z in vec]
-    norm = math.sqrt(sum(z.real * z.real for z in vec) + sum(z.imag * z.imag for z in vec))
+    return tuple(vec), sum(z.real * z.real for z in vec) + sum(z.imag * z.imag for z in vec)
+
+
+def normalized_amplitudes(amps, n: int) -> tuple[complex, ...]:
+    """``n`` finite, not all zero amplitudes, scaled to unit norm at any scale."""
+    vec, squared_norm = rescaled_amplitudes(amps, n)
+    norm = math.sqrt(squared_norm)
     return tuple(z / norm for z in vec)
 
 

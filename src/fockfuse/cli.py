@@ -15,7 +15,6 @@ import argparse
 import cmath
 import json
 import sys
-import time
 from pathlib import Path
 
 from .circuits import (
@@ -234,8 +233,7 @@ def cmd_basis_scan(args) -> int:
 
 def cmd_fidelity_curve(args) -> int:
     if not (0.0 <= args.p_min <= args.p_max <= 1.0) or args.steps < 2:
-        print("error: need 0 <= p-min <= p-max <= 1 and steps >= 2", file=sys.stderr)
-        return 2
+        raise ValueError("need 0 <= p-min <= p-max <= 1 and steps >= 2")
     step = (args.p_max - args.p_min) / (args.steps - 1)
     rows = []
     for p in [args.p_min + i * step for i in range(args.steps - 1)] + [args.p_max]:
@@ -309,21 +307,21 @@ def cmd_run(args) -> int:
         try:
             circuit = load_named_circuit(path.stem)
         except FileNotFoundError:
-            print(f"error: no such circuit file {args.circuit!r}", file=sys.stderr)
-            return 2
+            raise ValueError(f"no such circuit file {args.circuit!r}") from None
     else:
         circuit = parse_circuit(path.read_text())
     bindings = {}
     for item in args.bind or ():
         name, _, amps = item.partition("=")
+        name = name.strip()
         if not amps:
-            print(f"error: --bind needs name=a0,a1,... (got {item!r})", file=sys.stderr)
-            return 2
+            raise ValueError(f"--bind needs name=a0,a1,... (got {item!r})")
+        if name in bindings:
+            raise ValueError(f"--bind {name}: slot bound twice")
         try:
-            bindings[name.strip()] = _parse_amplitudes(amps)
+            bindings[name] = _parse_amplitudes(amps)
         except argparse.ArgumentTypeError as exc:
-            print(f"error: --bind {name.strip()}: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError(f"--bind {name}: {exc}") from None
     outcomes = run_circuit(circuit, bindings=bindings)
     rows = []
     dumps = {}
@@ -346,10 +344,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    started = time.monotonic()
-    failures = run_verification(seed=args.seed)
-    print(f"verify finished in {time.monotonic() - started:.2f}s")
-    return 1 if failures else 0
+    return 1 if run_verification(seed=args.seed) else 0
 
 
 def _add_output_flags(parser: argparse.ArgumentParser, formats=("text", "json")) -> None:

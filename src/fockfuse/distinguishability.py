@@ -308,8 +308,7 @@ def average_fidelity(p: float) -> float:
     the detectors 1.5x more often than the indistinguishable one, with
     basis-dependent diagonal weight; see ``coincidence_weighted_fidelity``.
     """
-    indistinguishable_fraction(p)  # range check
-    return (3.0 + p) / (9.0 - 5.0 * p)
+    return basis_mean_fidelity_law("ii", p)
 
 
 def simulated_average_fidelity(p: float) -> float:

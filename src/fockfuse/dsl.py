@@ -37,7 +37,7 @@ from typing import get_args, get_type_hints
 
 from .circuits import Circuit, CircuitError, PhotonIn, QubitSlot, QuditSlot
 from .elements import OpticalElement
-from .states import H, V, DetectionPattern
+from .states import ADMITS, H, V, DetectionPattern
 
 _TOKEN = re.compile(r"\S+")
 _MODE_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_']*$")
@@ -140,7 +140,7 @@ def parse_circuit(text: str) -> Circuit:
                 group = tuple(words[i].split("+"))
                 req = words[i + 1]
                 req = req.upper() if req.upper() in (H, V) else req.lower()
-                if req not in (H, V, "any", "none"):
+                if req not in ADMITS:
                     raise line.fail(
                         f"requirement must be H, V, any or none, got {words[i + 1]!r}",
                         i + 1,

@@ -12,11 +12,12 @@ blocks into one sparse linear map, so a circuit compiles once and is applied
 in a single ``PureState.substituted`` call.  The map is a ``MemoRules``: it
 expands each input monomial once and then reuses the image, so repeat runs
 of a circuit only accumulate (the memo holds at most ``states.MEMO_TERMS``
-image terms over all circuits).  Unfold, Merge and Relabel need
-their targets empty; each such check becomes structural: the set of input
-operators reaching the forbidden operator at that step with a coefficient
-above ``PRUNE_TOL``.  A state fails when its support meets that set, so the
-check also fires when interference leaves the target exactly empty.
+image terms over all circuits).  Unfold, Merge, Relabel and a PBS need
+each target that is not also a source empty; each such check becomes
+structural: the set of input operators reaching the forbidden operator at
+that step with a coefficient above ``PRUNE_TOL``.  A state fails when its
+support meets that set, so the check also fires when interference leaves
+the target exactly empty.
 """
 
 from __future__ import annotations
@@ -102,28 +103,36 @@ def _empty(kind: str, *modes: str) -> tuple:
     return tuple(((m, ch), message.format(kind, m)) for m in modes for ch in (H, V, ""))
 
 
-def _block(element: OpticalElement) -> tuple[Rules, tuple]:
+def block(element: OpticalElement) -> tuple[Rules, tuple]:
     """An element's substitution block and the ``(operator, error)`` checks
-    that the operator is empty before it."""
+    that the operator is empty before it.
+
+    The block's keys are the operators the element empties and its images
+    the operators it fills.
+    """
     match element:
         case Hwp(mode, theta):
-            c, s = math.cos(math.radians(2.0 * theta)), math.sin(math.radians(2.0 * theta))
+            # a half-wave plate repeats every 180 degrees; fmod keeps |theta| < 180 exact
+            two_theta = math.radians(2.0 * math.fmod(theta, 180.0))
+            c, s = math.cos(two_theta), math.sin(two_theta)
             return {
                 (mode, H): (((mode, H), c), ((mode, V), s)),
                 (mode, V): (((mode, H), s), ((mode, V), -c)),
             }, ()
         case Pbs(in1, in2, out1, out2):
-            return _moves((in1, H, out1), (in1, V, out2), (in2, H, out2), (in2, V, out1)), ()
+            moves = _moves((in1, H, out1), (in1, V, out2), (in2, H, out2), (in2, V, out1))
+            return moves, _empty("pbs", *(m for m in (out1, out2) if m not in (in1, in2)))
         case Unfold(src, out_h, out_v):
             return _moves((src, H, out_h), (src, V, out_v)), _empty("unfold", out_h, out_v)
         case Merge(in_h, in_v, out):
             message = "merge undefined: {!r} carries the reflected polarization"
             checks = (((in_h, V), message.format(in_h)), ((in_v, H), message.format(in_v)))
+            checks += _empty("merge", out) if out not in (in_h, in_v) else ()
             return _moves((in_h, H, out), (in_v, V, out)), checks
         case Relabel(src, dst):
             if src == dst:
                 return {}, ()
-            return _moves((src, H, dst), (src, V, dst)), _empty("relabel", dst)
+            return _moves(*((src, ch, dst) for ch in (H, V, ""))), _empty("relabel", dst)
         case SigmaX(mode):
             return {(mode, H): (((mode, V), 1.0),), (mode, V): (((mode, H), 1.0),)}, ()
         case SignFlipV(mode):
@@ -143,16 +152,16 @@ def compile_elements(elements: tuple[OpticalElement, ...]) -> tuple[Rules, tuple
     images: dict[tuple[str, str], dict[tuple[str, str], complex]] = {}
     checks = []
     for element in elements:
-        block, forbidden = _block(element)
+        rules, forbidden = block(element)
         for op, message in forbidden:
             reach = {src for src, image in images.items() if abs(image.get(op, 0.0)) > PRUNE_TOL}
             checks.append((frozenset(reach if op in images else reach | {op}), message))
-        for op in block:
+        for op in rules:
             images.setdefault(op, {op: 1.0})
         for src, image in images.items():
             out: dict[tuple[str, str], complex] = {}
             for mid, coeff in image.items():
-                for dst, u in block.get(mid, ((mid, 1.0),)):
+                for dst, u in rules.get(mid, ((mid, 1.0),)):
                     out[dst] = out.get(dst, 0.0) + coeff * u
             images[src] = {dst: u for dst, u in out.items() if abs(u) > PRUNE_TOL}
     return MemoRules({src: tuple(image.items()) for src, image in images.items()}), tuple(checks)

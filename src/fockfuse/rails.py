@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuits import product_qudit
+from .circuits import normalized_amplitudes, product_qudit, rescaled_amplitudes, superpose
 from .states import INV_SQRT2, PureState
 
 RailPair = tuple[str, str]
@@ -37,7 +37,7 @@ def rail_ket(occupied: tuple[str, ...]) -> PureState:
     """Basis ket with one photon in each listed rail."""
     state = PureState.vacuum()
     for rail in occupied:
-        state = state.create(rail, "", cap=None)
+        state = state.create(rail, "")
     return state
 
 
@@ -167,6 +167,11 @@ def _register_kets(width: int):
     return tuple(((f"r{i}", ""),) for i in range(width))
 
 
+#: joint kets by (target bit, control bit): the unfolded target's logical 0
+#: sits on pair (r0, r1), its logical 1 on (r2, r3)
+_JOINT_KETS = tuple(((f"r{2 * t}", ""), (c, "")) for t in (0, 1) for c in _CONTROL)
+
+
 def _fusion_round(joint: PureState, vacuum_amps):
     """CNOT register pair k from the control with passthrough amplitude
     ``vacuum_amps[k]``, then erase the control in the +/- basis; returns
@@ -183,18 +188,11 @@ def fuse(psi, phi, vacuum_amp: complex = 1.0) -> FusionBranches:
     pairs receive a CNOT from the same control, and the control is erased in
     the +/- basis.  The plus branch carries the tensor-product amplitudes
     (a0*c0, a0*c1, a1*c0, a1*c1); the minus branch differs by signs undone
-    by ``MINUS_BRANCH_CORRECTION``.
+    by ``MINUS_BRANCH_CORRECTION``.  Each qubit is rescaled first, so
+    that their product neither overflows nor underflows.
     """
-    return _fuse_with_vacuum_amps(psi, phi, vacuum_amp, vacuum_amp)
-
-
-def _fuse_with_vacuum_amps(psi, phi, amp1, amp2) -> FusionBranches:
-    """Fusion with per-CNOT vacuum amplitudes; correct only when equal.
-
-    Exposed for fault-injection checks of the shared-passthrough
-    requirement.
-    """
-    return _fuse_joint_with_vacuum_amps(product_qudit(psi, phi), amp1, amp2)
+    psi, phi = (rescaled_amplitudes(q, 2)[0] for q in (psi, phi))
+    return fuse_joint(product_qudit(psi, phi), vacuum_amp)
 
 
 def fuse_joint(amps, vacuum_amp: complex = 1.0) -> FusionBranches:
@@ -202,26 +200,26 @@ def fuse_joint(amps, vacuum_amp: complex = 1.0) -> FusionBranches:
 
     ``amps`` indexes the joint state by (target bit, control bit): entry
     2*i + j is the amplitude of target logical i with control logical j.
-    The protocol is linear, so the plus branch reproduces the amplitudes.
+    The protocol is linear, so the plus branch reproduces the amplitudes,
+    and the probabilities do not depend on the input's scale.
     """
     return _fuse_joint_with_vacuum_amps(amps, vacuum_amp, vacuum_amp)
 
 
 def _fuse_joint_with_vacuum_amps(amps, amp1, amp2) -> FusionBranches:
-    amps = tuple(complex(x) for x in amps)
-    if len(amps) != 4:
-        raise ValueError(f"expected 4 joint amplitudes, got {len(amps)}")
-    # unfolded target: logical 0 sits on pair (r0, r1), logical 1 on (r2, r3)
-    joint = PureState.zero()
-    for index, amp in enumerate(amps):
-        if amp != 0:
-            joint = joint + amp * rail_ket((f"r{2 * (index // 2)}", _CONTROL[index % 2]))
+    """Fusion with per-CNOT vacuum amplitudes; correct only when equal.
+
+    Exposed for fault-injection checks of the shared-passthrough
+    requirement.
+    """
+    amps, squared_norm = rescaled_amplitudes(amps, 4)
+    joint = superpose(PureState.vacuum(), amps, _JOINT_KETS)
     (p_plus, plus), (p_minus, minus) = _fusion_round(joint, (amp1, amp2))
     return FusionBranches(
         plus_amps=plus.amplitudes(_register_kets(4)),
         minus_amps=minus.amplitudes(_register_kets(4)),
-        plus_probability=p_plus,
-        minus_probability=p_minus,
+        plus_probability=p_plus / squared_norm,
+        minus_probability=p_minus / squared_norm,
     )
 
 
@@ -232,10 +230,10 @@ def fuse_iterated(qubits, vacuum_amp: complex = 1.0):
     tensor product of the input pairs (first qubit = most significant bit),
     the probability tracks the plus-branch erasure of every merge step.
     """
-    qubits = [tuple(complex(x) for x in q) for q in qubits]
     n = len(qubits)
     if not 1 <= n <= MAX_FUSED_QUBITS:
         raise ValueError(f"can fuse between 1 and {MAX_FUSED_QUBITS} qubits, got {n}")
+    qubits = [normalized_amplitudes(q, 2) for q in qubits]
     # register rails r0..r{2^n-1}; start with qubit 1 on (r0, r1)
     state = qubit_on(("r0", "r1"), qubits[0])
     width = 2
@@ -245,11 +243,7 @@ def fuse_iterated(qubits, vacuum_amp: complex = 1.0):
         rules = {("r%d" % i, ""): ((("r%d" % (2 * i), ""), 1.0),) for i in reversed(range(width))}
         state = state.substituted(rules)
         width *= 2
-        parts = []
-        for c_amp, c_rail in zip(q, _CONTROL):
-            if c_amp != 0:
-                parts.append(c_amp * state.create(c_rail, "", cap=None))
-        state = sum(parts, PureState.zero())
+        state = superpose(state, q, tuple(((c_rail, ""),) for c_rail in _CONTROL))
         p_plus, state = _fusion_round(state, [vacuum_amp] * (width // 2))[0]
         probability *= p_plus
     return state.amplitudes(_register_kets(width)), probability
@@ -257,9 +251,10 @@ def fuse_iterated(qubits, vacuum_amp: complex = 1.0):
 
 # -- fission ----------------------------------------------------------------
 
-_SRC1: RailPair = ("s0", "s1")
-_SRC2: RailPair = ("s2", "s3")
-_FISSION_TARGET: RailPair = ("u0", "u1")
+#: the input's two control pairs; erasure leaves each pair's photon on its
+#: first rail, and those rails are the output control qubit
+_SRC1: RailPair = (FISSION_C_RAILS[0], "s1")
+_SRC2: RailPair = (FISSION_C_RAILS[1], "s3")
 
 
 def fission(qudit, vacuum_amp: complex = 1.0):
@@ -267,33 +262,19 @@ def fission(qudit, vacuum_amp: complex = 1.0):
 
     The four input rails are grouped into two control pairs acting on a
     shared logical-zero target; both control pairs are then Hadamard-erased
-    keeping the logical-zero ports, and the surviving rails form the output
-    control qubit.  Returns (state, probability) with the normalized
-    two-qubit state on FISSION_C_RAILS x FISSION_T_RAILS.
+    keeping the logical-zero ports, which leaves the output control qubit.
+    Returns (state, probability) with the normalized two-qubit state on
+    FISSION_C_RAILS x FISSION_T_RAILS; the probability does not depend on
+    the input's scale.
     """
-    amps = tuple(complex(x) for x in qudit)
-    if len(amps) != 4:
-        raise ValueError(f"expected 4 amplitudes, got {len(amps)}")
-    rails = (_SRC1[0], _SRC1[1], _SRC2[0], _SRC2[1])
-    source = sum(
-        (a * rail_ket((rail,)) for a, rail in zip(amps, rails) if a != 0),
-        PureState.zero(),
-    )
-    state = source.create(_FISSION_TARGET[0], "", cap=None)
-    state = cnot(state, _SRC1, _FISSION_TARGET, vacuum_amp)
-    state = cnot(state, _SRC2, _FISSION_TARGET, vacuum_amp)
+    amps, squared_norm = rescaled_amplitudes(qudit, 4)
+    state = superpose(PureState.vacuum(), amps, tuple(((rail, ""),) for rail in _SRC1 + _SRC2))
+    state = state.create(FISSION_T_RAILS[0], "")
+    state = cnot(state, _SRC1, FISSION_T_RAILS, vacuum_amp)
+    state = cnot(state, _SRC2, FISSION_T_RAILS, vacuum_amp)
     state = erase_to_zero_port(state, _SRC1)
     state = erase_to_zero_port(state, _SRC2)
-    # surviving rails s0/s2 become the output control qubit
-    state = state.substituted(
-        {
-            (_SRC1[0], ""): (((FISSION_C_RAILS[0], ""), 1.0),),
-            (_SRC2[0], ""): (((FISSION_C_RAILS[1], ""), 1.0),),
-            (_FISSION_TARGET[0], ""): (((FISSION_T_RAILS[0], ""), 1.0),),
-            (_FISSION_TARGET[1], ""): (((FISSION_T_RAILS[1], ""), 1.0),),
-        }
-    )
-    probability = state.squared_norm()
+    probability = state.squared_norm() / squared_norm
     if probability <= 0.0:
         return PureState.zero(), 0.0
     return state.normalized(), probability
@@ -306,9 +287,4 @@ def two_qubit_ket(c_bit: int, t_bit: int) -> PureState:
 
 def two_qubit_state(c_amps, t_amps) -> PureState:
     """Product state on the fission output rails."""
-    out = PureState.zero()
-    for i, ca in enumerate(complex(x) for x in c_amps):
-        for j, ta in enumerate(complex(x) for x in t_amps):
-            if ca * ta != 0:
-                out = out + (ca * ta) * two_qubit_ket(i, j)
-    return out
+    return superpose(PureState.vacuum(), product_qudit(c_amps, t_amps), SPLIT_RAIL_KETS)

@@ -28,7 +28,6 @@ UNTAGGED = ""
 
 PRUNE_TOL = 1e-12
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
-DEFAULT_PHOTON_CAP = 4
 
 #: (mode, channel, tag)
 Key = tuple[str, str, str]
@@ -215,9 +214,10 @@ class PureState:
         mode: str,
         channel: str,
         tag: str | None = None,
-        cap: int | None = DEFAULT_PHOTON_CAP,
+        cap: int | None = None,
     ) -> "PureState":
-        """Apply a creation operator: count n gains factor sqrt(n+1)."""
+        """Apply a creation operator: count n gains factor sqrt(n+1); a term
+        may hold at most ``cap`` photons if one is given."""
         key = make_key(mode, channel, tag)
         out: dict[Occupation, complex] = {}
         for occ, amp in self._terms.items():
@@ -356,19 +356,25 @@ def projector_probability(
     return sum(abs(v) ** 2 for v in overlaps.values())
 
 
-_REQUIREMENTS = ("H", "V", "any", "none")
+#: detection requirement -> the (H, V) photon counts over its group that it admits
+ADMITS = {
+    H: frozenset({(1, 0)}),
+    V: frozenset({(0, 1)}),
+    "any": frozenset({(1, 0), (0, 1)}),
+    "none": frozenset({(0, 0)}),
+}
 
 
 @dataclass(frozen=True)
 class DetectionPattern:
     """Photon-count requirements on groups of output modes.
 
-    Each entry constrains a mode group: ``"H"``/``"V"`` demand exactly one
-    photon of that polarization (and nothing else) in the group, ``"any"``
-    exactly one photon of either polarization, ``"none"`` an empty group.
-    Unlisted modes are unconstrained.  Groups let one requirement span two
-    spatial modes, as in the fourfold-coincidence condition of one photon
-    across both target outputs.
+    Each entry constrains a mode group to the (H, V) photon counts, summed
+    over the group, that ``ADMITS`` lists for its requirement: one H photon,
+    one V photon, one of either (``"any"``) or none.  Unlisted modes are
+    unconstrained.  Groups let one requirement span two spatial modes, as in
+    the fourfold-coincidence condition of one photon across both target
+    outputs.
     """
 
     requirements: tuple[tuple[frozenset[str], str], ...]
@@ -379,7 +385,7 @@ class DetectionPattern:
         seen: set[str] = set()
         for group, req in spec.items():
             modes = (group,) if isinstance(group, str) else tuple(group)
-            if req not in _REQUIREMENTS:
+            if req not in ADMITS:
                 raise ValueError(f"unknown detection requirement {req!r}")
             for m in modes:
                 if m in seen:
@@ -391,19 +397,8 @@ class DetectionPattern:
 
     def matches(self, occ: Occupation) -> bool:
         for group, req in self.requirements:
-            n_h, n_v = _mode_channel_counts(occ, group)
-            if req == "H":
-                if not (n_h == 1 and n_v == 0):
-                    return False
-            elif req == "V":
-                if not (n_v == 1 and n_h == 0):
-                    return False
-            elif req == "any":
-                if n_h + n_v != 1:
-                    return False
-            else:  # "none"
-                if n_h + n_v != 0:
-                    return False
+            if _mode_channel_counts(occ, group) not in ADMITS[req]:
+                return False
         return True
 
     def constrained_modes(self) -> set[str]:

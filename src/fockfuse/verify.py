@@ -29,6 +29,7 @@ from .circuits import (
     run_circuit,
     run_fission,
     run_fusion,
+    superpose,
 )
 from .distinguishability import (
     BASIS_KEYS,
@@ -45,7 +46,7 @@ from .dsl import ParseError, parse_circuit, serialize_circuit
 from .elements import Hwp, Pbs, SigmaX, apply_element
 from .rails import (
     FusionBranches,
-    _fuse_with_vacuum_amps,
+    _fuse_joint_with_vacuum_amps,
     fission as rail_fission,
     fuse as rail_fuse,
     fuse_iterated,
@@ -141,13 +142,9 @@ def check_projection_completeness(seed: int) -> str | None:
     reqs = (H, V, "none")
     for _ in range(10):
         # one photon in each of two modes keeps the mode family exhaustive
-        psi, phi = random_qubit(rng), random_qubit(rng)
-        state = PureState.zero()
-        for i, pa in enumerate((H, V)):
-            for j, pc in enumerate((H, V)):
-                z = psi[i] * phi[j]
-                if z != 0:
-                    state = state + z * PureState.vacuum().create("a", pa).create("c", pc)
+        amps = product_qudit(random_qubit(rng), random_qubit(rng))
+        kets = tuple((("a", pa), ("c", pc)) for pa in (H, V) for pc in (H, V))
+        state = superpose(PureState.vacuum(), amps, kets)
         total = 0.0
         for ra in reqs:
             for rc in reqs:
@@ -256,7 +253,7 @@ def check_eta_requirement(seed: int) -> str | None:
         branches = rail_fuse(plus, plus, vacuum_amp=eta)
         if fidelity(reference, fused_target(branches.plus_amps)) < 1.0 - TOL:
             return f"shared vacuum amplitude {eta} changed the fused state"
-    mismatched: FusionBranches = _fuse_with_vacuum_amps(plus, plus, 1.0, 0.5)
+    mismatched: FusionBranches = _fuse_joint_with_vacuum_amps(product_qudit(plus, plus), 1.0, 0.5)
     if fidelity(reference, fused_target(mismatched.plus_amps)) > 1.0 - 1e-6:
         return "mismatched vacuum amplitudes were not detected"
     return None

@@ -11,6 +11,7 @@ import fockfuse
 from fockfuse.cli import main
 from fockfuse.dsl import serialize_circuit
 from fockfuse.circuits import build_fusion_circuit
+from fockfuse.verify import CHECKS
 
 
 def run_cli(capsys, *argv):
@@ -190,9 +191,16 @@ class TestFidelityCurve:
             assert cells[1] == pytest.approx(cells[2], abs=1e-10)
 
     def test_rejects_bad_range(self, capsys):
-        code, _, err = run_cli(capsys, "fidelity-curve", "--p-min", "0.9", "--p-max", "0.1")
-        assert code == 2
-        assert "error" in err
+        code, out, err = run_cli(capsys, "fidelity-curve", "--p-min", "0.9", "--p-max", "0.1")
+        assert code == 2 and out == ""
+        assert err == "error: need 0 <= p-min <= p-max <= 1 and steps >= 2\n"
+
+
+class TestVerifyCommand:
+    def test_last_line_counts_every_check(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--seed", "7")
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1].startswith(f"{len(CHECKS)}/{len(CHECKS)} checks passed")
 
 
 class TestFitP:
@@ -299,6 +307,18 @@ class TestRunCommand:
         assert code == 2 and out == ""
         assert err == "error: no input slot named 'zeta'\n"
 
+    def test_slot_bound_twice_reports_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "run", "fusion.lop", "--bind", "psi=1,0", "--bind", "phi=1,0", "--bind", "psi=0,1"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --bind psi: slot bound twice\n"
+
+    def test_missing_named_circuit_reports_error(self, capsys):
+        code, out, err = run_cli(capsys, "run", "nosuch.lop")
+        assert code == 2 and out == ""
+        assert err == "error: no such circuit file 'nosuch.lop'\n"
+
     def test_wrong_arity_binding_names_its_slot(self, capsys):
         code, out, err = run_cli(
             capsys, "run", "fusion.lop", "--bind", "psi=1,0,0", "--bind", "phi=1,0"
@@ -326,6 +346,23 @@ class TestRunCommand:
         code, out, err = run_cli(capsys, "run", str(path))
         assert code == 2 and out == ""
         assert err == "error: line 3, column 7: angle must be finite, got nan\n"
+
+    def test_huge_finite_angle_runs(self, capsys, tmp_path):
+        path = tmp_path / "huge.lop"
+        path.write_text("mode a\nphoton a H\nhwp a 1e308\ndetect a any\n")
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 0 and err == ""
+        assert "1.000000" in out
+
+    def test_five_photons_run(self, capsys, tmp_path):
+        path = tmp_path / "five.lop"
+        path.write_text(
+            "".join(f"mode m{i}\nphoton m{i} H\n" for i in range(5))
+            + "pbs m0 m1 m0 m1\nhwp m4 22.5\ndetect m4 H\n"
+        )
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 0 and err == ""
+        assert "0.500000" in out
 
     def test_dump_state(self, capsys, tmp_path):
         path = tmp_path / "fusion.lop"

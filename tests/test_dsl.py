@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import get_args
@@ -12,9 +12,11 @@ from fockfuse.circuits import (
     PhotonIn,
     QubitSlot,
     QuditSlot,
+    initial_state,
+    run_circuit,
 )
 from fockfuse.dsl import ParseError, parse_circuit, serialize_circuit
-from fockfuse.elements import Hwp, OpticalElement, Unfold
+from fockfuse.elements import Hwp, OpticalElement, Pbs, Unfold
 from fockfuse.states import H, V, DetectionPattern
 
 DATA = Path(__file__).parent / "data"
@@ -110,7 +112,7 @@ def detection_patterns(draw, outputs):
 
 
 @st.composite
-def valid_circuits(draw):
+def valid_circuits(draw, min_inputs=0, max_inputs=3):
     """Circuits of every element kind that pass ``Circuit.validate``."""
     modes = tuple(draw(st.lists(st.sampled_from(MODE_POOL), min_size=1, max_size=5, unique=True)))
     mode = st.sampled_from(modes)
@@ -118,15 +120,21 @@ def valid_circuits(draw):
         st.builds(PhotonIn, mode, st.sampled_from((H, V)), st.sampled_from(("", "A", "tag_2"))),
         st.builds(QubitSlot, mode, st.sampled_from(("psi", "phi"))),
         st.builds(QuditSlot, mode, mode, st.just("input")),
-    ), max_size=3)))
+    ), min_size=min_inputs, max_size=max_inputs)))
     slots = [i.name for i in inputs if not isinstance(i, PhotonIn)]
     assume(len(slots) == len(set(slots)))
     elements, retired = [], set()
     for _ in range(draw(st.integers(0, 8))):
-        live = st.sampled_from([m for m in modes if m not in retired])
+        available = [m for m in modes if m not in retired]
+        live = st.sampled_from(available)
         kind = draw(st.sampled_from(get_args(OpticalElement)))
         if kind is Hwp:
             element = Hwp(draw(live), draw(st.floats(allow_nan=False, allow_infinity=False)))
+        elif kind is Pbs:  # two distinct inputs and two distinct outputs
+            if len(available) < 2:
+                continue
+            pair = st.lists(live, min_size=2, max_size=2, unique=True)
+            element = Pbs(*draw(pair), *draw(pair))
         else:
             element = kind(*(draw(live) for _ in fields(kind)))
         elements.append(element)
@@ -146,6 +154,27 @@ class TestGenerated:
     def test_parse_inverts_serialize(self, circuit):
         circuit.validate()
         assert parse_circuit(serialize_circuit(circuit)) == circuit
+
+    @settings(deadline=None)
+    @given(valid_circuits(min_inputs=1, max_inputs=1))
+    def test_one_photon_ends_on_one_output(self, circuit):
+        """"H, or V, on output m and none on every other output", over every
+        output m, is an exhaustive pattern family for a one-photon input."""
+        outputs = sorted(circuit.output_modes())
+        patterns = tuple(
+            DetectionPattern.of({m: pol, **{o: "none" for o in outputs if o != m}})
+            for m in outputs for pol in (H, V)
+        )
+        (inp,) = circuit.inputs
+        amps = (0.6, 0.8j) if isinstance(inp, QubitSlot) else (0.5, 0.5j, -0.5, 0.5)
+        bindings = {} if isinstance(inp, PhotonIn) else {inp.name: amps}
+        state = initial_state(circuit, bindings).normalized()
+        try:
+            outcomes = run_circuit(replace(circuit, patterns=patterns), state)
+        except ValueError as exc:  # an element wrote onto a target that is not empty
+            assert "already carries photons" in str(exc) or "merge undefined" in str(exc)
+            assume(False)
+        assert abs(sum(outcome.probability for outcome in outcomes) - 1.0) < 1e-12
 
     @settings(deadline=None)
     @given(st.one_of(
@@ -185,6 +214,9 @@ POSITIONED = {
                                "detection references non-output mode 'a'"),
     "detect on an unfolded mode": (PLAIN + "unfold t a b\ndetect t any\nhwp a 1\n", 6, 8,
                                    "detection references non-output mode 't'"),
+    "pbs with one input twice": (PLAIN + "pbs a a a b\n", 5, 7, "pbs names 'a' twice on one side"),
+    "pbs with one output twice": (PLAIN + "hwp a 1\npbs a b t  t\n", 6, 12,
+                                  "pbs names 't' twice on one side"),
     "NaN angle": (PLAIN + "hwp a nan\nhwp a 1\n", 5, 7, "angle must be finite, got nan"),
     "infinite angle": (PLAIN + "hwp  a -1e999\n", 5, 8, "angle must be finite, got -inf"),
     "mode repeated in a later group": (PLAIN + "detect a any a+b none\n", 5, 14,

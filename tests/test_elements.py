@@ -61,6 +61,13 @@ class TestHwp:
         twice = apply_element(apply_element(state, Hwp("a", theta)), Hwp("a", theta))
         assert abs(twice.inner(state) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("theta", [22.5, -67.5, 1e3, 1e308, -1e308])
+    def test_period_is_180_degrees(self, theta):
+        state = (ket(("a", H)) + 2j * ket(("a", V))).normalized()
+        once = apply_element(state, Hwp("a", theta))
+        turned = apply_element(state, Hwp("a", math.fmod(theta, 180.0) + 180.0))
+        assert abs(once.inner(turned) - 1.0) < 1e-12
+
     def test_acts_per_tag_sector(self):
         mixed_tags = ket(("a", H, "A"), ("a", H, "B"))
         out = apply_element(mixed_tags, Hwp("a", 22.5))
@@ -97,6 +104,13 @@ class TestPbs:
             after = apply_element(x, pbs).inner(apply_element(y, pbs))
             assert abs(before - after) < 1e-12
 
+    def test_rejects_an_occupied_output_that_is_not_an_input(self):
+        # x H -> z H would add to the photon already on z, which is not unitary
+        state = (ket(("x", H)) + ket(("z", H))).normalized()
+        with pytest.raises(ValueError, match="pbs target 'z' already carries photons"):
+            apply_element(state, Pbs("x", "y", "z", "y"))
+        assert apply_element(ket(("x", H)), Pbs("x", "y", "z", "y")).modes() == ["z"]
+
 
 class TestUnfoldMerge:
     def test_unfold_splits_by_polarization(self):
@@ -117,6 +131,13 @@ class TestUnfoldMerge:
             unfolded = apply_element(state, Unfold("t", "t1", "t2"))
             out = apply_element(unfolded, Merge("t1", "t2", "t"))
             assert abs(out.inner(state) - 1.0) < 1e-12
+
+    def test_merge_rejects_an_occupied_output(self):
+        state = ket(("t1", H), ("t", V))
+        with pytest.raises(ValueError, match="merge target 't' already carries photons"):
+            apply_element(state, Merge("t1", "t2", "t"))
+        merged = apply_element(ket(("t1", H)), Merge("t1", "t2", "t1"))
+        assert abs(merged.inner(ket(("t1", H))) - 1.0) < 1e-12
 
     def test_unfold_rejects_occupied_targets(self):
         with pytest.raises(ValueError):
@@ -141,6 +162,12 @@ class TestSmallElements:
         assert abs(out.inner(ket(("u", H))) - 1.0) < 1e-12
         with pytest.raises(ValueError):
             apply_relabel(ket(("t", H), ("u", V)), "t", "u")
+
+    def test_relabel_moves_rail_photons(self):
+        rail = PureState.vacuum().create("r0", "")
+        out = apply_element(rail, Relabel("r0", "r1"))
+        assert abs(out.inner(PureState.vacuum().create("r1", "")) - 1.0) < 1e-12
+        assert out.modes() == ["r1"]
 
     def test_dispatch_matches_direct_calls(self):
         state = (ket(("a", H)) + ket(("c", V))).normalized()

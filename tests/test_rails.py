@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fockfuse.circuits import apply_feed_forward, fused_target, product_qudit, run_fusion
 from fockfuse.rails import (
     SPLIT_RAIL_KETS,
-    _fuse_with_vacuum_amps,
+    _fuse_joint_with_vacuum_amps,
     cnot,
     fission,
     fuse,
@@ -54,7 +54,7 @@ class TestCnot:
         assert out.amplitude(((("t1", "", ""), 1),)) == 0.5
 
     def test_linearity_on_superpositions(self):
-        state = qubit_on(C, (INV_SQRT2, INV_SQRT2)).create("t0", "", cap=None)
+        state = qubit_on(C, (INV_SQRT2, INV_SQRT2)).create("t0", "")
         out = cnot(state, C, T)
         expected = INV_SQRT2 * (rail_ket(("c0", "t0")) + rail_ket(("c1", "t1")))
         assert fidelity(out, expected) == pytest.approx(1.0)
@@ -98,7 +98,7 @@ class TestFuse:
 
     def test_mismatched_vacuum_amplitudes_break_fusion(self):
         plus = (INV_SQRT2, INV_SQRT2)
-        branches = _fuse_with_vacuum_amps(plus, plus, 1.0, 0.5)
+        branches = _fuse_joint_with_vacuum_amps(product_qudit(plus, plus), 1.0, 0.5)
         target = np.full(4, 0.5)
         assert abs(np.vdot(target, np.array(branches.plus_amps))) ** 2 < 1.0 - 1e-3
 
@@ -200,3 +200,34 @@ class TestFission:
         alt, prob = fission(tuple(amps), vacuum_amp=0.5 * 1j)
         assert fidelity(ref, alt) >= 1.0 - 1e-12
         assert prob == pytest.approx(0.25 * 0.5, abs=1e-12)
+
+
+class TestInputScale:
+    """Rail probabilities are those of the normalized input, at any scale."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+    def test_probabilities_are_one_half(self, scale):
+        branches = fuse((2 * scale, 0), (scale, 0))
+        assert branches.plus_probability == pytest.approx(0.5, abs=1e-12)
+        assert branches.minus_probability == pytest.approx(0.5, abs=1e-12)
+        assert fuse_iterated([(3 * scale, 0), (scale, 0)])[1] == pytest.approx(0.5, abs=1e-12)
+        state, probability = fission((2 * scale, 0, 0, 0))
+        assert probability == pytest.approx(0.5, abs=1e-12)
+        assert fidelity(state, two_qubit_ket(0, 0)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_scale_leaves_amplitudes_unchanged(self):
+        plus = (INV_SQRT2, INV_SQRT2)
+        reference = fuse(plus, plus).plus_amps
+        assert fuse((1e200, 1e200), (3e200, 3e200)).plus_amps == pytest.approx(reference)
+        assert fuse((1e-200, 1e-200), (3e-200, 3e-200)).plus_amps == pytest.approx(reference)
+        assert fuse_iterated([(1e200, 0), (0, 2e-200)])[0] == pytest.approx((0, 1, 0, 0))
+
+    @pytest.mark.parametrize("call", [
+        lambda nan: fuse((nan, 0), (1, 0)),
+        lambda nan: fuse_joint((1, 0, 0, nan)),
+        lambda nan: fuse_iterated([(1, 0), (nan, 1)]),
+        lambda nan: fission((1, nan, 0, 0)),
+    ], ids=["fuse", "fuse_joint", "fuse_iterated", "fission"])
+    def test_nan_raises(self, call):
+        with pytest.raises(ValueError, match="finite"):
+            call(math.nan)

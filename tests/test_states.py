@@ -44,8 +44,9 @@ class TestCreation:
     def test_photon_cap(self):
         state = ket(("a", H), ("a", V), ("c", H), ("c", V))
         with pytest.raises(PhotonCapExceeded):
-            state.create("t", H)
-        state.create("t", H, cap=5)  # explicit cap allows it
+            state.create("t", H, cap=4)
+        state.create("t", H, cap=5)  # a larger cap allows it
+        state.create("t", H)  # no cap by default
 
     @given(st.permutations([("a", H, ""), ("a", V, ""), ("c", H, "A"), ("a", H, "")]))
     @settings(max_examples=30)
