@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from dataclasses import dataclass
 from functools import cache
 
@@ -46,8 +47,19 @@ from .states import (
     ConditionalOutcome,
     DetectionPattern,
     MixedState,
+    PatternError,
     PureState,
 )
+
+#: a mode or slot name: one token that ``--bind name=...`` and a ``+`` group can hold
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+#: input and element fields that do not name a mode -> (test, message for a failing value)
+_FIELD_RULES = {
+    "pol": (lambda pol: pol in (H, V), "polarization must be H or V, got {!r}"),
+    "tag": (re.compile(r"[^\s#]*").fullmatch, "tag must be one token without '#', got {!r}"),
+    "name": (_NAME.fullmatch, "invalid slot name {!r}"),
+    "theta": (math.isfinite, "angle must be finite, got {!r}"),
+}
 
 
 class CircuitError(ValueError):
@@ -109,13 +121,10 @@ class Circuit:
     def slot_names(self) -> list[str]:
         return [i.name for i in self.inputs if not isinstance(i, PhotonIn)]
 
-    def input_modes(self) -> list[str]:
-        return [m for i in self.inputs for m in _input_modes(i)]
-
     def output_modes(self) -> set[str]:
         """Modes live at the output: each element empties the modes of its
         block's keys and fills the modes of their images."""
-        live = set(self.modes) | set(self.input_modes())
+        live = set(self.modes)
         for el in self.elements:
             rules = block(el)[0]
             live.difference_update(mode for mode, _ch in rules)
@@ -123,12 +132,15 @@ class Circuit:
         return live
 
     def validate(self) -> None:
-        """Raise ``CircuitError`` at the first entry that declares a mode or
-        slot twice, names an undeclared mode or one unfolded away, detects
-        on a non-output mode, holds a non-finite angle, or is a PBS with
-        two equal inputs or two equal outputs."""
+        """Raise ``CircuitError`` at the first entry that misnames or
+        redeclares a mode or slot, names an undeclared mode or one unfolded
+        away, breaks a ``_FIELD_RULES`` rule, is a PBS with two equal inputs
+        or two equal outputs, or is a pattern that breaks a
+        ``DetectionPattern.of`` rule or detects on a non-output mode."""
         declared: set[str] = set()
         for i, mode in enumerate(self.modes):
+            if not _NAME.fullmatch(mode):
+                raise CircuitError(f"invalid mode name {mode!r}", ("modes", i), mode)
             if mode in declared:
                 raise CircuitError(f"mode {mode!r} declared twice", ("modes", i), mode)
             declared.add(mode)
@@ -138,44 +150,39 @@ class Circuit:
                 raise CircuitError(f"undeclared mode {mode!r}", entry, mode)
 
         slots: set[str] = set()
-        for i, inp in enumerate(self.inputs):
-            for mode in _input_modes(inp):
-                check(mode, ("inputs", i))
-            if not isinstance(inp, PhotonIn):
-                if inp.name in slots:
-                    raise CircuitError(f"slot {inp.name!r} declared twice", ("inputs", i), field="name")
-                slots.add(inp.name)
         retired: set[str] = set()
-        for i, el in enumerate(self.elements):
-            for name, value in vars(el).items():
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise CircuitError(
-                        f"angle must be finite, got {value!r}", ("elements", i), field=name
-                    )
-                if isinstance(value, str):  # every string field of an element names a mode
-                    check(value, ("elements", i))
-                    if value in retired:
-                        raise CircuitError(
-                            f"mode {value!r} reused after being unfolded away", ("elements", i), value
-                        )
-            if isinstance(el, Pbs) and (el.in1 == el.in2 or el.out1 == el.out2):
-                field = "in2" if el.in1 == el.in2 else "out2"
-                message = f"pbs names {getattr(el, field)!r} twice on one side"
-                raise CircuitError(message, ("elements", i), field=field)
-            if isinstance(el, Unfold):
-                retired.add(el.src)
+        for section, entries in (("inputs", self.inputs), ("elements", self.elements)):
+            for i, entry in enumerate(entries):
+                at = (section, i)
+                for name, value in vars(entry).items():
+                    if name not in _FIELD_RULES:  # every other field names a mode
+                        check(value, at)
+                        if value in retired:
+                            message = f"mode {value!r} reused after being unfolded away"
+                            raise CircuitError(message, at, value)
+                    elif not _FIELD_RULES[name][0](value):
+                        raise CircuitError(_FIELD_RULES[name][1].format(value), at, field=name)
+                    elif name == "name":
+                        if value in slots:
+                            raise CircuitError(f"slot {value!r} declared twice", at, field=name)
+                        slots.add(value)
+                if isinstance(entry, Pbs) and (entry.in1 == entry.in2 or entry.out1 == entry.out2):
+                    field = "in2" if entry.in1 == entry.in2 else "out2"
+                    message = f"pbs names {getattr(entry, field)!r} twice on one side"
+                    raise CircuitError(message, at, field=field)
+                if isinstance(entry, Unfold):
+                    retired.add(entry.src)
         live = self.output_modes()
         for i, pattern in enumerate(self.patterns):
+            at = ("patterns", i)
+            try:
+                DetectionPattern.of(pattern.requirements)
+            except PatternError as exc:
+                raise CircuitError(str(exc), at) from None
             for mode in sorted(pattern.constrained_modes()):
-                check(mode, ("patterns", i))
+                check(mode, at)
                 if mode not in live:
-                    raise CircuitError(
-                        f"detection references non-output mode {mode!r}", ("patterns", i), mode
-                    )
-
-
-def _input_modes(inp: CircuitInput) -> tuple[str, ...]:
-    return (inp.mode1, inp.mode2) if isinstance(inp, QuditSlot) else (inp.mode,)
+                    raise CircuitError(f"detection references non-output mode {mode!r}", at, mode)
 
 
 # -- state preparation and running ----------------------------------------
@@ -226,7 +233,7 @@ def initial_state(
         if isinstance(inp, PhotonIn):
             amps, kets, tag = (1.0,), (((inp.mode, inp.pol),),), inp.tag
         else:
-            modes = _input_modes(inp)
+            modes = (inp.mode1, inp.mode2) if isinstance(inp, QuditSlot) else (inp.mode,)
             kets = tuple(((m, p),) for m in modes for p in (H, V))
             tag = tags.get(modes[0], "")
             try:

@@ -15,38 +15,40 @@ One directive per line, ``#`` starts a comment.  Directives:
     relabel <from> <to>
     detect <modespec> <H|V|any|none> ...
 
-An element directive is its class name in lower case, and its arguments
-follow the element dataclass's fields in order (``elements.Hwp`` is
-``hwp <mode> <theta>``); the serializer writes the same fields, floats with
-``repr``.  A ``detect`` line is one detection pattern; a ``modespec`` is a
-mode name or a ``+``-joined group (e.g. ``t1+t2``) constrained as a whole,
-which expresses the one-photon-across-both-target-outputs coincidence.
+An input or element directive is its dataclass (``photon``, ``qubit`` and
+``qudit`` are ``PhotonIn``, ``QubitSlot`` and ``QuditSlot``; an element is
+its class name in lower case) with the fields as arguments in order, a
+defaulted last field being optional; the serializer writes them back, floats
+with ``repr``.  A ``detect`` line is one detection pattern; a ``modespec`` is
+a mode or a ``+``-joined group (``t1+t2``) constrained as a whole.
 
-Declarations may come in any order: the parser checks syntax only, and
-``Circuit.validate`` checks the modes and that angles are finite.  Every
-error, its own or a validation error, carries the 1-based line and column
-of the offending token.
+The parser checks syntax only; ``Circuit.validate`` and
+``DetectionPattern.of`` judge the content, as for circuits built in Python.
+Declarations may come in any order, and every error carries the 1-based
+line and column of the offending token.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import astuple, fields
+from dataclasses import MISSING, fields
 from importlib import resources
 from typing import get_args, get_type_hints
 
 from .circuits import Circuit, CircuitError, PhotonIn, QubitSlot, QuditSlot
 from .elements import OpticalElement
-from .states import ADMITS, H, V, DetectionPattern
+from .states import H, V, DetectionPattern, PatternError
 
 _TOKEN = re.compile(r"\S+")
-_MODE_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_']*$")
 
-#: element directive -> (element class, the types of its fields in order)
-_ELEMENTS = {
-    cls.__name__.lower(): (cls, tuple(get_type_hints(cls)[f.name] for f in fields(cls)))
-    for cls in get_args(OpticalElement)
+#: input and element directive -> (its dataclass, its (field, type) pairs in order)
+_DIRECTIVES = {
+    head: (cls, tuple((f, get_type_hints(cls)[f.name]) for f in fields(cls)))
+    for head, cls in {"photon": PhotonIn, "qubit": QubitSlot, "qudit": QuditSlot,
+                      **{cls.__name__.lower(): cls for cls in get_args(OpticalElement)}}.items()
 }
+#: dataclass -> its directive
+_HEADS = {cls: head for head, (cls, _) in _DIRECTIVES.items()}
 
 
 class ParseError(ValueError):
@@ -64,28 +66,29 @@ class _Line:
         self.number = number
         code = text.split("#", 1)[0]
         self.tokens = [(m.start() + 1, m.group()) for m in _TOKEN.finditer(code)]
+        self.words = [w for _, w in self.tokens]
 
     def fail(self, message: str, index: int = 0) -> ParseError:
-        column = self.tokens[index][0] if index < len(self.tokens) else (
-            self.tokens[-1][0] if self.tokens else 1
-        )
-        return ParseError(self.number, column, message)
+        return ParseError(self.number, self.tokens[index][0], message)
 
-    def words(self) -> list[str]:
-        return [w for _, w in self.tokens]
+
+def _pol(word: str) -> str:
+    """``h`` and ``v`` in upper case, as the circuit spells them; other words unchanged."""
+    return word.upper() if word.upper() in (H, V) else word
 
 
 def parse_circuit(text: str) -> Circuit:
     # each section's (entry, source line), so validation errors get positions
     sections: dict[str, list] = {"modes": [], "inputs": [], "elements": [], "patterns": []}
 
-    def arity(line: _Line, n: int) -> list[str]:
-        words = line.words()
-        if len(words) - 1 != n:
+    def arity(line: _Line, low: int, high: int) -> list[str]:
+        words = line.words
+        n = len(words) - 1
+        if not low <= n <= high:
+            count = f"{low}" if low == high else f"{low} or {high}"
             raise line.fail(
-                f"{words[0]!r} takes {n} argument{'s' if n != 1 else ''}, "
-                f"got {len(words) - 1}",
-                min(len(words) - 1, n) if len(words) - 1 > n else 0,
+                f"{words[0]!r} takes {count} argument{'s' if high != 1 else ''}, got {n}",
+                high if n > high else 0,
             )
         return words
 
@@ -93,69 +96,36 @@ def parse_circuit(text: str) -> Circuit:
         line = _Line(number, raw)
         if not line.tokens:
             continue
-        head = line.words()[0].lower()
+        head = line.words[0].lower()
 
         if head == "mode":
-            name = arity(line, 1)[1]
-            if not _MODE_NAME.match(name):
-                raise line.fail(f"invalid mode name {name!r}", 1)
-            sections["modes"].append((name, line))
+            sections["modes"].append((arity(line, 1, 1)[1], line))
 
-        elif head == "photon":
-            words = line.words()
-            if len(words) not in (3, 4):
-                raise line.fail("'photon' takes <mode> <H|V> [tag]")
-            pol = words[2].upper()
-            if pol not in (H, V):
-                raise line.fail(f"polarization must be H or V, got {words[2]!r}", 2)
-            tag = words[3] if len(words) == 4 else ""
-            sections["inputs"].append((PhotonIn(words[1], pol, tag), line))
-
-        elif head == "qubit":
-            words = arity(line, 2)
-            sections["inputs"].append((QubitSlot(*words[1:]), line))
-
-        elif head == "qudit":
-            words = arity(line, 3)
-            sections["inputs"].append((QuditSlot(*words[1:]), line))
-
-        elif head in _ELEMENTS:
-            cls, kinds = _ELEMENTS[head]
-            words = arity(line, len(kinds))
+        elif head in _DIRECTIVES:
+            cls, spec = _DIRECTIVES[head]
+            words = arity(line, sum(f.default is MISSING for f, _ in spec), len(spec))
             args: list = []
-            for i, (word, kind) in enumerate(zip(words[1:], kinds), start=1):
+            for i, (word, (f, kind)) in enumerate(zip(words[1:], spec), start=1):
                 try:
-                    args.append(kind(word))
+                    args.append(kind(_pol(word) if f.name == "pol" else word))
                 except ValueError:
                     raise line.fail(f"angle must be a number, got {word!r}", i) from None
-            sections["elements"].append((cls(*args), line))
+            section = "elements" if cls in get_args(OpticalElement) else "inputs"
+            sections[section].append((cls(*args), line))
 
         elif head == "detect":
-            words = line.words()
+            words = line.words
             if len(words) < 3 or len(words) % 2 == 0:
                 raise line.fail("'detect' takes <modespec> <H|V|any|none> pairs")
-            spec: dict = {}
-            seen: set[str] = set()
-            for i in range(1, len(words), 2):
-                group = tuple(words[i].split("+"))
-                req = words[i + 1]
-                req = req.upper() if req.upper() in (H, V) else req.lower()
-                if req not in ADMITS:
-                    raise line.fail(
-                        f"requirement must be H, V, any or none, got {words[i + 1]!r}",
-                        i + 1,
-                    )
-                for mode in group:
-                    if not mode:
-                        raise line.fail(f"empty mode name in group {words[i]!r}", i)
-                    if mode in seen:
-                        raise line.fail(f"mode {mode!r} constrained twice", i)
-                    seen.add(mode)
-                spec[group[0] if len(group) == 1 else group] = req
-            sections["patterns"].append((DetectionPattern.of(spec), line))
+            pairs = [(group.split("+"), _pol(req)) for group, req in zip(words[1::2], words[2::2])]
+            try:
+                pattern = DetectionPattern.of(pairs)
+            except PatternError as exc:
+                raise line.fail(str(exc), 1 + 2 * exc.pair + (exc.part == "requirement")) from None
+            sections["patterns"].append((pattern, line))
 
         else:
-            raise line.fail(f"unknown directive {line.words()[0]!r}")
+            raise line.fail(f"unknown directive {line.words[0]!r}")
 
     circuit = Circuit(
         **{section: tuple(entry for entry, _ in entries) for section, entries in sections.items()}
@@ -165,8 +135,8 @@ def parse_circuit(text: str) -> Circuit:
     except CircuitError as exc:
         section, index = exc.entry
         entry, line = sections[section][index]
-        words = line.words()
-        if exc.field:  # an element's or slot's arguments follow its fields in order
+        words = line.words
+        if exc.field:  # an input's or element's arguments follow its fields in order
             at = 1 + [f.name for f in fields(entry)].index(exc.field)
         elif section == "patterns":  # a detect line names modes in its odd, `+`-joined tokens
             at = next(i for i in range(1, len(words), 2) if exc.mode in words[i].split("+"))
@@ -176,31 +146,24 @@ def parse_circuit(text: str) -> Circuit:
     return circuit
 
 
+def _directive(entry) -> str:
+    """An input's or element's line: its directive, then its fields, less a
+    last one equal to its default (str() of a float is its repr)."""
+    head = _HEADS[type(entry)]
+    spec = _DIRECTIVES[head][1]
+    values = [getattr(entry, f.name) for f, _ in spec]
+    if spec[-1][0].default == values[-1]:
+        values.pop()
+    return " ".join([head, *(str(kind(v)) for v, (_, kind) in zip(values, spec))])
+
+
 def serialize_circuit(circuit: Circuit) -> str:
     """Render a circuit back into DSL text (parse round trips exactly)."""
     lines = [f"mode {m}" for m in circuit.modes]
-    lines.append("")
-    for inp in circuit.inputs:
-        if isinstance(inp, PhotonIn):
-            tag = f" {inp.tag}" if inp.tag else ""
-            lines.append(f"photon {inp.mode} {inp.pol}{tag}")
-        elif isinstance(inp, QubitSlot):
-            lines.append(f"qubit {inp.mode} {inp.name}")
-        else:
-            lines.append(f"qudit {inp.mode1} {inp.mode2} {inp.name}")
-    lines.append("")
-    for el in circuit.elements:
-        head = type(el).__name__.lower()
-        kinds = _ELEMENTS[head][1]
-        # str() of a float is its repr, which parses back to the same float
-        lines.append(" ".join([head, *(str(kind(v)) for v, kind in zip(astuple(el), kinds))]))
-    lines.append("")
+    lines += ["", *map(_directive, circuit.inputs), "", *map(_directive, circuit.elements), ""]
     for pattern in circuit.patterns:
-        parts = ["detect"]
-        for group, req in pattern.requirements:
-            parts.append("+".join(sorted(group)))
-            parts.append(req)
-        lines.append(" ".join(parts))
+        pairs = (f"{'+'.join(sorted(group))} {req}" for group, req in pattern.requirements)
+        lines.append(" ".join(["detect", *pairs]))
     return "\n".join(lines) + "\n"
 
 

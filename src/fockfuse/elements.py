@@ -13,11 +13,12 @@ in a single ``PureState.substituted`` call.  The map is a ``MemoRules``: it
 expands each input monomial once and then reuses the image, so repeat runs
 of a circuit only accumulate (the memo holds at most ``states.MEMO_TERMS``
 image terms over all circuits).  Unfold, Merge, Relabel and a PBS need
-each target that is not also a source empty; each such check becomes
-structural: the set of input operators reaching the forbidden operator at
-that step with a coefficient above ``PRUNE_TOL``.  A state fails when its
-support meets that set, so the check also fires when interference leaves
-the target exactly empty.
+each target that is not also a source empty, and a mode an element empties
+must hold no rail photon unless the element moves it (only Relabel does).
+Each such check becomes structural: the set of input operators reaching
+the forbidden operator at that step with a coefficient above
+``PRUNE_TOL``.  A state fails when its support meets that set, so the
+check also fires when interference leaves the target exactly empty.
 """
 
 from __future__ import annotations
@@ -153,6 +154,11 @@ def compile_elements(elements: tuple[OpticalElement, ...]) -> tuple[Rules, tuple
     checks = []
     for element in elements:
         rules, forbidden = block(element)
+        # a mode the element empties would keep a rail photon that its block does not move
+        filled = {m for image in rules.values() for (m, _ch), _u in image}
+        stranded = sorted({m for m, _ch in rules if (m, "") not in rules} - filled)
+        error = f"{type(element).__name__.lower()} cannot move the rail photon on {{!r}}"
+        forbidden += tuple(((m, ""), error.format(m)) for m in stranded)
         for op, message in forbidden:
             reach = {src for src, image in images.items() if abs(image.get(op, 0.0)) > PRUNE_TOL}
             checks.append((frozenset(reach if op in images else reach | {op}), message))
@@ -171,7 +177,7 @@ def apply_elements(state: PureState, elements: Iterable[OpticalElement]) -> Pure
     """Apply an element sequence, in order, in one substitution.
 
     Raises ``ValueError`` when the state's support reaches an operator that
-    an Unfold, Merge or Relabel requires to be empty.
+    an element requires to be empty.
     """
     rules, checks = compile_elements(tuple(elements))
     if checks:

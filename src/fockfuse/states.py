@@ -57,15 +57,17 @@ def _occ_bump(occ: Occupation, key: Key) -> Occupation:
     return occ + ((key, 1),)
 
 
-def _mode_channel_counts(occ: Occupation, modes: frozenset[str]) -> tuple[int, int]:
-    """Photon counts (H, V) over a set of modes, summed across tags."""
+def _mode_channel_counts(occ: Occupation, modes: frozenset[str]) -> tuple[int, int] | None:
+    """Photon counts (H, V) over a set of modes, summed across tags; None for a rail photon."""
     n_h = n_v = 0
     for (mode, channel, _tag), n in occ:
         if mode in modes:
             if channel == V:
                 n_v += n
-            else:
+            elif channel == H:
                 n_h += n
+            else:
+                return None
     return n_h, n_v
 
 
@@ -365,6 +367,15 @@ ADMITS = {
 }
 
 
+class PatternError(ValueError):
+    """A broken pattern rule at pair ``pair``, in its ``"group"`` or ``"requirement"``."""
+
+    def __init__(self, message: str, pair: int, part: str):
+        super().__init__(message)
+        self.pair = pair
+        self.part = part
+
+
 @dataclass(frozen=True)
 class DetectionPattern:
     """Photon-count requirements on groups of output modes.
@@ -374,25 +385,37 @@ class DetectionPattern:
     one V photon, one of either (``"any"``) or none.  Unlisted modes are
     unconstrained.  Groups let one requirement span two spatial modes, as in
     the fourfold-coincidence condition of one photon across both target
-    outputs.
+    outputs.  Equal requirements in any order make equal patterns.
     """
 
     requirements: tuple[tuple[frozenset[str], str], ...]
 
+    def __post_init__(self):
+        canonical = tuple(sorted(self.requirements, key=lambda e: sorted(e[0])))
+        object.__setattr__(self, "requirements", canonical)
+
     @classmethod
-    def of(cls, spec: Mapping[str | tuple[str, ...], str]) -> "DetectionPattern":
+    def of(cls, spec: Mapping | Iterable) -> "DetectionPattern":
+        """The pattern of a ``{group: requirement}`` mapping or a sequence of
+        (group, requirement) pairs, a group being a mode or several; raises
+        ``PatternError`` at the first pair that breaks a pattern rule."""
+        pairs = list(spec.items() if isinstance(spec, Mapping) else spec)
+        if not pairs:
+            raise PatternError("a detection pattern needs a (group, requirement) pair", 0, "group")
         entries = []
         seen: set[str] = set()
-        for group, req in spec.items():
+        for i, (group, req) in enumerate(pairs):
             modes = (group,) if isinstance(group, str) else tuple(group)
             if req not in ADMITS:
-                raise ValueError(f"unknown detection requirement {req!r}")
+                message = f"requirement must be H, V, any or none, got {req!r}"
+                raise PatternError(message, i, "requirement")
+            if not modes or not all(modes):
+                raise PatternError(f"empty mode name in group {'+'.join(modes)!r}", i, "group")
             for m in modes:
                 if m in seen:
-                    raise ValueError(f"mode {m!r} constrained twice")
+                    raise PatternError(f"mode {m!r} constrained twice", i, "group")
                 seen.add(m)
             entries.append((frozenset(modes), req))
-        entries.sort(key=lambda e: tuple(sorted(e[0])))
         return cls(tuple(entries))
 
     def matches(self, occ: Occupation) -> bool:

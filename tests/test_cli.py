@@ -9,9 +9,12 @@ import pytest
 
 import fockfuse
 from fockfuse.cli import main
-from fockfuse.dsl import serialize_circuit
+from fockfuse.dsl import ParseError, parse_circuit, serialize_circuit
 from fockfuse.circuits import build_fusion_circuit
 from fockfuse.verify import CHECKS
+
+
+BAD_FILES = sorted((Path(__file__).parent / "data").glob("bad_*.lop"))
 
 
 def run_cli(capsys, *argv):
@@ -333,12 +336,13 @@ class TestRunCommand:
         assert code == 2 and out == ""
         assert err == "error: --bind psi: amplitudes are all zero\n"
 
-    def test_parse_error_is_reported(self, capsys, tmp_path):
-        path = tmp_path / "broken.lop"
-        path.write_text("mode a\npbs a a a\n")
-        code, _, err = run_cli(capsys, "run", str(path))
-        assert code == 2
-        assert "line 2" in err
+    @pytest.mark.parametrize("path", BAD_FILES, ids=[path.name for path in BAD_FILES])
+    def test_parse_error_is_reported(self, capsys, path):
+        with pytest.raises(ParseError) as excinfo:
+            parse_circuit(path.read_text())
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {excinfo.value}\n"
 
     def test_non_finite_angle_reports_error(self, capsys, tmp_path):
         path = tmp_path / "nan.lop"

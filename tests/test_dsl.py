@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
@@ -45,7 +46,8 @@ class TestParsing:
         assert circuit.modes == ("a",)
 
     def test_detect_group_syntax(self):
-        circuit = parse_circuit("mode a\nmode b\nphoton a H\ndetect a+b any\n")
+        circuit = parse_circuit("mode a\nmode b\nphoton a H\nphoton b h\ndetect a+b any\n")
+        assert circuit.inputs == (PhotonIn("a", H), PhotonIn("b", H))
         (pattern,) = circuit.patterns
         ((group, req),) = pattern.requirements
         assert group == frozenset({"a", "b"}) and req == "any"
@@ -148,7 +150,49 @@ def valid_circuits(draw, min_inputs=0, max_inputs=3):
     return Circuit(modes, inputs, tuple(elements), tuple(patterns))
 
 
+def mostly(usual, odd=st.text(max_size=3)):
+    """``usual`` three times in four, else ``odd`` (any short text by default)."""
+    return st.integers(0, 3).flatmap(lambda k: odd if k == 3 else usual)
+
+
+@st.composite
+def named_circuits(draw):
+    """Circuits whose names, polarizations and tags may be any text, and whose
+    patterns are built directly, so that many of them break a rule of
+    ``Circuit.validate``."""
+    modes = draw(st.lists(st.sampled_from(MODE_POOL), min_size=1, max_size=4, unique=True))
+    modes += draw(mostly(st.just([]), st.lists(st.text(max_size=3), min_size=1, max_size=1)))
+    mode = st.sampled_from(modes)
+    name = mostly(st.sampled_from(("psi", "phi", "input")))
+    pol, tag = mostly(st.sampled_from((H, V))), mostly(st.sampled_from(("", "A")))
+    inputs = draw(st.lists(st.one_of(
+        st.builds(PhotonIn, mode, pol, tag),
+        st.builds(QubitSlot, mode, name),
+        st.builds(QuditSlot, mode, mode, name),
+    ), max_size=3))
+    kinds = [kind for kind in get_args(OpticalElement) if kind is not Hwp]
+    elements = draw(st.lists(st.one_of(
+        st.builds(Hwp, mode, st.floats()),
+        *(st.builds(kind, *[mode] * len(fields(kind))) for kind in kinds),
+    ), max_size=3))
+    group = mostly(st.frozensets(mode, min_size=1, max_size=2),
+                   st.frozensets(mostly(mode), max_size=2))
+    requirement = mostly(st.sampled_from((H, V, "any", "none")), st.just("bogus"))
+    pairs = mostly(st.lists(st.tuples(group, requirement), min_size=1, max_size=3), st.just([]))
+    patterns = draw(st.lists(pairs.map(lambda pairs: DetectionPattern(tuple(pairs))), max_size=2))
+    return Circuit(tuple(modes), tuple(inputs), tuple(elements), tuple(patterns))
+
+
 class TestGenerated:
+    @settings(deadline=None)
+    @given(named_circuits())
+    def test_circuits_that_validate_round_trip(self, circuit):
+        try:
+            circuit.validate()
+        except CircuitError:
+            return
+        assert parse_circuit(serialize_circuit(circuit)) == circuit
+
     @settings(deadline=None)
     @given(valid_circuits())
     def test_parse_inverts_serialize(self, circuit):
@@ -225,6 +269,34 @@ POSITIONED = {
                                     "mode 'b' constrained twice"),
     "mode repeated within a group": (PLAIN + "detect a+a any\n", 5, 8, "mode 'a' constrained twice"),
     "empty group member": (PLAIN + "detect a H  + any\n", 5, 13, "empty mode name in group '+'"),
+    "unknown requirement": (PLAIN + "detect a any b bogus\n", 5, 16,
+                            "requirement must be H, V, any or none, got 'bogus'"),
+    "bad polarization": (PLAIN + "photon b x\n", 5, 10, "polarization must be H or V, got 'x'"),
+    "invalid mode name": ("mode a\nmode 1b\n", 2, 6, "invalid mode name '1b'"),
+    "invalid slot name": (PLAIN + "hwp a 1\nqubit a p-q\n", 6, 9, "invalid slot name 'p-q'"),
+}
+
+
+def built(inputs=(PhotonIn("a", H),), modes=("a", "b"), pattern=None):
+    """A circuit built in Python; ``pattern`` lists raw (modes, requirement) pairs."""
+    if pattern is None:
+        return Circuit(modes, inputs, (), ())
+    pairs = tuple((frozenset(group), req) for group, req in pattern)
+    return Circuit(modes, inputs, (), (DetectionPattern(pairs),))
+
+
+#: circuits built in Python obey the rules that parsed ones do
+REFUSED = {
+    "unknown polarization": (built((PhotonIn("a", "X"),)), "polarization must be H or V, got 'X'"),
+    "rail photon": (built((PhotonIn("a", ""),)), "polarization must be H or V, got ''"),
+    "mode name with a space": (built(modes=("a", "a b")), "invalid mode name 'a b'"),
+    "slot name with a space": (built((QubitSlot("a", "p q"),)), "invalid slot name 'p q'"),
+    "tag with a space": (built((PhotonIn("a", H, "x y"),)), "tag must be one token"),
+    "unknown requirement": (built(pattern=[(("a",), "bogus")]),
+                            "requirement must be H, V, any or none, got 'bogus'"),
+    "empty pattern": (built(pattern=[]), "needs a (group, requirement) pair"),
+    "empty group": (built(pattern=[((), H)]), "empty mode name in group ''"),
+    "mode constrained twice": (built(pattern=[(("a",), H), (("a", "b"), V)]), "mode 'a' constrained twice"),
 }
 
 
@@ -236,6 +308,16 @@ class TestValidationPositions:
             parse_circuit(text)
         err = excinfo.value
         assert (err.line, err.column, err.message) == (line, column, message)
+
+    @pytest.mark.parametrize("name", sorted(REFUSED))
+    def test_built_circuit_breaking_a_rule_is_refused(self, name):
+        circuit, message = REFUSED[name]
+        with pytest.raises(CircuitError, match=re.escape(message)):
+            circuit.validate()
+
+    def test_pattern_order_is_canonical(self):
+        written = DetectionPattern(((frozenset({"b"}), H), (frozenset({"a"}), V)))
+        assert written == DetectionPattern.of({"a": V, "b": H})
 
     def test_mode_declared_after_its_first_use(self):
         circuit = parse_circuit("photon a H\nhwp a 45\nmode a\n")

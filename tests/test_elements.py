@@ -169,6 +169,21 @@ class TestSmallElements:
         assert abs(out.inner(PureState.vacuum().create("r1", "")) - 1.0) < 1e-12
         assert out.modes() == ["r1"]
 
+    @pytest.mark.parametrize("element", [
+        Unfold("a", "b", "c"), Merge("a", "b", "c"), Merge("b", "a", "c"), Pbs("a", "b", "c", "d"),
+    ], ids=["unfold", "merge-h-input", "merge-v-input", "pbs"])
+    def test_rail_photon_on_an_emptied_mode_is_an_error(self, element):
+        rail = PureState.vacuum().create("a", "")
+        with pytest.raises(ValueError, match=r"cannot move the rail photon on 'a'$"):
+            apply_element(rail, element)
+
+    @pytest.mark.parametrize("element", [
+        Pbs("a", "b", "a", "c"), Merge("a", "b", "a"), Hwp("a", 22.5), SigmaX("a"), SignFlipV("a"),
+    ], ids=["pbs-output", "merge-output", "hwp", "sigmax", "signflipv"])
+    def test_rail_photon_stays_on_a_mode_that_is_refilled(self, element):
+        rail = PureState.vacuum().create("a", "")
+        assert apply_element(rail, element).modes() == ["a"]
+
     def test_dispatch_matches_direct_calls(self):
         state = (ket(("a", H)) + ket(("c", V))).normalized()
         pairs = [

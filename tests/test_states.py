@@ -102,6 +102,12 @@ class TestProjection:
         two = ket(("t1", H), ("t2", V))
         assert two.project(DetectionPattern.of({("t1", "t2"): "any"})).probability == 0.0
 
+    @pytest.mark.parametrize("requirement", [H, V, "any", "none"])
+    def test_rail_photon_meets_no_requirement(self, requirement):
+        rail = PureState.vacuum().create("a", "")
+        assert rail.project(DetectionPattern.of({"a": requirement})).probability == 0.0
+        assert rail.project(DetectionPattern.of({"b": "none"})).probability == 1.0
+
     def test_exhaustive_family_sums_to_norm(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
