@@ -12,12 +12,16 @@ unitary corrections (feed-forward) fold all heralded branches onto the
 canonical output.
 
 A circuit's elements compile once into a single linear substitution of the
-creation operators (``elements.compile_elements``, cached), which
-``run_circuit`` applies in one ``PureState.substituted`` call per pure input
-branch; feed-forward corrections are applied the same way.  The compiled map
-memoizes each input monomial's image (bounded by ``states.MEMO_TERMS`` image
-terms), so after the first run of a circuit on given occupations every later
-run only accumulates cached terms.
+creation operators (``elements.compile_elements``, cached).  ``run_circuit``
+validates each distinct circuit once and applies its heralded map in one
+``PureState.substituted`` call per pure input branch: the compiled map with
+every output occupation that none of the circuit's patterns admits dropped,
+so it computes only the terms a detector can herald and then projects them
+onto each pattern.  ``apply_elements`` gives the full output state, as the
+feed-forward corrections use it.  Each map memoizes its input monomials'
+images (bounded by ``states.MEMO_TERMS`` image terms), so after the first
+run of a circuit on given occupations every later run only accumulates
+cached terms.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import cmath
 import math
 import re
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 from .elements import (
     OpticalElement,
@@ -35,8 +39,10 @@ from .elements import (
     SigmaX,
     SignFlipV,
     Unfold,
+    apply_compiled,
     apply_elements,
     block,
+    compile_elements,
 )
 
 # one-element appliers, re-exported: perfbench/tracing.py wraps them here
@@ -46,6 +52,7 @@ from .states import (
     V,
     ConditionalOutcome,
     DetectionPattern,
+    MemoRules,
     MixedState,
     PatternError,
     PureState,
@@ -211,6 +218,20 @@ def normalized_amplitudes(amps, n: int) -> tuple[complex, ...]:
     return tuple(z / norm for z in vec)
 
 
+@lru_cache(maxsize=256)
+def _heralded_map(circuit: Circuit) -> tuple[MemoRules, tuple]:
+    """The circuit's compiled map, keeping only the output occupations that
+    one of its patterns admits, with its elements' checks.
+
+    Raises ``CircuitError`` first if the circuit breaks a ``validate`` rule,
+    so each distinct circuit is validated once per process.
+    """
+    circuit.validate()
+    rules, checks = compile_elements(circuit.elements)
+    patterns = circuit.patterns
+    return MemoRules(rules, lambda occ: any(p.matches(occ) for p in patterns)), checks
+
+
 def initial_state(
     circuit: Circuit,
     bindings: dict[str, tuple[complex, ...]] | None = None,
@@ -218,7 +239,13 @@ def initial_state(
     tags: dict[str, str] | None = None,
 ) -> PureState:
     """Build the input state, binding each slot's amplitudes by name; ``tags``
-    optionally assigns a distinguishability tag per input mode."""
+    optionally assigns a distinguishability tag per input mode.  Raises
+    ``CircuitError`` for a circuit that breaks a ``validate`` rule."""
+    _heralded_map(circuit)  # validates each distinct circuit once
+    return _input_state(circuit, bindings, tags)
+
+
+def _input_state(circuit: Circuit, bindings, tags) -> PureState:
     bindings = bindings or {}
     tags = tags or {}
     slots = circuit.slot_names()
@@ -267,15 +294,18 @@ def run_circuit(
     input_state: PureState | MixedState | None = None,
     bindings: dict[str, tuple[complex, ...]] | None = None,
 ) -> list[ConditionalOutcome]:
-    """Apply the compiled circuit once per pure branch, then each detection pattern."""
+    """Apply the circuit's heralded map once per pure branch, then project
+    onto each detection pattern; equal, bit for bit, to projecting the full
+    ``apply_elements`` output."""
+    compiled = _heralded_map(circuit)
     if input_state is None:
-        input_state = initial_state(circuit, bindings)
+        input_state = _input_state(circuit, bindings, None)
     if isinstance(input_state, MixedState):
         evolved: PureState | MixedState = input_state.map_states(
-            lambda s: apply_elements(s, circuit.elements)
+            lambda s: apply_compiled(s, compiled)
         )
     else:
-        evolved = apply_elements(input_state, circuit.elements)
+        evolved = apply_compiled(input_state, compiled)
     return [evolved.project(pattern) for pattern in circuit.patterns]
 
 

@@ -30,11 +30,11 @@ from functools import lru_cache
 
 from .circuits import (
     FUSED_KETS,
-    apply_elements,
     build_fusion_circuit,
     fused_target,
     fusion_input,
     product_qudit,
+    run_circuit,
 )
 from .states import INV_SQRT2, projector_probability
 
@@ -107,11 +107,14 @@ BASES = {
 BASIS_KEYS = tuple(BASES)
 
 
-def get_basis(key: str) -> Basis:
+def get_basis(basis: "str | Basis") -> Basis:
+    """The basis a key names, in any case, or ``basis`` itself if it is one."""
+    if isinstance(basis, Basis):
+        return basis
     try:
-        return BASES[key.lower()]
-    except KeyError:
-        raise ValueError(f"unknown basis {key!r}; expected one of {BASIS_KEYS}") from None
+        return BASES[basis.lower()]
+    except (KeyError, AttributeError):
+        raise ValueError(f"unknown basis {basis!r}; expected one of {BASIS_KEYS}") from None
 
 
 # -- probability matrices ---------------------------------------------------
@@ -211,9 +214,8 @@ def _branch_raw_rows(basis_key: str) -> tuple[tuple[tuple[float, ...], ...], ...
         rows = []
         for psi, phi in basis.input_states:
             state = fusion_input(product_qudit(psi, phi), ancilla_tag, pair_tag)
-            evolved = apply_elements(state, circuit.elements)
             # the first pattern: a and c both H, one photon across t1/t2
-            detected = evolved.project(circuit.patterns[0])
+            detected = run_circuit(circuit, input_state=state)[0]
             row = []
             for j in range(4):
                 if detected.probability <= 0.0:
@@ -240,7 +242,7 @@ def simulate_basis_matrix(basis, p: float) -> ProbabilityMatrix:
     Each row conditions on the H/H ancillary detection and is normalized to
     unit sum.
     """
-    key = basis if isinstance(basis, str) else basis.key
+    key = get_basis(basis).key
     raw = _raw_matrix(key, p)
     rows = [[x / total for x in row] for row, total in zip(raw, map(sum, raw))]
     return ProbabilityMatrix.from_rows(key, rows)
@@ -255,7 +257,7 @@ def closed_form_matrix(basis, p: float) -> ProbabilityMatrix:
     independent mixture simulation.
     """
     indistinguishable_fraction(p)  # range check
-    key = (basis if isinstance(basis, str) else basis.key).lower()
+    key = get_basis(basis).key
     q = 3.0 * (1.0 - p)
     if key == "i":
         d = 12.0 - 8.0 * p
@@ -281,7 +283,7 @@ def closed_form_matrix(basis, p: float) -> ProbabilityMatrix:
             [q / d, q / d, (21.0 - 5.0 * p) / d, 3.0 * q / d],
             [q / d, q / d, 3.0 * q / d, (21.0 - 5.0 * p) / d],
         ]
-    elif key == "iv":
+    else:  # iv
         d1 = 6.0 - 2.0 * p
         d2 = 12.0 - 8.0 * p
         rows = [
@@ -290,8 +292,6 @@ def closed_form_matrix(basis, p: float) -> ProbabilityMatrix:
             [0.0, 0.0, (3.0 + p) / d1, q / d1],
             [0.0, q / d2, q / d2, 2.0 * (3.0 - p) / d2],
         ]
-    else:
-        raise ValueError(f"unknown basis {basis!r}; expected one of {BASIS_KEYS}")
     return ProbabilityMatrix.from_rows(key, rows)
 
 
@@ -327,22 +327,19 @@ def simulated_basis_mean_fidelity(basis, p: float) -> float:
     Total diagonal detection probability over total detection probability,
     which is how count-rate data averages a basis.
     """
-    key = basis if isinstance(basis, str) else basis.key
-    raw = _raw_matrix(key, p)
+    raw = _raw_matrix(get_basis(basis).key, p)
     return sum(raw[i][i] for i in range(4)) / _total(raw)
 
 
 def basis_mean_fidelity_law(basis, p: float) -> float:
     """Closed-form per-basis mean fidelity (coincidence-weighted)."""
     indistinguishable_fraction(p)  # range check
-    key = (basis if isinstance(basis, str) else basis.key).lower()
+    key = get_basis(basis).key
     if key in ("i", "iii"):
         return (9.0 - p) / (18.0 - 10.0 * p)
     if key == "ii":
         return (3.0 + p) / (9.0 - 5.0 * p)
-    if key == "iv":
-        return (15.0 + p) / (4.0 * (9.0 - 5.0 * p))
-    raise ValueError(f"unknown basis {basis!r}; expected one of {BASIS_KEYS}")
+    return (15.0 + p) / (4.0 * (9.0 - 5.0 * p))  # iv
 
 
 def coincidence_weighted_fidelity(p: float) -> float:
@@ -389,7 +386,7 @@ def fit_p(observed, basis="ii", *, tol: float = 1e-4) -> float:
         raise ValueError("observed matrix must be non-negative")
     if _total(obs) == 0.0:
         raise ValueError("observed matrix is degenerate (all zero)")
-    key = basis if isinstance(basis, str) else basis.key
+    key = get_basis(basis).key
 
     def objective(p: float) -> float:
         return similarity(obs, closed_form_matrix(key, p))

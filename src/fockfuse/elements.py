@@ -19,6 +19,8 @@ Each such check becomes structural: the set of input operators reaching
 the forbidden operator at that step with a coefficient above
 ``PRUNE_TOL``.  A state fails when its support meets that set, so the
 check also fires when interference leaves the target exactly empty.
+``apply_compiled`` runs these checks and the substitution for
+``apply_elements`` and for the circuit runner's heralded maps alike.
 """
 
 from __future__ import annotations
@@ -173,19 +175,25 @@ def compile_elements(elements: tuple[OpticalElement, ...]) -> tuple[Rules, tuple
     return MemoRules({src: tuple(image.items()) for src, image in images.items()}), tuple(checks)
 
 
-def apply_elements(state: PureState, elements: Iterable[OpticalElement]) -> PureState:
-    """Apply an element sequence, in order, in one substitution.
+def apply_compiled(state: PureState, compiled: tuple[Rules, tuple]) -> PureState:
+    """Apply a compiled ``(rules, checks)`` map in one substitution.
 
     Raises ``ValueError`` when the state's support reaches an operator that
     an element requires to be empty.
     """
-    rules, checks = compile_elements(tuple(elements))
+    rules, checks = compiled
     if checks:
         support = {(m, ch) for occ, _amp in state.items() for (m, ch, _tag), _n in occ}
         for reach, message in checks:
             if not reach.isdisjoint(support):
                 raise ValueError(message)
     return state.substituted(rules) if rules else state
+
+
+def apply_elements(state: PureState, elements: Iterable[OpticalElement]) -> PureState:
+    """Apply an element sequence, in order, in one substitution; raises
+    ``ValueError`` as ``apply_compiled`` does."""
+    return apply_compiled(state, compile_elements(tuple(elements)))
 
 
 def apply_element(state: PureState, element: OpticalElement) -> PureState:

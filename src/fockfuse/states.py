@@ -80,9 +80,10 @@ _memo_tokens = itertools.count()
 _memo_lock = threading.Lock()
 
 
-def monomial_image(occ: Occupation, rules: Mapping):
+def monomial_image(occ: Occupation, rules: Mapping, keep=None):
     """``occ``'s creation-operator monomial expanded under ``rules``, as
-    ``(√Π n_in!, ((out_occ, coeff, √Π n_out!), ...))``."""
+    ``(√Π n_in!, ((out_occ, coeff, √Π n_out!), ...))``; with ``keep``, only
+    the output occupations for which ``keep(out_occ)`` is true."""
     poly: dict[Occupation, complex] = {(): 1.0 + 0.0j}
     fact_in = 1.0
     for (mode, channel, tag), n in occ:
@@ -102,22 +103,29 @@ def monomial_image(occ: Occupation, rules: Mapping):
     return math.sqrt(fact_in), tuple(
         (mono, coeff, math.sqrt(math.prod(math.factorial(n) for _, n in mono)))
         for mono, coeff in poly.items()
+        if keep is None or keep(mono)
     )
 
 
 class MemoRules(dict):
     """Substitution rules that memoize each input monomial's image, keyed by
-    the occupation (tags included); the rules must not change afterwards."""
+    the occupation (tags included); the rules must not change afterwards.
 
-    def __init__(self, rules):
+    With ``keep``, each image holds only the output occupations that
+    ``keep`` admits, so a substitution builds no other term; the kept terms
+    get the same additions, in the same order, as without it.
+    """
+
+    def __init__(self, rules, keep=None):
         super().__init__(rules)
         self.token = next(_memo_tokens)
+        self.keep = keep
 
     def image(self, occ: Occupation):
         global _memo_terms
         found = _memo.get((self.token, occ))
         if found is None:
-            found = monomial_image(occ, self)
+            found = monomial_image(occ, self, self.keep)
             with _memo_lock:  # the memo and its term count change together
                 if (self.token, occ) not in _memo and len(found[1]) <= MEMO_TERMS:
                     if _memo_terms + len(found[1]) > MEMO_TERMS:

@@ -17,7 +17,6 @@ from importlib import resources
 
 from .circuits import (
     FUSED_KETS,
-    apply_elements,
     apply_feed_forward,
     build_fusion_circuit,
     fission_feed_forward,
@@ -214,8 +213,7 @@ def check_fusion_spectator_entanglement(seed: int) -> str | None:
         state = INV_SQRT2 * (
             state.create("s", H).create("c", H) + state.create("s", V).create("c", V)
         )
-        evolved = apply_elements(state, circuit.elements)
-        detected = evolved.project(circuit.patterns[0])  # a and c both H
+        detected = run_circuit(circuit, input_state=state)[0]  # a and c both H
         if abs(detected.probability - 1 / 32) > 1e-12:
             return f"spectator branch probability {detected.probability} is not 1/32"
         expected = PureState.zero()

@@ -74,6 +74,29 @@ class TestMatrices:
         with pytest.raises(ValueError):
             closed_form_matrix("v", 0.5)
 
+    @pytest.mark.parametrize("key", BASIS_KEYS)
+    def test_upper_case_key_names_the_same_basis(self, key):
+        for p in (0.0, 0.3, 1.0):
+            sim, closed = simulate_basis_matrix(key.upper(), p), closed_form_matrix(key.upper(), p)
+            want = simulate_basis_matrix(key, p)
+            assert (sim.entries, sim.row_labels, sim.col_labels) == (
+                want.entries, want.row_labels, want.col_labels
+            )
+            assert closed == closed_form_matrix(key, p) and closed.basis == key
+            assert sim == want and sim.basis == key
+            assert simulated_basis_mean_fidelity(key.upper(), p) == simulated_basis_mean_fidelity(key, p)
+            assert basis_mean_fidelity_law(key.upper(), p) == basis_mean_fidelity_law(key, p)
+        observed = closed_form_matrix(key, 0.4)
+        assert fit_p(observed, key.upper()) == fit_p(observed, key)
+
+    def test_a_basis_names_itself(self):
+        basis = get_basis("iii")
+        assert get_basis(basis) is basis
+        assert simulate_basis_matrix(basis, 0.3) == simulate_basis_matrix("iii", 0.3)
+        assert closed_form_matrix(basis, 0.3) == closed_form_matrix("iii", 0.3)
+        with pytest.raises(ValueError, match="unknown basis 5"):
+            closed_form_matrix(5, 0.3)
+
 
 class TestFidelity:
     def test_law_endpoints(self):

@@ -17,7 +17,7 @@ from fockfuse.circuits import (
     run_circuit,
 )
 from fockfuse.dsl import ParseError, parse_circuit, serialize_circuit
-from fockfuse.elements import Hwp, OpticalElement, Pbs, Unfold
+from fockfuse.elements import Hwp, OpticalElement, Pbs, Unfold, apply_elements
 from fockfuse.states import H, V, DetectionPattern
 
 DATA = Path(__file__).parent / "data"
@@ -221,6 +221,31 @@ class TestGenerated:
         assert abs(sum(outcome.probability for outcome in outcomes) - 1.0) < 1e-12
 
     @settings(deadline=None)
+    @given(valid_circuits(), st.data())
+    def test_heralded_run_equals_the_projected_full_state(self, circuit, data):
+        """``run_circuit`` builds only heralded terms, yet each outcome equals,
+        bit for bit, the projection of ``apply_elements``'s full state."""
+        amps = {QubitSlot: (0.6, 0.8j), QuditSlot: (0.5, 0.5j, -0.5, 0.5)}
+        bindings = {i.name: amps[type(i)] for i in circuit.inputs if not isinstance(i, PhotonIn)}
+        tag = st.sampled_from(("", "A"))
+        tags = data.draw(st.dictionaries(st.sampled_from(circuit.modes), tag, max_size=2))
+        state = initial_state(circuit, bindings, tags=tags)
+        for mode, rail_tag in data.draw(st.lists(st.tuples(st.sampled_from(circuit.modes), tag), max_size=2)):
+            state = state.create(mode, "", rail_tag)  # a rail photon
+        try:
+            full = apply_elements(state, circuit.elements)
+        except ValueError as exc:  # a structural check fires on both paths alike
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                run_circuit(circuit, state)
+            return
+        outcomes = run_circuit(circuit, state)
+        assert len(outcomes) == len(circuit.patterns)
+        for pattern, got in zip(circuit.patterns, outcomes):
+            want = full.project(pattern)
+            assert got.pattern == pattern and got.probability == want.probability
+            assert list(got.state.items()) == list(want.state.items())
+
+    @settings(deadline=None)
     @given(st.one_of(
         st.text(),
         st.lists(
@@ -314,6 +339,13 @@ class TestValidationPositions:
         circuit, message = REFUSED[name]
         with pytest.raises(CircuitError, match=re.escape(message)):
             circuit.validate()
+
+    @pytest.mark.parametrize("name", sorted(REFUSED))
+    def test_run_boundary_refuses_a_built_circuit_breaking_a_rule(self, name):
+        circuit, message = REFUSED[name]
+        for run in (run_circuit, initial_state):
+            with pytest.raises(CircuitError, match=re.escape(message)):
+                run(circuit)
 
     def test_pattern_order_is_canonical(self):
         written = DetectionPattern(((frozenset({"b"}), H), (frozenset({"a"}), V)))

@@ -11,7 +11,10 @@ import random
 
 import pytest
 
+from fockfuse import circuits
 from fockfuse.circuits import (
+    Circuit,
+    PhotonIn,
     apply_feed_forward,
     build_fusion_circuit,
     fused_target,
@@ -100,8 +103,6 @@ class TestGenericRunner:
             assert fidelity(x.state, y.state) == pytest.approx(1.0)
 
     def test_empty_circuit_projects_the_input(self):
-        from fockfuse.circuits import Circuit, PhotonIn
-
         circuit = Circuit(
             modes=("a",),
             inputs=(PhotonIn("a", H),),
@@ -126,6 +127,27 @@ class TestGenericRunner:
                 + 0.6 * run_circuit(circuit, tagged)[idx].probability
             )
             assert outcomes[idx].probability == pytest.approx(expected, abs=1e-15)
+
+    def test_a_circuit_is_validated_once_per_process(self, monkeypatch):
+        calls = []
+        validate = Circuit.validate
+        monkeypatch.setattr(Circuit, "validate", lambda circuit: calls.append(circuit) or validate(circuit))
+        circuits._heralded_map.cache_clear()
+        for _ in range(10):
+            run_fusion((1, 0), (0.6, 0.8))
+        assert calls == [build_fusion_circuit()]
+
+    @pytest.mark.parametrize("requirement", [H, V, "any", "none"])
+    @pytest.mark.parametrize("group", ["a", ("a", "b")])
+    def test_rail_photon_on_a_detected_mode_is_never_heralded(self, requirement, group):
+        pattern = DetectionPattern.of({group: requirement})
+        circuit = Circuit(("a", "b"), (PhotonIn("b", H),), (Hwp("b", 22.5),), (pattern,))
+        rail = PureState.vacuum().create("a", "")
+        rules, _checks = circuits._heralded_map(circuit)
+        for state in (rail, initial_state(circuit).create("a", "")):
+            assert all(not rules.image(occ)[1] for occ, _amp in state.items())
+            (outcome,) = run_circuit(circuit, state)
+            assert outcome.probability == 0.0 and outcome.state.is_zero
 
     def test_unbound_slot_raises(self):
         with pytest.raises(ValueError, match="unbound"):
