@@ -107,7 +107,7 @@ BASES = {
 BASIS_KEYS = tuple(BASES)
 
 
-def get_basis(basis: "str | Basis") -> Basis:
+def get_basis(basis: str | Basis) -> Basis:
     """The basis a key names, in any case, or ``basis`` itself if it is one."""
     if isinstance(basis, Basis):
         return basis
