@@ -11,17 +11,16 @@ parse it once per process.  Detection heralds success; pattern-dependent
 unitary corrections (feed-forward) fold all heralded branches onto the
 canonical output.
 
-A circuit's elements compile once into a single linear substitution of the
-creation operators (``elements.compile_elements``, cached).  ``run_circuit``
-validates each distinct circuit once and applies its heralded map in one
-``PureState.substituted`` call per pure input branch: the compiled map with
-every output occupation that none of the circuit's patterns admits dropped,
-so it computes only the terms a detector can herald and then projects them
-onto each pattern.  ``apply_elements`` gives the full output state, as the
-feed-forward corrections use it.  Each map memoizes its input monomials'
-images (bounded by ``states.MEMO_TERMS`` image terms), so after the first
-run of a circuit on given occupations every later run only accumulates
-cached terms.
+A circuit's elements compile once (``elements.compile_elements``, cached)
+into one ``MemoRules`` map: a linear substitution of the creation operators
+that carries the elements' checks.  ``run_circuit`` validates each distinct
+circuit once and pushes its input, pure or mixed, through one
+``substituted`` call of its heralded map: the same map and checks with every
+output occupation that none of the circuit's patterns admits dropped, so it
+computes only the terms a detector can herald and then projects them onto
+each pattern.  ``apply_elements`` gives the full output state, as the
+feed-forward corrections use it.  Each map memoizes its input occupations'
+images and check verdicts (within ``states.MEMO_TERMS`` image terms).
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from .elements import (
     SigmaX,
     SignFlipV,
     Unfold,
-    apply_compiled,
     apply_elements,
     block,
     compile_elements,
@@ -219,17 +217,17 @@ def normalized_amplitudes(amps, n: int) -> tuple[complex, ...]:
 
 
 @lru_cache(maxsize=256)
-def _heralded_map(circuit: Circuit) -> tuple[MemoRules, tuple]:
-    """The circuit's compiled map, keeping only the output occupations that
-    one of its patterns admits, with its elements' checks.
+def _heralded_map(circuit: Circuit) -> MemoRules:
+    """The circuit's compiled map, with its elements' checks, keeping only
+    the output occupations that one of its patterns admits.
 
     Raises ``CircuitError`` first if the circuit breaks a ``validate`` rule,
     so each distinct circuit is validated once per process.
     """
     circuit.validate()
-    rules, checks = compile_elements(circuit.elements)
+    compiled = compile_elements(circuit.elements)
     patterns = circuit.patterns
-    return MemoRules(rules, lambda occ: any(p.matches(occ) for p in patterns)), checks
+    return MemoRules(compiled, compiled.checks, lambda occ: any(p.matches(occ) for p in patterns))
 
 
 def initial_state(
@@ -297,15 +295,10 @@ def run_circuit(
     """Apply the circuit's heralded map once per pure branch, then project
     onto each detection pattern; equal, bit for bit, to projecting the full
     ``apply_elements`` output."""
-    compiled = _heralded_map(circuit)
+    heralded = _heralded_map(circuit)
     if input_state is None:
         input_state = _input_state(circuit, bindings, None)
-    if isinstance(input_state, MixedState):
-        evolved: PureState | MixedState = input_state.map_states(
-            lambda s: apply_compiled(s, compiled)
-        )
-    else:
-        evolved = apply_compiled(input_state, compiled)
+    evolved = input_state.substituted(heralded)
     return [evolved.project(pattern) for pattern in circuit.patterns]
 
 

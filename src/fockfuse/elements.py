@@ -8,19 +8,18 @@ distinguishability tag sector.
 
 Each element is a small substitution block on the ``(mode, channel)``
 creation operators it touches.  ``compile_elements`` composes a sequence's
-blocks into one sparse linear map, so a circuit compiles once and is applied
-in a single ``PureState.substituted`` call.  The map is a ``MemoRules``: it
-expands each input monomial once and then reuses the image, so repeat runs
-of a circuit only accumulate (the memo holds at most ``states.MEMO_TERMS``
-image terms over all circuits).  Unfold, Merge, Relabel and a PBS need
-each target that is not also a source empty, and a mode an element empties
-must hold no rail photon unless the element moves it (only Relabel does).
-Each such check becomes structural: the set of input operators reaching
-the forbidden operator at that step with a coefficient above
-``PRUNE_TOL``.  A state fails when its support meets that set, so the
-check also fires when interference leaves the target exactly empty.
-``apply_compiled`` runs these checks and the substitution for
-``apply_elements`` and for the circuit runner's heralded maps alike.
+blocks into one sparse linear map, a ``MemoRules`` that also carries the
+sequence's checks, so a circuit compiles once and is applied in a single
+``PureState.substituted`` call.  Unfold, Merge, Relabel and a PBS need each
+target that is not also a source empty, and a mode an element empties must
+hold no rail photon unless the element moves it (only Relabel does).  Each
+such check becomes structural: the set of input operators reaching the
+forbidden operator at that step with a coefficient above ``PRUNE_TOL``.  A
+state fails when one of its terms holds an operator of that set, so the
+check also fires when interference leaves the target exactly empty.  The
+map decides each input occupation's verdict once, with its image, and
+reuses both (the memo holds at most ``states.MEMO_TERMS`` image terms over
+all maps).
 """
 
 from __future__ import annotations
@@ -144,13 +143,12 @@ def block(element: OpticalElement) -> tuple[Rules, tuple]:
 
 
 @lru_cache(maxsize=256)
-def compile_elements(elements: tuple[OpticalElement, ...]) -> tuple[Rules, tuple]:
+def compile_elements(elements: tuple[OpticalElement, ...]) -> MemoRules:
     """Compose the elements' blocks, in order, into one sparse linear map.
 
-    Returns the rules as a ``MemoRules`` (operators no element touches are
-    left out; monomial images are memoized per compiled map) and, in
-    step order, the checks: (frozenset of input operators that reach a
-    forbidden operator, the error that step raises).
+    Returns a ``MemoRules`` whose rules leave out the operators no element
+    touches and whose checks are, in step order, (frozenset of input
+    operators that reach a forbidden operator, the error that step raises).
     """
     images: dict[tuple[str, str], dict[tuple[str, str], complex]] = {}
     checks = []
@@ -172,28 +170,14 @@ def compile_elements(elements: tuple[OpticalElement, ...]) -> tuple[Rules, tuple
                 for dst, u in rules.get(mid, ((mid, 1.0),)):
                     out[dst] = out.get(dst, 0.0) + coeff * u
             images[src] = {dst: u for dst, u in out.items() if abs(u) > PRUNE_TOL}
-    return MemoRules({src: tuple(image.items()) for src, image in images.items()}), tuple(checks)
-
-
-def apply_compiled(state: PureState, compiled: tuple[Rules, tuple]) -> PureState:
-    """Apply a compiled ``(rules, checks)`` map in one substitution.
-
-    Raises ``ValueError`` when the state's support reaches an operator that
-    an element requires to be empty.
-    """
-    rules, checks = compiled
-    if checks:
-        support = {(m, ch) for occ, _amp in state.items() for (m, ch, _tag), _n in occ}
-        for reach, message in checks:
-            if not reach.isdisjoint(support):
-                raise ValueError(message)
-    return state.substituted(rules) if rules else state
+    return MemoRules({src: tuple(image.items()) for src, image in images.items()}, tuple(checks))
 
 
 def apply_elements(state: PureState, elements: Iterable[OpticalElement]) -> PureState:
     """Apply an element sequence, in order, in one substitution; raises
-    ``ValueError`` as ``apply_compiled`` does."""
-    return apply_compiled(state, compile_elements(tuple(elements)))
+    ``ValueError`` when a term reaches an operator that an element requires
+    to be empty."""
+    return state.substituted(compile_elements(tuple(elements)))
 
 
 def apply_element(state: PureState, element: OpticalElement) -> PureState:

@@ -240,8 +240,11 @@ def fuse_iterated(qubits, vacuum_amp: complex = 1.0):
     probability = 1.0
     for q in qubits[1:]:
         # spread rail i onto rail 2i, freeing odd rails as logical-1 slots
-        rules = {("r%d" % i, ""): ((("r%d" % (2 * i), ""), 1.0),) for i in reversed(range(width))}
-        state = state.substituted(rules)
+        spread = {f"r{i}": f"r{2 * i}" for i in range(width)}
+        state = PureState({
+            tuple(sorted(((spread[rail], ch, tag), n) for (rail, ch, tag), n in occ)): amp
+            for occ, amp in state.items()
+        })
         width *= 2
         state = superpose(state, q, tuple(((c_rail, ""),) for c_rail in _CONTROL))
         p_plus, state = _fusion_round(state, [vacuum_amp] * (width // 2))[0]

@@ -11,6 +11,11 @@ the creation-operator convention: applying the same creation operator twice
 to vacuum yields sqrt(2) times the normalized two-photon ket.  All values are
 immutable after construction and every operation is a pure function of its
 inputs.
+
+A linear optical network is one ``MemoRules`` map: its creation-operator
+substitution and its occupancy checks.  ``substituted`` is the one step that
+pushes a pure state, or each branch of a mixed one, through such a map,
+which decides each input occupation's image and check verdict once.
 """
 
 from __future__ import annotations
@@ -95,8 +100,6 @@ def monomial_image(occ: Occupation, rules: Mapping, keep=None):
             nxt: dict[Occupation, complex] = {}
             for mono, coeff in poly.items():
                 for (m2, c2), u in images:
-                    if u == 0:
-                        continue
                     bumped = _occ_bump(mono, (m2, c2, tag))
                     nxt[bumped] = nxt.get(bumped, 0.0) + coeff * u
             poly = nxt
@@ -108,24 +111,33 @@ def monomial_image(occ: Occupation, rules: Mapping, keep=None):
 
 
 class MemoRules(dict):
-    """Substitution rules that memoize each input monomial's image, keyed by
-    the occupation (tags included); the rules must not change afterwards.
+    """A compiled map: ``(mode, channel)`` -> image as ``((mode, channel),
+    coefficient)`` pairs, each coefficient above ``PRUNE_TOL`` (absent
+    operators are left alone), and, in step order, ``(operators, message)``
+    checks that refuse an input occupation holding any of the operators.
 
-    With ``keep``, each image holds only the output occupations that
-    ``keep`` admits, so a substitution builds no other term; the kept terms
-    get the same additions, in the same order, as without it.
+    Each occupation's image and verdict are memoized, keyed by the
+    occupation (tags included); the map must not change afterwards.  With
+    ``keep``, each image holds only the output occupations that ``keep``
+    admits, so a substitution builds no other term; the kept terms get the
+    same additions, in the same order, as without it.
     """
 
-    def __init__(self, rules, keep=None):
+    def __init__(self, rules, checks: tuple, keep=None):
         super().__init__(rules)
+        self.checks = checks
         self.token = next(_memo_tokens)
         self.keep = keep
 
     def image(self, occ: Occupation):
+        """``monomial_image(occ, self, self.keep)`` and the index of the
+        first check that refuses ``occ``, or ``len(self.checks)``."""
         global _memo_terms
         found = _memo.get((self.token, occ))
         if found is None:
-            found = monomial_image(occ, self, self.keep)
+            held = {(mode, channel) for (mode, channel, _tag), _n in occ}
+            refusals = (i for i, (ops, _) in enumerate(self.checks) if not ops.isdisjoint(held))
+            found = (*monomial_image(occ, self, self.keep), next(refusals, len(self.checks)))
             with _memo_lock:  # the memo and its term count change together
                 if (self.token, occ) not in _memo and len(found[1]) <= MEMO_TERMS:
                     if _memo_terms + len(found[1]) > MEMO_TERMS:
@@ -146,8 +158,11 @@ class PureState:
         if terms:
             for occ, amp in terms.items():
                 z = complex(amp)
-                if abs(z) > PRUNE_TOL:
+                size = abs(z)
+                if PRUNE_TOL < size < math.inf:
                     data[occ] = z
+                elif not size <= PRUNE_TOL:  # NaN or infinite, never pruned
+                    raise ValueError("amplitudes must be finite")
         self._terms = data
 
     @classmethod
@@ -251,26 +266,25 @@ class PureState:
                 acc += amp.conjugate() * o
         return acc
 
-    def substituted(
-        self,
-        rules: Mapping[tuple[str, str], Iterable[tuple[tuple[str, str], complex]]],
-    ) -> "PureState":
-        """Rewrite creation operators by a linear substitution.
+    def substituted(self, rules: MemoRules) -> "PureState":
+        """The state pushed through a compiled map; tags ride along, so every
+        tag sector transforms identically, and an empty map is the identity.
 
-        ``rules`` maps ``(mode, channel)`` to the image as a list of
-        ``((mode, channel), coefficient)`` pairs; absent keys are left alone.
-        Tags ride along unchanged, so every tag sector transforms identically.
-        A ``MemoRules`` map (what ``elements.compile_elements`` returns)
-        expands each input monomial once and reuses its image, within the
-        ``MEMO_TERMS`` bound; any other mapping is expanded afresh.
+        Raises ``ValueError`` with the message of the earliest check, in step
+        order, that refuses any term.
         """
-        image = rules.image if isinstance(rules, MemoRules) else lambda occ: monomial_image(occ, rules)
+        if not rules:
+            return self
         out: dict[Occupation, complex] = {}
+        refused = len(rules.checks)
         for occ, amp in self._terms.items():
-            root_fact_in, terms = image(occ)
+            root_fact_in, terms, check = rules.image(occ)
+            refused = min(refused, check)
             scale = amp / root_fact_in
             for mono, coeff, root_fact_out in terms:
                 out[mono] = out.get(mono, 0.0) + scale * coeff * root_fact_out
+        if refused < len(rules.checks):
+            raise ValueError(rules.checks[refused][1])
         return PureState(out)
 
     def project(self, pattern: "DetectionPattern") -> "ConditionalOutcome":
@@ -477,9 +491,10 @@ class MixedState:
     def is_zero(self) -> bool:
         return not self.branches
 
-    def map_states(self, fn) -> "MixedState":
+    def substituted(self, rules: MemoRules) -> "MixedState":
+        """Each branch pushed through the compiled map, weights unchanged."""
         return MixedState(
-            tuple((w, fn(s)) for w, s in self.branches), _partial=not self.branches
+            tuple((w, s.substituted(rules)) for w, s in self.branches), _partial=not self.branches
         )
 
     def project(self, pattern: DetectionPattern) -> ConditionalOutcome:

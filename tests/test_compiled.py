@@ -8,6 +8,8 @@ monomial images; the memo must never change a result or skip a check.
 
 import itertools
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +29,11 @@ from fockfuse.elements import (
     compile_elements,
 )
 from fockfuse import states
-from fockfuse.states import H, INV_SQRT2, V, PureState, monomial_image
+from fockfuse.states import H, INV_SQRT2, V, MemoRules, PureState, monomial_image
+
+# the benchmark's numpy oracles are the one copy of the transfer-matrix/permanent calculation
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import oracles  # noqa: E402
 
 MODES = ("a", "b", "c", "d")
 #: free names that unfold/relabel/merge can also write to
@@ -124,28 +130,11 @@ def test_superposed_input_composed_equals_sequential(data):
 # -- an independent transfer-matrix / permanent oracle -------------------------
 
 
-def permanent(m):
-    n = m.shape[0]
-    return sum(
-        math.prod(m[i, sigma[i]] for i in range(n)) for sigma in itertools.permutations(range(n))
-    )
-
-
-def transfer_matrix(n_modes, elements):
-    """2m x 2m matrix whose column (2i + pol) is the image of that operator."""
-    u = np.eye(2 * n_modes, dtype=complex)
-    for el in elements:
-        step = np.eye(2 * n_modes, dtype=complex)
-        if isinstance(el, Hwp):
-            i = 2 * MODES.index(el.mode)
-            c, s = np.cos(np.radians(2 * el.theta)), np.sin(np.radians(2 * el.theta))
-            step[i : i + 2, i : i + 2] = [[c, s], [s, -c]]
-        else:
-            p, q = 2 * MODES.index(el.in1), 2 * MODES.index(el.in2)
-            step[[p, p + 1, q, q + 1], :] = 0.0
-            step[p, p] = step[q + 1, p + 1] = step[q, q] = step[p + 1, q + 1] = 1.0
-        u = step @ u
-    return u
+def mesh_layer(element):
+    """``oracles.mesh_transfer_matrix``'s layer for a drawn HWP or mode-preserving PBS."""
+    if isinstance(element, Hwp):
+        return ("hwp", MODES.index(element.mode), element.theta)
+    return ("pbs", MODES.index(element.in1), MODES.index(element.in2))
 
 
 @st.composite
@@ -167,14 +156,14 @@ def meshes(draw):
 def test_mesh_coincidences_match_permanents(mesh):
     n, elements, photons = mesh
     out = apply_elements(ket(*photons), elements)
-    u = transfer_matrix(n, elements)
+    u = oracles.mesh_transfer_matrix(n, [mesh_layer(el) for el in elements])
     columns = [2 * MODES.index(mode) + (pol == V) for mode, pol in photons]
     for rows in itertools.combinations_with_replacement(range(2 * n), len(photons)):
         occ = tuple(
             ((MODES[r // 2], (H, V)[r % 2], ""), rows.count(r)) for r in sorted(set(rows))
         )
         bunching = math.prod(math.factorial(count) for _, count in occ)
-        want = abs(permanent(u[np.ix_(rows, columns)])) ** 2 / bunching
+        want = abs(oracles.ryser_permanent(u[np.ix_(rows, columns)])) ** 2 / bunching
         assert abs(out.amplitude(occ)) ** 2 == pytest.approx(want, abs=1e-12)
 
 
@@ -201,6 +190,16 @@ def test_check_sees_photons_routed_by_earlier_elements():
         apply_elements(ket(("a", H), ("c", H)), elements)
 
 
+@pytest.mark.parametrize("first", ["e", "b"])
+def test_the_earliest_refusing_check_fires_whatever_the_term_order(first):
+    # the e term is refused only by the later relabel, the b term by the unfold
+    second = {"e": "b", "b": "e"}[first]
+    state = ket((first, H)) + ket((second, H))
+    elements = (Unfold("a", "b", "c"), Relabel("d", "e"))
+    with pytest.raises(ValueError, match=r"^unfold target 'b' already carries photons$"):
+        apply_elements(state, elements)
+
+
 def test_check_fires_when_interference_empties_the_target():
     # (H + V)/sqrt2 leaves the Hadamard as H, so nothing reaches b; the
     # structural check only sees that a's V operator can
@@ -220,7 +219,7 @@ def test_identity_pair_before_unfold_does_not_raise():
     ):
         out = apply_elements(state, elements)
         assert max_difference(out, sequential(state, elements)) <= 1e-12
-    image = dict(compile_elements((Hwp("a", 22.5), Hwp("a", 22.5)))[0][("a", H)])
+    image = dict(compile_elements((Hwp("a", 22.5), Hwp("a", 22.5)))[("a", H)])
     assert list(image) == [("a", H)] and image[("a", H)] == pytest.approx(1.0, abs=1e-15)
 
 
@@ -243,15 +242,15 @@ def multi_photon_states(draw, modes):
 def test_memoized_application_equals_fresh_expansion(data):
     modes, elements = data.draw(circuits())
     state = data.draw(multi_photon_states(modes))
-    rules, _checks = compile_elements(elements)
-    fresh = state.substituted(dict(rules)) if rules else state
+    rules = compile_elements(elements)
+    fresh = state.substituted(MemoRules(rules, ()))
     for _ in range(2):  # the repeat call reuses the first call's images
         got = outcome(lambda: apply_elements(state, elements))
         if got[0] == "ok":
             assert list(got[1].items()) == list(fresh.items())
     for occ, _amp in state.items():
         assert rules.image(occ) is rules.image(occ)
-        assert rules.image(occ) == monomial_image(occ, dict(rules))
+        assert rules.image(occ)[:2] == monomial_image(occ, dict(rules))
 
 
 @pytest.mark.parametrize(
@@ -263,7 +262,7 @@ def test_memoized_application_equals_fresh_expansion(data):
     ],
 )
 def test_checks_still_raise_when_the_images_are_memoized(state, elements, message):
-    rules, _checks = compile_elements(elements)
+    rules = compile_elements(elements)
     for occ, _amp in state.items():
         rules.image(occ)
     for _ in range(2):
@@ -285,9 +284,9 @@ def test_memo_never_holds_more_terms_than_its_bound(monkeypatch):
         for state in inputs:
             for _ in range(2):
                 out = apply_elements(state, elements)
-                rules, _checks = compile_elements(elements)
-                assert list(out.items()) == list(state.substituted(dict(rules)).items())
-                cached = sum(len(terms) for _root, terms in states._memo.values())
+                rules = compile_elements(elements)
+                assert list(out.items()) == list(state.substituted(MemoRules(rules, ())).items())
+                cached = sum(len(terms) for _root, terms, _check in states._memo.values())
                 assert cached == states._memo_terms <= states.MEMO_TERMS
             expanded += sum(len(rules.image(occ)[1]) for occ, _amp in state.items())
     assert expanded > 10 * states.MEMO_TERMS

@@ -143,7 +143,7 @@ class TestGenericRunner:
         pattern = DetectionPattern.of({group: requirement})
         circuit = Circuit(("a", "b"), (PhotonIn("b", H),), (Hwp("b", 22.5),), (pattern,))
         rail = PureState.vacuum().create("a", "")
-        rules, _checks = circuits._heralded_map(circuit)
+        rules = circuits._heralded_map(circuit)
         for state in (rail, initial_state(circuit).create("a", "")):
             assert all(not rules.image(occ)[1] for occ, _amp in state.items())
             (outcome,) = run_circuit(circuit, state)

@@ -137,6 +137,14 @@ class TestPruning:
         assert abs(state.norm() - 1.0) < 1e-10
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.nan, 1)])
+    def test_non_finite_amplitudes_raise(self, bad):
+        with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+            PureState({((("a", H, ""), 1),): bad})
+        with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+            ket(("a", H)) * bad
+
+
 class TestSerialization:
     def test_canonical_text_is_sorted_and_stable(self):
         fwd = ket(("c", V)) + 2.0 * ket(("a", H))
