@@ -20,7 +20,7 @@ output occupation that none of the circuit's patterns admits dropped, so it
 computes only the terms a detector can herald and then projects them onto
 each pattern.  ``apply_elements`` gives the full output state, as the
 feed-forward corrections use it.  Each map memoizes its input occupations'
-images and check verdicts (within ``states.MEMO_TERMS`` image terms).
+images and check verdicts, and the 256 most recent heralded maps are kept.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .states import (
     MixedState,
     PatternError,
     PureState,
+    unit_shift,
 )
 
 #: a mode or slot name: one token that ``--bind name=...`` and a ``+`` group can hold
@@ -201,10 +202,9 @@ def rescaled_amplitudes(amps, n: int) -> tuple[tuple[complex, ...], float]:
         raise ValueError(f"expected {n} amplitudes, got {len(vec)}")
     if not all(cmath.isfinite(z) for z in vec):
         raise ValueError("amplitudes must be finite")
-    peak = max((max(abs(z.real), abs(z.imag)) for z in vec), default=0.0)
-    if peak == 0:
+    if not any(vec):
         raise ValueError("amplitudes are all zero")
-    shift = -math.frexp(peak)[1]
+    shift = unit_shift(vec)
     vec = [complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift)) for z in vec]
     return tuple(vec), sum(z.real * z.real for z in vec) + sum(z.imag * z.imag for z in vec)
 
@@ -292,9 +292,12 @@ def run_circuit(
     input_state: PureState | MixedState | None = None,
     bindings: dict[str, tuple[complex, ...]] | None = None,
 ) -> list[ConditionalOutcome]:
-    """Apply the circuit's heralded map once per pure branch, then project
-    onto each detection pattern; equal, bit for bit, to projecting the full
+    """Apply the circuit's heralded map to ``input_state``, or to the state
+    ``bindings`` build, once per pure branch, then project onto each
+    detection pattern; equal, bit for bit, to projecting the full
     ``apply_elements`` output."""
+    if input_state is not None and bindings is not None:
+        raise ValueError("give either input_state or bindings")
     heralded = _heralded_map(circuit)
     if input_state is None:
         input_state = _input_state(circuit, bindings, None)
@@ -343,12 +346,7 @@ def product_qudit(psi, phi) -> tuple[complex, ...]:
     return (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
 
 
-def run_fusion(
-    psi=None,
-    phi=None,
-    *,
-    entangled=None,
-) -> list[ConditionalOutcome]:
+def run_fusion(psi=None, phi=None, *, entangled=None) -> list[ConditionalOutcome]:
     """Run the fusion apparatus; outcomes ordered HH, HV, VH, VV on (a, c).
 
     Either two qubit amplitude pairs or a single 4-amplitude entangled input
@@ -400,8 +398,7 @@ def run_fission(amps) -> list[ConditionalOutcome]:
 
     Outcomes ordered (H_a, c), (V_a, c), (H_a, c'), (V_a, c').
     """
-    circuit = build_fission_circuit()
-    return run_circuit(circuit, bindings={"input": tuple(amps)})
+    return run_circuit(build_fission_circuit(), bindings={"input": tuple(amps)})
 
 
 #: ket order of the split photon pair: tH cH, tV cH, tH cV, tV cV

@@ -15,15 +15,14 @@ inputs.
 A linear optical network is one ``MemoRules`` map: its creation-operator
 substitution and its occupancy checks.  ``substituted`` is the one step that
 pushes a pure state, or each branch of a mixed one, through such a map,
-which decides each input occupation's image and check verdict once.
+which decides each input occupation's image and check verdict once and
+keeps both in its own memo.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -52,6 +51,13 @@ def total_photons(occ: Occupation) -> int:
     return sum(n for _, n in occ)
 
 
+def unit_shift(amps: Iterable[complex]) -> int:
+    """The exponent of the exact power of two that brings the largest real or
+    imaginary part of ``amps`` into [0.5, 1); 0 when all are zero."""
+    peak = max((max(abs(z.real), abs(z.imag)) for z in amps), default=0.0)
+    return -math.frexp(peak)[1]
+
+
 def _occ_bump(occ: Occupation, key: Key) -> Occupation:
     """``occ`` with one more photon on ``key``, kept sorted."""
     for i, (k, n) in enumerate(occ):
@@ -76,76 +82,57 @@ def _mode_channel_counts(occ: Occupation, modes: frozenset[str]) -> tuple[int, i
     return n_h, n_v
 
 
-#: most image terms (about 240 B each) memoized across all ``MemoRules``
-#: maps; the memo empties when one more image would pass it
-MEMO_TERMS = 1 << 16
-_memo: dict = {}
-_memo_terms = 0
-_memo_tokens = itertools.count()
-_memo_lock = threading.Lock()
-
-
-def monomial_image(occ: Occupation, rules: Mapping, keep=None):
-    """``occ``'s creation-operator monomial expanded under ``rules``, as
-    ``(√Π n_in!, ((out_occ, coeff, √Π n_out!), ...))``; with ``keep``, only
-    the output occupations for which ``keep(out_occ)`` is true."""
-    poly: dict[Occupation, complex] = {(): 1.0 + 0.0j}
-    fact_in = 1.0
-    for (mode, channel, tag), n in occ:
-        fact_in *= math.factorial(n)
-        images = rules.get((mode, channel))
-        if images is None:
-            images = (((mode, channel), 1.0 + 0.0j),)
-        for _ in range(n):
-            nxt: dict[Occupation, complex] = {}
-            for mono, coeff in poly.items():
-                for (m2, c2), u in images:
-                    bumped = _occ_bump(mono, (m2, c2, tag))
-                    nxt[bumped] = nxt.get(bumped, 0.0) + coeff * u
-            poly = nxt
-    return math.sqrt(fact_in), tuple(
-        (mono, coeff, math.sqrt(math.prod(math.factorial(n) for _, n in mono)))
-        for mono, coeff in poly.items()
-        if keep is None or keep(mono)
-    )
-
-
 class MemoRules(dict):
     """A compiled map: ``(mode, channel)`` -> image as ``((mode, channel),
     coefficient)`` pairs, each coefficient above ``PRUNE_TOL`` (absent
     operators are left alone), and, in step order, ``(operators, message)``
     checks that refuse an input occupation holding any of the operators.
 
-    Each occupation's image and verdict are memoized, keyed by the
-    occupation (tags included); the map must not change afterwards.  With
-    ``keep``, each image holds only the output occupations that ``keep``
-    admits, so a substitution builds no other term; the kept terms get the
-    same additions, in the same order, as without it.
+    The map memoizes each occupation's image and verdict, keyed by the
+    occupation (tags included), for as long as it lives; it must not change
+    afterwards.  With ``keep``, each image holds only the output occupations
+    that ``keep`` admits, so a substitution builds no other term; the kept
+    terms get the same additions, in the same order, as without it.  Threads
+    racing on a miss may expand an image twice but all get the first stored.
     """
 
     def __init__(self, rules, checks: tuple, keep=None):
         super().__init__(rules)
         self.checks = checks
-        self.token = next(_memo_tokens)
         self.keep = keep
+        self._images: dict = {}
 
     def image(self, occ: Occupation):
-        """``monomial_image(occ, self, self.keep)`` and the index of the
-        first check that refuses ``occ``, or ``len(self.checks)``."""
-        global _memo_terms
-        found = _memo.get((self.token, occ))
-        if found is None:
-            held = {(mode, channel) for (mode, channel, _tag), _n in occ}
-            refusals = (i for i, (ops, _) in enumerate(self.checks) if not ops.isdisjoint(held))
-            found = (*monomial_image(occ, self, self.keep), next(refusals, len(self.checks)))
-            with _memo_lock:  # the memo and its term count change together
-                if (self.token, occ) not in _memo and len(found[1]) <= MEMO_TERMS:
-                    if _memo_terms + len(found[1]) > MEMO_TERMS:
-                        _memo.clear()
-                        _memo_terms = 0
-                    _memo[self.token, occ] = found
-                    _memo_terms += len(found[1])
-        return found
+        """``occ``'s creation-operator monomial expanded under the map, as
+        ``(√Π n_in!, ((out_occ, coeff, √Π n_out!), ...), refused)``, the
+        terms kept by ``keep`` and ``refused`` the index of the first check
+        that refuses ``occ``, or ``len(self.checks)``."""
+        found = self._images.get(occ)
+        if found is not None:
+            return found
+        poly: dict[Occupation, complex] = {(): 1.0 + 0.0j}
+        fact_in = 1.0
+        for (mode, channel, tag), n in occ:
+            fact_in *= math.factorial(n)
+            images = self.get((mode, channel))
+            if images is None:
+                images = (((mode, channel), 1.0 + 0.0j),)
+            for _ in range(n):
+                nxt: dict[Occupation, complex] = {}
+                for mono, coeff in poly.items():
+                    for (m2, c2), u in images:
+                        bumped = _occ_bump(mono, (m2, c2, tag))
+                        nxt[bumped] = nxt.get(bumped, 0.0) + coeff * u
+                poly = nxt
+        terms = tuple(
+            (mono, coeff, math.sqrt(math.prod(math.factorial(n) for _, n in mono)))
+            for mono, coeff in poly.items()
+            if self.keep is None or self.keep(mono)
+        )
+        held = {(mode, channel) for (mode, channel, _tag), _n in occ}
+        refusals = (i for i, (ops, _) in enumerate(self.checks) if not ops.isdisjoint(held))
+        found = (math.sqrt(fact_in), terms, next(refusals, len(self.checks)))
+        return self._images.setdefault(occ, found)
 
 
 class PureState:
@@ -195,10 +182,20 @@ class PureState:
         return tuple(self.amplitude(tuple((make_key(m, ch), 1) for m, ch in ket)) for ket in kets)
 
     def squared_norm(self) -> float:
-        return sum(abs(a) ** 2 for a in self._terms.values())
+        """Σ|a|², or ``inf`` when it passes the float range."""
+        try:
+            return sum(abs(a) ** 2 for a in self._terms.values())
+        except OverflowError:
+            return math.inf
 
     def norm(self) -> float:
-        return math.sqrt(self.squared_norm())
+        """The norm at any scale, by an exact power-of-two prescale when Σ|a|²
+        overflows; ``OverflowError`` only past the float range."""
+        squared = self.squared_norm()
+        if squared < math.inf:
+            return math.sqrt(squared)
+        shift = unit_shift(self._terms.values())
+        return math.ldexp((self * 2.0**shift).norm(), -shift)
 
     def modes(self) -> list[str]:
         return sorted({k[0] for occ in self._terms for k, _ in occ})
@@ -346,6 +343,8 @@ def fidelity(x: PureState, y: PureState) -> float:
     nx, ny = x.squared_norm(), y.squared_norm()
     if nx == 0.0 or ny == 0.0:
         return 0.0
+    if nx * ny == math.inf:  # fidelity ignores each state's scale
+        return fidelity(x.normalized(), y.normalized())
     return abs(x.inner(y)) ** 2 / (nx * ny)
 
 
@@ -475,6 +474,8 @@ class MixedState:
         if not _partial:
             if not branches:
                 raise ValueError("a mixed state needs at least one branch")
+            if not all(math.isfinite(w) for w, _ in branches):
+                raise ValueError("branch weights must be finite")
             total = sum(w for w, _ in branches)
             if abs(total - 1.0) > 1e-12:
                 raise ValueError(f"branch weights sum to {total}, expected 1")

@@ -3,12 +3,15 @@
 A whole element sequence is applied as one composed substitution; these
 tests hold it to element-by-element application and to an independent
 transfer-matrix/permanent calculation.  Each compiled map memoizes its
-monomial images; the memo must never change a result or skip a check.
+monomial images in a memo of its own; the memo must never change a result
+or skip a check.
 """
 
 import itertools
 import math
 import sys
+import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +31,8 @@ from fockfuse.elements import (
     apply_elements,
     compile_elements,
 )
-from fockfuse import states
-from fockfuse.states import H, INV_SQRT2, V, MemoRules, PureState, monomial_image
+from fockfuse.circuits import _heralded_map, build_fusion_circuit, initial_state, run_fusion
+from fockfuse.states import H, INV_SQRT2, V, MemoRules, PureState
 
 # the benchmark's numpy oracles are the one copy of the transfer-matrix/permanent calculation
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -250,7 +253,7 @@ def test_memoized_application_equals_fresh_expansion(data):
             assert list(got[1].items()) == list(fresh.items())
     for occ, _amp in state.items():
         assert rules.image(occ) is rules.image(occ)
-        assert rules.image(occ)[:2] == monomial_image(occ, dict(rules))
+        assert rules.image(occ)[:2] == MemoRules(dict(rules), ()).image(occ)[:2]
 
 
 @pytest.mark.parametrize(
@@ -270,23 +273,68 @@ def test_checks_still_raise_when_the_images_are_memoized(state, elements, messag
             apply_elements(state, elements)
 
 
-def test_memo_never_holds_more_terms_than_its_bound(monkeypatch):
-    monkeypatch.setattr(states, "MEMO_TERMS", 40)
-    monkeypatch.setattr(states, "_memo", {})
-    monkeypatch.setattr(states, "_memo_terms", 0)
+def test_each_map_owns_its_images():
+    compile_elements.cache_clear()  # every map below starts with an empty memo
     mesh = (Hwp("a", 22.5), Pbs("a", "b", "a", "b"), Hwp("b", 30.0), Pbs("b", "c", "b", "c"))
     mesh += (Hwp("a", 67.5), Hwp("c", 22.5))
     inputs = [ket(("a", H)), ket(("a", H), ("b", V, "A")), ket(("a", H), ("a", V), ("b", H))]
     inputs.append(ket(("a", H), ("a", H), ("b", V), ("c", H)))  # a 66-term image
-    expanded = 0
     for angle in range(0, 90, 5):
         elements = (Hwp("c", float(angle)),) + mesh
+        rules = compile_elements(elements)
+        applied = set()
         for state in inputs:
             for _ in range(2):
                 out = apply_elements(state, elements)
-                rules = compile_elements(elements)
                 assert list(out.items()) == list(state.substituted(MemoRules(rules, ())).items())
-                cached = sum(len(terms) for _root, terms, _check in states._memo.values())
-                assert cached == states._memo_terms <= states.MEMO_TERMS
-            expanded += sum(len(rules.image(occ)[1]) for occ, _amp in state.items())
-    assert expanded > 10 * states.MEMO_TERMS
+            applied.update(occ for occ, _amp in state.items())
+            assert set(rules._images) == applied
+        assert MemoRules(dict(rules), rules.checks)._images == {}
+    (big, _amp), = inputs[-1].items()
+    assert len(rules.image(big)[1]) == 66
+    dropped = weakref.ref(rules)
+    del rules
+    compile_elements.cache_clear()
+    assert dropped() is None
+
+
+def race(n, fn):
+    """``fn(i)`` for i < n, each in its own thread, all released at once
+    with a short switch interval; returns the results in order."""
+    start, results = threading.Barrier(n), [None] * n
+
+    def run(i):
+        start.wait()
+        results[i] = fn(i)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return results
+
+
+def test_threads_racing_on_a_fresh_map_agree():
+    psi, phi = (0.6, 0.8j), (INV_SQRT2, -INV_SQRT2)
+    _heralded_map.cache_clear()
+    runs = race(8, lambda i: [(o.probability, list(o.state.items())) for o in run_fusion(psi, phi)])
+    assert runs[0] is not None and all(r == runs[0] for r in runs)
+    circuit = build_fusion_circuit()
+    heralded = _heralded_map(circuit)
+    for occ, _amp in initial_state(circuit, {"psi": psi, "phi": phi}).items():
+        assert heralded.image(occ) is heralded.image(occ)
+    # a miss raced by many threads stores one image, and every thread gets it
+    (occ, _amp), = ket(("a", H), ("a", H), ("b", V), ("c", H)).items()
+    mesh = (Hwp("a", 22.5), Pbs("a", "b", "a", "b"), Hwp("b", 30.0), Pbs("b", "c", "b", "c"))
+    rules = compile_elements(mesh)
+    for _ in range(5):
+        fresh = MemoRules(dict(rules), rules.checks)
+        images = race(8, lambda i: fresh.image(occ))
+        assert all(image is fresh.image(occ) for image in images)

@@ -149,6 +149,12 @@ class TestGenericRunner:
             (outcome,) = run_circuit(circuit, state)
             assert outcome.probability == 0.0 and outcome.state.is_zero
 
+    def test_input_state_and_bindings_are_exclusive(self):
+        circuit = build_fusion_circuit()
+        bindings = {"psi": (1, 0), "phi": (0, 1)}
+        with pytest.raises(ValueError, match="^give either input_state or bindings$"):
+            run_circuit(circuit, initial_state(circuit, bindings), bindings=bindings)
+
     def test_unbound_slot_raises(self):
         with pytest.raises(ValueError, match="unbound"):
             initial_state(build_fusion_circuit(), {"psi": (1, 0)})

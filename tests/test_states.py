@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fockfuse.states import (
     H,
+    INV_SQRT2,
     V,
     DetectionPattern,
     MixedState,
@@ -145,6 +146,37 @@ class TestPruning:
             ket(("a", H)) * bad
 
 
+class TestScale:
+    """Norms and fidelities give the unit-scale answer when Σ|a|² overflows."""
+
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_norm_and_normalized(self, scale):
+        unit = 0.6 * ket(("a", H)) + 0.8j * ket(("a", V), ("b", H, "A"))
+        big = unit * scale
+        assert big.squared_norm() == math.inf
+        assert big.norm() == pytest.approx(scale, rel=1e-15)
+        got = big.normalized()
+        assert [occ for occ, _amp in got.items()] == [occ for occ, _amp in unit.items()]
+        for (_occ, a), (_occ2, b) in zip(got.items(), unit.items()):
+            assert a == pytest.approx(b, abs=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e100, 1e200, 1e300])
+    def test_fidelity(self, scale):
+        x = INV_SQRT2 * (ket(("a", H)) + ket(("a", V)))
+        y = ket(("a", H))
+        assert fidelity(x * scale, x * scale) == pytest.approx(1.0, abs=1e-15)
+        assert fidelity(x * scale, y) == pytest.approx(0.5, abs=1e-15)
+        assert fidelity(y, x * scale) == pytest.approx(0.5, abs=1e-15)
+        assert fidelity(y * scale, ket(("a", V)) * scale) == 0.0
+
+    def test_moderate_scale_keeps_its_arithmetic(self):
+        state = 0.3 * ket(("a", H)) + (0.2 - 0.7j) * ket(("b", V))
+        squared = abs(0.3) ** 2 + abs(0.2 - 0.7j) ** 2
+        assert state.squared_norm() == squared
+        assert state.norm() == math.sqrt(squared)
+        assert list(state.normalized().items()) == list((state * (1.0 / math.sqrt(squared))).items())
+
+
 class TestSerialization:
     def test_canonical_text_is_sorted_and_stable(self):
         fwd = ket(("c", V)) + 2.0 * ket(("a", H))
@@ -180,6 +212,20 @@ class TestMixedState:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
             MixedState(((0.5, ket(("a", H))),))
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ((math.nan, 1.0), "^branch weights must be finite$"),
+            ((math.nan,), "^branch weights must be finite$"),
+            ((0.5,), "^branch weights sum to 0.5, expected 1$"),
+            ((-0.5, 1.5), "^branch weights must be non-negative$"),
+            ((), "^a mixed state needs at least one branch$"),
+        ],
+    )
+    def test_bad_weights_raise(self, weights, message):
+        with pytest.raises(ValueError, match=message):
+            MixedState(tuple((w, ket(("a", H))) for w in weights))
 
     def test_projection_weights(self):
         mixed = MixedState(((0.25, ket(("a", H))), (0.75, ket(("a", V)))))
