@@ -13,8 +13,8 @@ canonical output.
 
 A circuit's elements compile once (``elements.compile_elements``, cached)
 into one ``MemoRules`` map: a linear substitution of the creation operators
-that carries the elements' checks.  ``run_circuit`` validates each distinct
-circuit once and pushes its input, pure or mixed, through one
+that carries the elements' checks.  A circuit is validated once, when it
+is built; ``run_circuit`` pushes its input, pure or mixed, through one
 ``substituted`` call of its heralded map: the same map and checks with every
 output occupation that none of the circuit's patterns admits dropped, so it
 computes only the terms a detector can herald and then projects them onto
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 
 from .elements import (
+    ElementError,
     OpticalElement,
-    Pbs,
     Relabel,
     SigmaX,
     SignFlipV,
@@ -52,19 +52,17 @@ from .states import (
     DetectionPattern,
     MemoRules,
     MixedState,
-    PatternError,
     PureState,
     unit_shift,
 )
 
 #: a mode or slot name: one token that ``--bind name=...`` and a ``+`` group can hold
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-#: input and element fields that do not name a mode -> (test, message for a failing value)
+#: input fields that do not name a mode -> (test, message for a failing value)
 _FIELD_RULES = {
     "pol": (lambda pol: pol in (H, V), "polarization must be H or V, got {!r}"),
     "tag": (re.compile(r"[^\s#]*").fullmatch, "tag must be one token without '#', got {!r}"),
     "name": (_NAME.fullmatch, "invalid slot name {!r}"),
-    "theta": (math.isfinite, "angle must be finite, got {!r}"),
 }
 
 
@@ -119,10 +117,15 @@ CircuitInput = PhotonIn | QubitSlot | QuditSlot
 
 @dataclass(frozen=True)
 class Circuit:
+    """A linear-optical circuit, checked by ``validate`` when it is built."""
+
     modes: tuple[str, ...]
     inputs: tuple[CircuitInput, ...]
     elements: tuple[OpticalElement, ...]
     patterns: tuple[DetectionPattern, ...]
+
+    def __post_init__(self):
+        self.validate()
 
     def slot_names(self) -> list[str]:
         return [i.name for i in self.inputs if not isinstance(i, PhotonIn)]
@@ -140,9 +143,8 @@ class Circuit:
     def validate(self) -> None:
         """Raise ``CircuitError`` at the first entry that misnames or
         redeclares a mode or slot, names an undeclared mode or one unfolded
-        away, breaks a ``_FIELD_RULES`` rule, is a PBS with two equal inputs
-        or two equal outputs, or is a pattern that breaks a
-        ``DetectionPattern.of`` rule or detects on a non-output mode."""
+        away, breaks a ``_FIELD_RULES`` rule, is an element that ``block``
+        refuses, or is a pattern that detects on a non-output mode."""
         declared: set[str] = set()
         for i, mode in enumerate(self.modes):
             if not _NAME.fullmatch(mode):
@@ -161,30 +163,28 @@ class Circuit:
             for i, entry in enumerate(entries):
                 at = (section, i)
                 for name, value in vars(entry).items():
-                    if name not in _FIELD_RULES:  # every other field names a mode
+                    if name in _FIELD_RULES:
+                        if not _FIELD_RULES[name][0](value):
+                            raise CircuitError(_FIELD_RULES[name][1].format(value), at, field=name)
+                        if name == "name":
+                            if value in slots:
+                                raise CircuitError(f"slot {value!r} declared twice", at, field=name)
+                            slots.add(value)
+                    elif name != "theta":  # every other field but an angle names a mode
                         check(value, at)
                         if value in retired:
                             message = f"mode {value!r} reused after being unfolded away"
                             raise CircuitError(message, at, value)
-                    elif not _FIELD_RULES[name][0](value):
-                        raise CircuitError(_FIELD_RULES[name][1].format(value), at, field=name)
-                    elif name == "name":
-                        if value in slots:
-                            raise CircuitError(f"slot {value!r} declared twice", at, field=name)
-                        slots.add(value)
-                if isinstance(entry, Pbs) and (entry.in1 == entry.in2 or entry.out1 == entry.out2):
-                    field = "in2" if entry.in1 == entry.in2 else "out2"
-                    message = f"pbs names {getattr(entry, field)!r} twice on one side"
-                    raise CircuitError(message, at, field=field)
+                if section == "elements":
+                    try:
+                        block(entry)
+                    except ElementError as exc:
+                        raise CircuitError(str(exc), at, field=exc.field) from None
                 if isinstance(entry, Unfold):
                     retired.add(entry.src)
         live = self.output_modes()
         for i, pattern in enumerate(self.patterns):
             at = ("patterns", i)
-            try:
-                DetectionPattern.of(pattern.requirements)
-            except PatternError as exc:
-                raise CircuitError(str(exc), at) from None
             for mode in sorted(pattern.constrained_modes()):
                 check(mode, at)
                 if mode not in live:
@@ -219,12 +219,7 @@ def normalized_amplitudes(amps, n: int) -> tuple[complex, ...]:
 @lru_cache(maxsize=256)
 def _heralded_map(circuit: Circuit) -> MemoRules:
     """The circuit's compiled map, with its elements' checks, keeping only
-    the output occupations that one of its patterns admits.
-
-    Raises ``CircuitError`` first if the circuit breaks a ``validate`` rule,
-    so each distinct circuit is validated once per process.
-    """
-    circuit.validate()
+    the output occupations that one of its patterns admits."""
     compiled = compile_elements(circuit.elements)
     patterns = circuit.patterns
     return MemoRules(compiled, compiled.checks, lambda occ: any(p.matches(occ) for p in patterns))
@@ -237,13 +232,7 @@ def initial_state(
     tags: dict[str, str] | None = None,
 ) -> PureState:
     """Build the input state, binding each slot's amplitudes by name; ``tags``
-    optionally assigns a distinguishability tag per input mode.  Raises
-    ``CircuitError`` for a circuit that breaks a ``validate`` rule."""
-    _heralded_map(circuit)  # validates each distinct circuit once
-    return _input_state(circuit, bindings, tags)
-
-
-def _input_state(circuit: Circuit, bindings, tags) -> PureState:
+    optionally assigns a distinguishability tag per input mode."""
     bindings = bindings or {}
     tags = tags or {}
     slots = circuit.slot_names()
@@ -300,7 +289,7 @@ def run_circuit(
         raise ValueError("give either input_state or bindings")
     heralded = _heralded_map(circuit)
     if input_state is None:
-        input_state = _input_state(circuit, bindings, None)
+        input_state = initial_state(circuit, bindings)
     evolved = input_state.substituted(heralded)
     return [evolved.project(pattern) for pattern in circuit.patterns]
 

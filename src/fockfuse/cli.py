@@ -51,10 +51,15 @@ from .states import PureState, fidelity
 from .verify import run_verification
 
 
+def _complex(text: str) -> complex:
+    """A complex number written with ``i`` or ``j`` as the imaginary unit."""
+    return complex(text.replace("i", "j"))
+
+
 def _parse_amplitudes(text: str, n: int | None = None) -> tuple[complex, ...]:
     """Comma-separated complex amplitudes, normalized; ``n`` fixes the count."""
     try:
-        parts = [complex(chunk.strip().replace("i", "j")) for chunk in text.split(",")]
+        parts = [_complex(chunk) for chunk in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse amplitudes from {text!r}") from None
     try:
@@ -73,7 +78,7 @@ def _qudit_arg(text: str) -> tuple[complex, ...]:
 
 def _complex_arg(text: str) -> complex:
     try:
-        z = complex(text.replace("i", "j"))
+        z = _complex(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}") from None
     if not cmath.isfinite(z):
@@ -270,7 +275,7 @@ def cmd_fit_p(args) -> int:
         payload = json.loads(text)
         if not isinstance(payload, dict) or "entries" not in payload:
             raise ValueError(f"{path}: expected a JSON object with an 'entries' matrix")
-        observed = ProbabilityMatrix.from_rows(
+        observed = ProbabilityMatrix(
             payload.get("basis", args.basis),
             payload["entries"],
             payload.get("row_labels"),

@@ -122,12 +122,36 @@ def get_basis(basis: str | Basis) -> Basis:
 
 @dataclass(frozen=True)
 class ProbabilityMatrix:
-    """4x4 row-stochastic input/output distribution with labels."""
+    """4x4 input/output distribution with labels, by default the basis's;
+    construction refuses entries that are not a 4x4 matrix of finite reals."""
 
     basis: str
     entries: tuple[tuple[float, ...], ...]
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
+    row_labels: tuple[str, ...] | None = None
+    col_labels: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.basis, str):
+            raise ValueError(f"basis must be a string, got {self.basis!r}")
+        try:
+            rows = tuple(tuple(float(x) for x in row) for row in self.entries)
+        except (TypeError, ValueError):
+            raise ValueError(f"expected a matrix of real numbers, got {self.entries!r}") from None
+        if [len(row) for row in rows] != [4] * 4:
+            raise ValueError(f"expected a 4x4 matrix, got rows of lengths {[len(row) for row in rows]}")
+        if not all(math.isfinite(x) for row in rows for x in row):
+            raise ValueError("observed matrix entries must be finite")
+        object.__setattr__(self, "entries", rows)
+        b = BASES.get(self.basis.lower())
+        for name, kind, default in (
+            ("row_labels", "row", b.input_labels if b else ("r0", "r1", "r2", "r3")),
+            ("col_labels", "column", b.output_labels if b else ("c0", "c1", "c2", "c3")),
+        ):
+            given = getattr(self, name)
+            if given is not None and not (isinstance(given, (list, tuple)) and len(given) == 4
+                                          and all(isinstance(x, str) for x in given)):
+                raise ValueError(f"{kind} labels must be four strings, got {given!r}")
+            object.__setattr__(self, name, default if given is None else tuple(given))
 
     def to_json_obj(self) -> dict:
         return {
@@ -144,27 +168,6 @@ class ProbabilityMatrix:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_rows(cls, basis: str, rows, row_labels=None, col_labels=None) -> "ProbabilityMatrix":
-        if not isinstance(basis, str):
-            raise ValueError(f"basis must be a string, got {basis!r}")
-        b = BASES.get(basis.lower())
-
-        def labels(given, kind: str, default: tuple[str, ...]) -> tuple[str, ...]:
-            if given is None:
-                return default
-            if not (isinstance(given, (list, tuple)) and len(given) == 4
-                    and all(isinstance(x, str) for x in given)):
-                raise ValueError(f"{kind} labels must be four strings, got {given!r}")
-            return tuple(given)
-
-        return cls(
-            basis=basis,
-            entries=_read_matrix(rows),
-            row_labels=labels(row_labels, "row", b.input_labels if b else ("r0", "r1", "r2", "r3")),
-            col_labels=labels(col_labels, "column", b.output_labels if b else ("c0", "c1", "c2", "c3")),
-        )
-
-    @classmethod
     def from_csv(cls, text: str, basis: str = "") -> "ProbabilityMatrix":
         lines = [ln for ln in text.strip().splitlines() if ln.strip()]
         if len(lines) != 5:
@@ -175,23 +178,13 @@ class ProbabilityMatrix:
             cells = ln.split(",")
             row_labels.append(cells[0])
             rows.append([float(x) for x in cells[1:]])
-        return cls.from_rows(basis, rows, row_labels, col_labels)
+        return cls(basis, rows, row_labels, col_labels)
 
 
 def _read_matrix(value) -> tuple[tuple[float, ...], ...]:
-    """The rows of a 4x4 matrix of finite reals, from a ``ProbabilityMatrix``
-    or a sequence of rows."""
-    if isinstance(value, ProbabilityMatrix):
-        return value.entries
-    try:
-        rows = tuple(tuple(float(x) for x in row) for row in value)
-    except (TypeError, ValueError):
-        raise ValueError(f"expected a matrix of real numbers, got {value!r}") from None
-    if [len(row) for row in rows] != [4] * 4:
-        raise ValueError(f"expected a 4x4 matrix, got rows of lengths {[len(row) for row in rows]}")
-    if not all(math.isfinite(x) for row in rows for x in row):
-        raise ValueError("observed matrix entries must be finite")
-    return rows
+    """The entries of a ``ProbabilityMatrix``, or of the one built from a
+    sequence of rows."""
+    return (value if isinstance(value, ProbabilityMatrix) else ProbabilityMatrix("", value)).entries
 
 
 def _total(rows) -> float:
@@ -245,7 +238,7 @@ def simulate_basis_matrix(basis, p: float) -> ProbabilityMatrix:
     key = get_basis(basis).key
     raw = _raw_matrix(key, p)
     rows = [[x / total for x in row] for row, total in zip(raw, map(sum, raw))]
-    return ProbabilityMatrix.from_rows(key, rows)
+    return ProbabilityMatrix(key, rows)
 
 
 def closed_form_matrix(basis, p: float) -> ProbabilityMatrix:
@@ -292,7 +285,7 @@ def closed_form_matrix(basis, p: float) -> ProbabilityMatrix:
             [0.0, 0.0, (3.0 + p) / d1, q / d1],
             [0.0, q / d2, q / d2, 2.0 * (3.0 - p) / d2],
         ]
-    return ProbabilityMatrix.from_rows(key, rows)
+    return ProbabilityMatrix(key, rows)
 
 
 # -- fidelity and similarity -------------------------------------------------

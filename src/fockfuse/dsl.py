@@ -22,8 +22,8 @@ defaulted last field being optional; the serializer writes them back, floats
 with ``repr``.  A ``detect`` line is one detection pattern; a ``modespec`` is
 a mode or a ``+``-joined group (``t1+t2``) constrained as a whole.
 
-The parser checks syntax only; ``Circuit.validate`` and
-``DetectionPattern.of`` judge the content, as for circuits built in Python.
+The parser checks syntax only; each ``DetectionPattern`` and the ``Circuit``
+judge their own content when they are built, as in Python.
 Declarations may come in any order, and every error carries the 1-based
 line and column of the offending token.
 """
@@ -127,11 +127,10 @@ def parse_circuit(text: str) -> Circuit:
         else:
             raise line.fail(f"unknown directive {line.words[0]!r}")
 
-    circuit = Circuit(
-        **{section: tuple(entry for entry, _ in entries) for section, entries in sections.items()}
-    )
     try:
-        circuit.validate()
+        return Circuit(
+            **{section: tuple(entry for entry, _ in entries) for section, entries in sections.items()}
+        )
     except CircuitError as exc:
         section, index = exc.entry
         entry, line = sections[section][index]
@@ -143,7 +142,6 @@ def parse_circuit(text: str) -> Circuit:
         else:
             at = words.index(exc.mode, 1)
         raise line.fail(str(exc), at) from None
-    return circuit
 
 
 def _directive(entry) -> str:

@@ -105,15 +105,26 @@ def _empty(kind: str, *modes: str) -> tuple:
     return tuple(((m, ch), message.format(kind, m)) for m in modes for ch in (H, V, ""))
 
 
+class ElementError(ValueError):
+    """An element with a value no element of its kind may hold in ``field``."""
+
+    def __init__(self, message: str, field: str):
+        super().__init__(message)
+        self.field = field
+
+
 def block(element: OpticalElement) -> tuple[Rules, tuple]:
     """An element's substitution block and the ``(operator, error)`` checks
     that the operator is empty before it.
 
     The block's keys are the operators the element empties and its images
-    the operators it fills.
+    the operators it fills.  Raises ``ElementError`` for an HWP whose angle
+    is not finite or a PBS that names one port twice on one side.
     """
     match element:
         case Hwp(mode, theta):
+            if not math.isfinite(theta):
+                raise ElementError(f"angle must be finite, got {theta!r}", "theta")
             # a half-wave plate repeats every 180 degrees; fmod keeps |theta| < 180 exact
             two_theta = math.radians(2.0 * math.fmod(theta, 180.0))
             c, s = math.cos(two_theta), math.sin(two_theta)
@@ -122,6 +133,9 @@ def block(element: OpticalElement) -> tuple[Rules, tuple]:
                 (mode, V): (((mode, H), s), ((mode, V), -c)),
             }, ()
         case Pbs(in1, in2, out1, out2):
+            if in1 == in2 or out1 == out2:
+                field = "in2" if in1 == in2 else "out2"
+                raise ElementError(f"pbs names {getattr(element, field)!r} twice on one side", field)
             moves = _moves((in1, H, out1), (in1, V, out2), (in2, H, out2), (in2, V, out1))
             return moves, _empty("pbs", *(m for m in (out1, out2) if m not in (in1, in2)))
         case Unfold(src, out_h, out_v):

@@ -407,25 +407,20 @@ class DetectionPattern:
     unconstrained.  Groups let one requirement span two spatial modes, as in
     the fourfold-coincidence condition of one photon across both target
     outputs.  Equal requirements in any order make equal patterns.
+
+    A group is a mode or a collection of modes.  Construction raises
+    ``PatternError`` if there is no pair, or at the first pair, in the given
+    order, with a requirement ``ADMITS`` lacks, an empty name or a repeat.
     """
 
     requirements: tuple[tuple[frozenset[str], str], ...]
 
     def __post_init__(self):
-        canonical = tuple(sorted(self.requirements, key=lambda e: sorted(e[0])))
-        object.__setattr__(self, "requirements", canonical)
-
-    @classmethod
-    def of(cls, spec: Mapping | Iterable) -> "DetectionPattern":
-        """The pattern of a ``{group: requirement}`` mapping or a sequence of
-        (group, requirement) pairs, a group being a mode or several; raises
-        ``PatternError`` at the first pair that breaks a pattern rule."""
-        pairs = list(spec.items() if isinstance(spec, Mapping) else spec)
-        if not pairs:
+        if not self.requirements:
             raise PatternError("a detection pattern needs a (group, requirement) pair", 0, "group")
         entries = []
         seen: set[str] = set()
-        for i, (group, req) in enumerate(pairs):
+        for i, (group, req) in enumerate(self.requirements):
             modes = (group,) if isinstance(group, str) else tuple(group)
             if req not in ADMITS:
                 message = f"requirement must be H, V, any or none, got {req!r}"
@@ -437,7 +432,12 @@ class DetectionPattern:
                     raise PatternError(f"mode {m!r} constrained twice", i, "group")
                 seen.add(m)
             entries.append((frozenset(modes), req))
-        return cls(tuple(entries))
+        object.__setattr__(self, "requirements", tuple(sorted(entries, key=lambda e: sorted(e[0]))))
+
+    @classmethod
+    def of(cls, spec: Mapping | Iterable) -> "DetectionPattern":
+        """The pattern of a ``{group: requirement}`` mapping or a sequence of pairs."""
+        return cls(tuple(spec.items() if isinstance(spec, Mapping) else spec))
 
     def matches(self, occ: Occupation) -> bool:
         for group, req in self.requirements:

@@ -75,9 +75,10 @@ def circuits(draw):
     modes = MODES[: draw(st.integers(2, 4))]
     targets = modes + FRESH
     pick = st.sampled_from(modes)
+    ports = st.lists(pick, min_size=2, max_size=2, unique=True)  # a PBS names no port twice
     element = st.one_of(
         st.builds(Hwp, pick, st.sampled_from(ANGLES)),
-        st.builds(Pbs, pick, pick, pick, pick),
+        st.tuples(ports, ports).map(lambda pair: Pbs(*pair[0], *pair[1])),
         st.builds(SigmaX, pick),
         st.builds(SignFlipV, pick),
         st.builds(Unfold, pick, st.sampled_from(targets), st.sampled_from(targets)),

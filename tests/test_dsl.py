@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import fields, replace
 from importlib import resources
@@ -16,9 +17,10 @@ from fockfuse.circuits import (
     initial_state,
     run_circuit,
 )
+from fockfuse.distinguishability import ProbabilityMatrix, closed_form_matrix, similarity
 from fockfuse.dsl import ParseError, parse_circuit, serialize_circuit
 from fockfuse.elements import Hwp, OpticalElement, Pbs, Unfold, apply_elements
-from fockfuse.states import H, V, DetectionPattern
+from fockfuse.states import H, V, DetectionPattern, PatternError, PureState
 
 DATA = Path(__file__).parent / "data"
 SHIPPED = sorted(
@@ -157,9 +159,9 @@ def mostly(usual, odd=st.text(max_size=3)):
 
 @st.composite
 def named_circuits(draw):
-    """Circuits whose names, polarizations and tags may be any text, and whose
-    patterns are built directly, so that many of them break a rule of
-    ``Circuit.validate``."""
+    """The raw parts of a circuit whose names, polarizations and tags may be
+    any text, its patterns as raw (group, requirement) pairs, so that many of
+    them break a rule of ``Circuit.validate`` or ``DetectionPattern``."""
     modes = draw(st.lists(st.sampled_from(MODE_POOL), min_size=1, max_size=4, unique=True))
     modes += draw(mostly(st.just([]), st.lists(st.text(max_size=3), min_size=1, max_size=1)))
     mode = st.sampled_from(modes)
@@ -179,24 +181,24 @@ def named_circuits(draw):
                    st.frozensets(mostly(mode), max_size=2))
     requirement = mostly(st.sampled_from((H, V, "any", "none")), st.just("bogus"))
     pairs = mostly(st.lists(st.tuples(group, requirement), min_size=1, max_size=3), st.just([]))
-    patterns = draw(st.lists(pairs.map(lambda pairs: DetectionPattern(tuple(pairs))), max_size=2))
-    return Circuit(tuple(modes), tuple(inputs), tuple(elements), tuple(patterns))
+    patterns = draw(st.lists(pairs.map(tuple), max_size=2))
+    return tuple(modes), tuple(inputs), tuple(elements), tuple(patterns)
 
 
 class TestGenerated:
     @settings(deadline=None)
     @given(named_circuits())
-    def test_circuits_that_validate_round_trip(self, circuit):
+    def test_circuits_that_validate_round_trip(self, parts):
+        modes, inputs, elements, patterns = parts
         try:
-            circuit.validate()
-        except CircuitError:
+            circuit = Circuit(modes, inputs, elements, tuple(map(DetectionPattern, patterns)))
+        except (CircuitError, PatternError):
             return
         assert parse_circuit(serialize_circuit(circuit)) == circuit
 
     @settings(deadline=None)
     @given(valid_circuits())
     def test_parse_inverts_serialize(self, circuit):
-        circuit.validate()
         assert parse_circuit(serialize_circuit(circuit)) == circuit
 
     @settings(deadline=None)
@@ -310,18 +312,47 @@ def built(inputs=(PhotonIn("a", H),), modes=("a", "b"), pattern=None):
     return Circuit(modes, inputs, (), (DetectionPattern(pairs),))
 
 
-#: circuits built in Python obey the rules that parsed ones do
+#: circuits and patterns built in Python obey the rules that parsed ones do:
+#: name -> (a build that breaks one, the error it raises, its message)
 REFUSED = {
-    "unknown polarization": (built((PhotonIn("a", "X"),)), "polarization must be H or V, got 'X'"),
-    "rail photon": (built((PhotonIn("a", ""),)), "polarization must be H or V, got ''"),
-    "mode name with a space": (built(modes=("a", "a b")), "invalid mode name 'a b'"),
-    "slot name with a space": (built((QubitSlot("a", "p q"),)), "invalid slot name 'p q'"),
-    "tag with a space": (built((PhotonIn("a", H, "x y"),)), "tag must be one token"),
-    "unknown requirement": (built(pattern=[(("a",), "bogus")]),
+    "unknown polarization": (lambda: built((PhotonIn("a", "X"),)), CircuitError,
+                             "polarization must be H or V, got 'X'"),
+    "rail photon": (lambda: built((PhotonIn("a", ""),)), CircuitError, "polarization must be H or V, got ''"),
+    "mode name with a space": (lambda: built(modes=("a", "a b")), CircuitError, "invalid mode name 'a b'"),
+    "slot name with a space": (lambda: built((QubitSlot("a", "p q"),)), CircuitError, "invalid slot name 'p q'"),
+    "tag with a space": (lambda: built((PhotonIn("a", H, "x y"),)), CircuitError, "tag must be one token"),
+    "unknown requirement": (lambda: built(pattern=[(("a",), "bogus")]), PatternError,
                             "requirement must be H, V, any or none, got 'bogus'"),
-    "empty pattern": (built(pattern=[]), "needs a (group, requirement) pair"),
-    "empty group": (built(pattern=[((), H)]), "empty mode name in group ''"),
-    "mode constrained twice": (built(pattern=[(("a",), H), (("a", "b"), V)]), "mode 'a' constrained twice"),
+    "empty pattern": (lambda: built(pattern=[]), PatternError, "needs a (group, requirement) pair"),
+    "empty group": (lambda: built(pattern=[((), H)]), PatternError, "empty mode name in group ''"),
+    "mode constrained twice": (lambda: built(pattern=[(("a",), H), (("a", "b"), V)]), PatternError,
+                               "mode 'a' constrained twice"),
+}
+
+PHOTON_A = PureState.vacuum().create("a", H)
+MODEL = closed_form_matrix("ii", 0.5)
+
+
+def observed(rows):
+    return ProbabilityMatrix("ii", tuple(map(tuple, rows)), MODEL.row_labels, MODEL.col_labels)
+
+
+#: values built by hand that each consumer used to take unchecked:
+#: name -> (a use of one, the message the parser or ``ProbabilityMatrix`` gives for its rule)
+HAND_BUILT = {
+    "pattern with an unknown requirement": (
+        lambda: PHOTON_A.project(DetectionPattern(((frozenset({"a"}), "bogus"),))),
+        "requirement must be H, V, any or none, got 'bogus'"),
+    "empty pattern": (lambda: PHOTON_A.project(DetectionPattern(())),
+                      "a detection pattern needs a (group, requirement) pair"),
+    "pbs naming one input twice": (lambda: apply_elements(PHOTON_A, (Pbs("a", "a", "c", "d"),)),
+                                   "pbs names 'a' twice on one side"),
+    "hwp at a NaN angle": (lambda: apply_elements(PHOTON_A, (Hwp("a", math.nan),)),
+                           "angle must be finite, got nan"),
+    "matrix of NaNs": (lambda: similarity(observed([[math.nan] * 4] * 4), MODEL),
+                       "observed matrix entries must be finite"),
+    "matrix of one 1x2 row": (lambda: similarity(observed([[1.0, 2.0]]), MODEL),
+                              "expected a 4x4 matrix, got rows of lengths [2]"),
 }
 
 
@@ -336,16 +367,17 @@ class TestValidationPositions:
 
     @pytest.mark.parametrize("name", sorted(REFUSED))
     def test_built_circuit_breaking_a_rule_is_refused(self, name):
-        circuit, message = REFUSED[name]
-        with pytest.raises(CircuitError, match=re.escape(message)):
-            circuit.validate()
+        """Building it fails, so no run or ``initial_state`` can be given it."""
+        build, error, message = REFUSED[name]
+        with pytest.raises(error, match=re.escape(message)):
+            build()
 
-    @pytest.mark.parametrize("name", sorted(REFUSED))
-    def test_run_boundary_refuses_a_built_circuit_breaking_a_rule(self, name):
-        circuit, message = REFUSED[name]
-        for run in (run_circuit, initial_state):
-            with pytest.raises(CircuitError, match=re.escape(message)):
-                run(circuit)
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_hand_built_value_breaking_a_rule_is_refused(self, name):
+        use, message = HAND_BUILT[name]
+        with pytest.raises(ValueError) as excinfo:
+            use()
+        assert str(excinfo.value) == message
 
     def test_pattern_order_is_canonical(self):
         written = DetectionPattern(((frozenset({"b"}), H), (frozenset({"a"}), V)))
@@ -360,9 +392,8 @@ class TestValidationPositions:
         assert circuit.inputs == (QubitSlot("t", "psi"),)
 
     def test_circuit_error_names_entry_and_mode(self):
-        circuit = Circuit(("a", "b", "a"), (), (), ())
         with pytest.raises(CircuitError, match="mode 'a' declared twice") as excinfo:
-            circuit.validate()
+            Circuit(("a", "b", "a"), (), (), ())
         assert (excinfo.value.entry, excinfo.value.mode) == (("modes", 2), "a")
 
     def test_angles_serialize_exactly(self):

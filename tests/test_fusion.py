@@ -129,13 +129,17 @@ class TestGenericRunner:
             assert outcomes[idx].probability == pytest.approx(expected, abs=1e-15)
 
     def test_a_circuit_is_validated_once_per_process(self, monkeypatch):
+        """Building a circuit validates it; running it validates nothing."""
         calls = []
         validate = Circuit.validate
         monkeypatch.setattr(Circuit, "validate", lambda circuit: calls.append(circuit) or validate(circuit))
         circuits._heralded_map.cache_clear()
+        circuit = build_fusion_circuit.__wrapped__()  # parsed afresh, not taken from the cache
+        assert calls == [circuit]
         for _ in range(10):
-            run_fusion((1, 0), (0.6, 0.8))
-        assert calls == [build_fusion_circuit()]
+            run_circuit(circuit, bindings={"psi": (1, 0), "phi": (0.6, 0.8)})
+            initial_state(circuit, {"psi": (1, 0), "phi": (0.6, 0.8)})
+        assert calls == [circuit]
 
     @pytest.mark.parametrize("requirement", [H, V, "any", "none"])
     @pytest.mark.parametrize("group", ["a", ("a", "b")])
