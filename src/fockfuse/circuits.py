@@ -14,7 +14,7 @@ canonical output.
 A circuit's elements compile once (``elements.compile_elements``, cached)
 into one ``MemoRules`` map: a linear substitution of the creation operators
 that carries the elements' checks.  A circuit is validated once, when it
-is built; ``run_circuit`` pushes its input, pure or mixed, through one
+is built; ``run_circuit`` pushes its input, a mixture included, through one
 ``substituted`` call of its heralded map: the same map and checks with every
 output occupation that none of the circuit's patterns admits dropped, so it
 computes only the terms a detector can herald and then projects them onto
@@ -51,7 +51,6 @@ from .states import (
     ConditionalOutcome,
     DetectionPattern,
     MemoRules,
-    MixedState,
     PureState,
     unit_shift,
 )
@@ -278,13 +277,14 @@ def superpose(base: PureState, amps, kets, tags=None) -> PureState:
 
 def run_circuit(
     circuit: Circuit,
-    input_state: PureState | MixedState | None = None,
+    input_state: PureState | None = None,
     bindings: dict[str, tuple[complex, ...]] | None = None,
 ) -> list[ConditionalOutcome]:
     """Apply the circuit's heralded map to ``input_state``, or to the state
-    ``bindings`` build, once per pure branch, then project onto each
-    detection pattern; equal, bit for bit, to projecting the full
-    ``apply_elements`` output."""
+    ``bindings`` build, then project onto each detection pattern; equal, bit
+    for bit, to projecting the full ``apply_elements`` output.  A
+    ``MixedState`` input gives each pattern its branches' weighted
+    probability and a conditional state whose terms keep their labels."""
     if input_state is not None and bindings is not None:
         raise ValueError("give either input_state or bindings")
     heralded = _heralded_map(circuit)
@@ -358,8 +358,6 @@ def apply_feed_forward(outcome: ConditionalOutcome) -> PureState:
     A V detection on ``a`` flips H/V on ``t1``; a V detection on ``c`` flips
     them on ``t2``.  Returns the corrected output-photon state on t1/t2.
     """
-    if not isinstance(outcome.state, PureState):
-        raise ValueError("feed-forward applies to pure conditional branches")
     pa = outcome.pattern.requirement_for("a")
     pc = outcome.pattern.requirement_for("c")
     if pa not in (H, V) or pc not in (H, V):
@@ -407,8 +405,6 @@ def fission_feed_forward(outcome: ConditionalOutcome) -> PureState:
     the output is relabeled onto ``c``.  Returns the two-photon state on
     (t, c).
     """
-    if not isinstance(outcome.state, PureState):
-        raise ValueError("feed-forward applies to pure conditional branches")
     pa = outcome.pattern.requirement_for("a")
     via_prime = outcome.pattern.requirement_for("c'") == "any"
     if pa not in (H, V):

@@ -271,20 +271,23 @@ def cmd_fidelity_curve(args) -> int:
 def cmd_fit_p(args) -> int:
     path = Path(args.input)
     text = path.read_text()
-    if path.suffix.lower() == ".json":
-        payload = json.loads(text)
-        if not isinstance(payload, dict) or "entries" not in payload:
-            raise ValueError(f"{path}: expected a JSON object with an 'entries' matrix")
-        observed = ProbabilityMatrix(
-            payload.get("basis", args.basis),
-            payload["entries"],
-            payload.get("row_labels"),
-            payload.get("col_labels"),
-        )
-        if observed.basis.lower() in BASIS_KEYS and observed.basis.lower() != args.basis:
-            raise ValueError(f"{path}: file basis {observed.basis!r} differs from --basis {args.basis}")
-    else:
-        observed = ProbabilityMatrix.from_csv(text, basis=args.basis)
+    try:  # every error in the file's contents names the file once
+        if path.suffix.lower() == ".json":
+            payload = json.loads(text)
+            if not isinstance(payload, dict) or "entries" not in payload:
+                raise ValueError("expected a JSON object with an 'entries' matrix")
+            observed = ProbabilityMatrix(
+                payload.get("basis", args.basis),
+                payload["entries"],
+                payload.get("row_labels"),
+                payload.get("col_labels"),
+            )
+            if observed.basis.lower() in BASIS_KEYS and observed.basis.lower() != args.basis:
+                raise ValueError(f"file basis {observed.basis!r} differs from --basis {args.basis}")
+        else:
+            observed = ProbabilityMatrix.from_csv(text, basis=args.basis)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     estimate = fit_p(observed, args.basis)
     model = closed_form_matrix(args.basis, estimate)
     report = ExperimentReport(
@@ -334,7 +337,7 @@ def cmd_run(args) -> int:
         rows.append(
             {"pattern": _branch_label(outcome.pattern), "probability": outcome.probability}
         )
-        if args.dump_state and isinstance(outcome.state, PureState) and not outcome.state.is_zero:
+        if args.dump_state and not outcome.state.is_zero:
             dumps[f"outcome {idx}"] = outcome.state.to_canonical_text()
     tables = {"detection outcomes": rows}
     if dumps:

@@ -177,7 +177,7 @@ class ProbabilityMatrix:
         for ln in lines[1:]:
             cells = ln.split(",")
             row_labels.append(cells[0])
-            rows.append([float(x) for x in cells[1:]])
+            rows.append(cells[1:])
         return cls(basis, rows, row_labels, col_labels)
 
 

@@ -119,11 +119,16 @@ def block(element: OpticalElement) -> tuple[Rules, tuple]:
 
     The block's keys are the operators the element empties and its images
     the operators it fills.  Raises ``ElementError`` for an HWP whose angle
-    is not finite or a PBS that names one port twice on one side.
+    is not a finite real number or a PBS that names one port twice on one
+    side.
     """
     match element:
         case Hwp(mode, theta):
-            if not math.isfinite(theta):
+            try:
+                finite = math.isfinite(theta)
+            except TypeError:
+                raise ElementError(f"angle must be a real number, got {theta!r}", "theta") from None
+            if not finite:
                 raise ElementError(f"angle must be finite, got {theta!r}", "theta")
             # a half-wave plate repeats every 180 degrees; fmod keeps |theta| < 180 exact
             two_theta = math.radians(2.0 * math.fmod(theta, 180.0))

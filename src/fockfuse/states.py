@@ -14,9 +14,10 @@ inputs.
 
 A linear optical network is one ``MemoRules`` map: its creation-operator
 substitution and its occupancy checks.  ``substituted`` is the one step that
-pushes a pure state, or each branch of a mixed one, through such a map,
-which decides each input occupation's image and check verdict once and
-keeps both in its own memo.
+pushes a state through such a map, which decides each input occupation's
+image and check verdict once and keeps both in its own memo.  A mixture is a
+pure state too: ``MixedState`` labels each branch on a mode no detector
+reads, so one algebra serves both.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ V = "V"
 UNTAGGED = ""
 
 PRUNE_TOL = 1e-12
+#: the mode holding a mixture's branch labels: no circuit can name or detect
+#: it, and it sorts before every valid mode name
+BRANCH_MODE = "#"
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 #: (mode, channel, tag)
@@ -349,7 +353,7 @@ def fidelity(x: PureState, y: PureState) -> float:
 
 
 def projector_probability(
-    state: "PureState | MixedState",
+    state: PureState,
     amplitudes: Mapping[tuple[str, str], complex],
 ) -> float:
     """Probability of a single-photon projective outcome.
@@ -357,12 +361,11 @@ def projector_probability(
     ``amplitudes`` defines the normalized target superposition over
     ``(mode, channel)`` components.  The projector acts on the photon living
     in those modes and is summed over distinguishability tags (detectors do
-    not resolve tags); occupations of all other modes are spectators.
+    not resolve tags); occupations of all other modes, a mixture's branch
+    label among them, are spectators.
     Terms with zero or several photons in the target modes are orthogonal to
     the one-photon outcome and contribute nothing.
     """
-    if isinstance(state, MixedState):
-        return sum(w * projector_probability(s, amplitudes) for w, s in state.branches)
     target_modes = {mode for mode, _ in amplitudes}
     overlaps: dict[tuple[Occupation, str], complex] = {}
     for occ, amp in state.items():
@@ -457,57 +460,44 @@ class DetectionPattern:
 
 @dataclass(frozen=True)
 class ConditionalOutcome:
-    """A detection pattern's probability and renormalized conditional state."""
+    """A detection pattern's probability and renormalized conditional state:
+    ``PureState.zero()`` at probability 0, and for a mixed input the
+    purification of the conditional mixture, each term keeping its label."""
 
     probability: float
-    state: "PureState | MixedState"
+    state: PureState
     pattern: DetectionPattern
 
 
-class MixedState:
-    """Weighted list of pure branches (weights sum to one)."""
+class MixedState(PureState):
+    """A mixture of pure branches, weights summing to one, held as its
+    purification Σ √wᵢ·ψᵢ: each term of branch i carries one rail photon
+    tagged ``i`` on ``BRANCH_MODE``, or ``i.j`` when the branch is itself a
+    mixture whose term carries label ``j``.
 
-    __slots__ = ("branches",)
+    Different labels make different occupations, so branches never
+    interfere, and no detector reads the label, so projections and
+    probabilities come out as the weighted sums over the branches.
+    """
 
-    def __init__(self, branches: Iterable[tuple[float, PureState]], *, _partial: bool = False):
+    def __init__(self, branches: Iterable[tuple[float, PureState]]):
         branches = tuple((float(w), s) for w, s in branches)
-        if not _partial:
-            if not branches:
-                raise ValueError("a mixed state needs at least one branch")
-            if not all(math.isfinite(w) for w, _ in branches):
-                raise ValueError("branch weights must be finite")
-            total = sum(w for w, _ in branches)
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"branch weights sum to {total}, expected 1")
-            if any(w < 0 for w, _ in branches):
-                raise ValueError("branch weights must be non-negative")
-        self.branches = branches
-
-    @classmethod
-    def empty(cls) -> "MixedState":
-        """Zero-probability marker with no branches."""
-        return cls((), _partial=True)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.branches
-
-    def substituted(self, rules: MemoRules) -> "MixedState":
-        """Each branch pushed through the compiled map, weights unchanged."""
-        return MixedState(
-            tuple((w, s.substituted(rules)) for w, s in self.branches), _partial=not self.branches
-        )
-
-    def project(self, pattern: DetectionPattern) -> ConditionalOutcome:
-        """Weighted projection; branches renormalized, weights updated."""
-        kept: list[tuple[float, PureState]] = []
-        probability = 0.0
-        for w, s in self.branches:
-            outcome = s.project(pattern)
-            if outcome.probability > 0.0:
-                kept.append((w * outcome.probability, outcome.state))
-                probability += w * outcome.probability
-        if probability <= 0.0:
-            return ConditionalOutcome(0.0, MixedState.empty(), pattern)
-        rescaled = tuple((w / probability, s) for w, s in kept)
-        return ConditionalOutcome(probability, MixedState(rescaled), pattern)
+        if not branches:
+            raise ValueError("a mixed state needs at least one branch")
+        if not all(math.isfinite(w) for w, _ in branches):
+            raise ValueError("branch weights must be finite")
+        total = sum(w for w, _ in branches)
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"branch weights sum to {total}, expected 1")
+        if any(w < 0 for w, _ in branches):
+            raise ValueError("branch weights must be non-negative")
+        terms: dict[Occupation, complex] = {}
+        for i, (w, state) in enumerate(branches):
+            root = math.sqrt(w)
+            for occ, amp in state.items():
+                label = str(i)
+                if occ and occ[0][0][0] == BRANCH_MODE:  # a label sorts first
+                    label = f"{i}.{occ[0][0][2]}"
+                    occ = occ[1:]
+                terms[(((BRANCH_MODE, "", label), 1),) + occ] = root * amp
+        super().__init__(terms)

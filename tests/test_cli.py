@@ -246,7 +246,16 @@ class TestFitP:
         path.write_text("\n".join(rows) + "\n")
         code, out, err = run_cli(capsys, "fit-p", "--input", str(path))
         assert code == 2 and out == ""
-        assert err == "error: observed matrix entries must be finite\n"
+        assert err == f"error: {path}: observed matrix entries must be finite\n"
+
+    def test_csv_cell_that_is_no_number_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "observed.csv"
+        rows = ["input/output,a,b,c,d", "r0,0.25,x,1,1"] + [f"r{i},1,1,1,1" for i in (1, 2, 3)]
+        path.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(capsys, "fit-p", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: expected a matrix of real numbers, got ")
+        assert "'x'" in err and err.count(str(path)) == 1 and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("labels,needle", [
         ({"row_labels": 5}, "row labels must be four strings, got 5"),
@@ -270,7 +279,7 @@ class TestFitP:
         path.write_text(json.dumps({"basis": "ii", "entries": entries}))
         code, out, err = run_cli(capsys, "fit-p", "--input", str(path))
         assert code == 2 and out == ""
-        assert err.startswith("error: expected a ")
+        assert err.startswith(f"error: {path}: expected a ")
         assert len(err.splitlines()) == 1
 
     def test_json_basis_must_match_option(self, capsys, tmp_path):

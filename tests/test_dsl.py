@@ -327,6 +327,8 @@ REFUSED = {
     "empty group": (lambda: built(pattern=[((), H)]), PatternError, "empty mode name in group ''"),
     "mode constrained twice": (lambda: built(pattern=[(("a",), H), (("a", "b"), V)]), PatternError,
                                "mode 'a' constrained twice"),
+    "hwp at a string angle": (lambda: Circuit(("a",), (PhotonIn("a", H),), (Hwp("a", "45"),), ()),
+                              CircuitError, "angle must be a real number, got '45'"),
 }
 
 PHOTON_A = PureState.vacuum().create("a", H)
@@ -349,6 +351,8 @@ HAND_BUILT = {
                                    "pbs names 'a' twice on one side"),
     "hwp at a NaN angle": (lambda: apply_elements(PHOTON_A, (Hwp("a", math.nan),)),
                            "angle must be finite, got nan"),
+    "hwp at a string angle": (lambda: apply_elements(PHOTON_A, (Hwp("a", "45"),)),
+                              "angle must be a real number, got '45'"),
     "matrix of NaNs": (lambda: similarity(observed([[math.nan] * 4] * 4), MODEL),
                        "observed matrix entries must be finite"),
     "matrix of one 1x2 row": (lambda: similarity(observed([[1.0, 2.0]]), MODEL),

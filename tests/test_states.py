@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fockfuse.circuits import FUSED_KETS, build_fusion_circuit, fusion_input, normalized_amplitudes, run_circuit
 from fockfuse.states import (
     H,
     INV_SQRT2,
@@ -25,6 +26,27 @@ def ket(*photons):
     for mode, pol, *tag in photons:
         state = state.create(mode, pol, tag[0] if tag else "")
     return state
+
+
+FUSION = build_fusion_circuit()
+TAGS = st.sampled_from(("", "A", "B"))
+#: raw weights on a small integer grid, so a failure shrinks fast
+WEIGHTS = st.integers(0, 4)
+#: four normalized complex amplitudes from small Gaussian integers, not all zero
+QUDITS = (
+    st.lists(st.builds(complex, st.integers(-2, 2), st.integers(-2, 2)), min_size=4, max_size=4)
+    .filter(any)
+    .map(lambda amps: normalized_amplitudes(amps, 4))
+)
+
+
+def heralded(state, target):
+    """Each fusion pattern's probability, and its joint probability with a
+    projection of the fused photon onto ``target``."""
+    return [
+        (o.probability, o.probability * projector_probability(o.state, target))
+        for o in run_circuit(FUSION, state)
+    ]
 
 
 class TestCreation:
@@ -231,12 +253,43 @@ class TestMixedState:
         mixed = MixedState(((0.25, ket(("a", H))), (0.75, ket(("a", V)))))
         outcome = mixed.project(DetectionPattern.of({"a": H}))
         assert outcome.probability == pytest.approx(0.25)
-        (weight, state), = outcome.state.branches
-        assert weight == pytest.approx(1.0)
-        assert fidelity(state, ket(("a", H))) == pytest.approx(1.0)
+        # one branch survives, so its label factors out
+        assert fidelity(outcome.state.factor_on_modes(("a",)), ket(("a", H))) == pytest.approx(1.0)
 
     def test_zero_probability_marker(self):
         mixed = MixedState(((1.0, ket(("a", H))),))
         outcome = mixed.project(DetectionPattern.of({"a": "none"}))
         assert outcome.probability == 0.0
         assert outcome.state.is_zero
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mixture_is_its_weighted_branches(self, data):
+        """Through the fusion circuit a mixture gives its branches' weighted
+        values, a nested mixture those of its flattened weights, and a lone
+        branch its pure run's conditional states."""
+        n = data.draw(st.integers(1, 3))
+        branches = [fusion_input(data.draw(QUDITS), data.draw(TAGS), data.draw(TAGS)) for _ in range(n)]
+        raw = data.draw(st.lists(WEIGHTS, min_size=n, max_size=n).filter(any))
+        weights = [x / sum(raw) for x in raw]  # some may be 0.0
+        target = {ket: a for (ket,), a in zip(FUSED_KETS, data.draw(QUDITS))}
+
+        singles = [heralded(s, target) for s in branches]
+        mixed = heralded(MixedState(zip(weights, branches)), target)
+        for k, got in enumerate(mixed):
+            want = tuple(sum(w * single[k][j] for w, single in zip(weights, singles)) for j in (0, 1))
+            assert got == pytest.approx(want, abs=1e-12)
+
+        v = data.draw(WEIGHTS) / 4
+        extra = fusion_input(data.draw(QUDITS), data.draw(TAGS), data.draw(TAGS))
+        nested = MixedState(((v, MixedState(zip(weights, branches))), (1.0 - v, extra)))
+        flat = MixedState([(v * w, s) for w, s in zip(weights, branches)] + [(1.0 - v, extra)])
+        for got, want in zip(heralded(nested, target), heralded(flat, target)):
+            assert got == pytest.approx(want, abs=1e-12)
+
+        lone = data.draw(st.integers(0, n - 1))
+        only = MixedState((float(i == lone), s) for i, s in enumerate(branches))
+        for got, want in zip(run_circuit(FUSION, only), run_circuit(FUSION, branches[lone])):
+            assert got.probability == pytest.approx(want.probability, abs=1e-12)
+            assert (got.state.factor_on_modes(FUSION.modes) + -1 * want.state).norm() <= 1e-12
+
