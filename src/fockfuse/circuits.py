@@ -17,10 +17,10 @@ that carries the elements' checks.  A circuit is validated once, when it
 is built; ``run_circuit`` pushes its input, a mixture included, through one
 ``substituted`` call of its heralded map: the same map and checks with every
 output occupation that none of the circuit's patterns admits dropped, so it
-computes only the terms a detector can herald and then projects them onto
-each pattern.  ``apply_elements`` gives the full output state, as the
-feed-forward corrections use it.  Each map memoizes its input occupations'
-images and check verdicts, and the 256 most recent heralded maps are kept.
+computes only the terms a detector can herald, and routes each, in one pass,
+to the patterns that admit it.  ``apply_elements`` gives the full output
+state, as the feed-forward corrections use it.  Each map memoizes its images,
+check verdicts and routes; the 256 most recent heralded maps are kept.
 """
 
 from __future__ import annotations
@@ -47,11 +47,14 @@ from .elements import (
 from .elements import apply_element, apply_relabel, apply_sigma_x, apply_sign_flip_v  # noqa: F401
 from .states import (
     H,
+    PRUNE_TOL,
     V,
     ConditionalOutcome,
     DetectionPattern,
     MemoRules,
     PureState,
+    _occ_bump,
+    make_key,
     unit_shift,
 )
 
@@ -125,6 +128,15 @@ class Circuit:
 
     def __post_init__(self):
         self.validate()
+
+    def __hash__(self) -> int:  # hashed once: each run looks its map up by the circuit
+        if "_hash" not in vars(self):
+            fields = (self.modes, self.inputs, self.elements, self.patterns)
+            object.__setattr__(self, "_hash", hash(fields))
+        return self._hash
+
+    def __getstate__(self) -> dict:  # a str hash differs between processes: copies hash afresh
+        return {name: value for name, value in vars(self).items() if name != "_hash"}
 
     def slot_names(self) -> list[str]:
         return [i.name for i in self.inputs if not isinstance(i, PhotonIn)]
@@ -217,11 +229,10 @@ def normalized_amplitudes(amps, n: int) -> tuple[complex, ...]:
 
 @lru_cache(maxsize=256)
 def _heralded_map(circuit: Circuit) -> MemoRules:
-    """The circuit's compiled map, with its elements' checks, keeping only
-    the output occupations that one of its patterns admits."""
+    """The circuit's compiled map, with its elements' checks and patterns: it
+    keeps, and routes, only the output occupations one of them admits."""
     compiled = compile_elements(circuit.elements)
-    patterns = circuit.patterns
-    return MemoRules(compiled, compiled.checks, lambda occ: any(p.matches(occ) for p in patterns))
+    return MemoRules(compiled, compiled.checks, circuit.patterns)
 
 
 def initial_state(
@@ -262,17 +273,26 @@ def superpose(base: PureState, amps, kets, tags=None) -> PureState:
     """Sum of ``a * (base with the ket's photons created)`` over nonzero ``a``.
 
     A ket is a sequence of ``(mode, pol)`` photons; ``tags`` maps a mode to
-    its distinguishability tag.
+    its distinguishability tag.  One pass forms each amplitude as ``create``,
+    ``*`` and ``+`` would, -0.0 parts included: √(n+1) per photon, then ``a``;
+    a product or a running sum at or below ``PRUNE_TOL`` is dropped.
     """
     tags = tags or {}
-    out = PureState.zero()
+    out: dict = {}
     for a, ket in zip(amps, kets):
         if a != 0:
-            term = base
-            for mode, pol in ket:
-                term = term.create(mode, pol, tags.get(mode, ""))
-            out = out + complex(a) * term
-    return out
+            keys = [make_key(mode, pol, tags.get(mode)) for mode, pol in ket]
+            for occ, amp in base.items():
+                for key in keys:
+                    amp = 0.0 + amp * math.sqrt(dict(occ).get(key, 0) + 1)
+                    occ = _occ_bump(occ, key)
+                amp = amp * complex(a)
+                if abs(amp) <= PRUNE_TOL:
+                    continue
+                out[occ] = total = out.get(occ, 0.0) + amp
+                if abs(total) <= PRUNE_TOL:
+                    del out[occ]
+    return PureState(out)
 
 
 def run_circuit(
@@ -281,17 +301,20 @@ def run_circuit(
     bindings: dict[str, tuple[complex, ...]] | None = None,
 ) -> list[ConditionalOutcome]:
     """Apply the circuit's heralded map to ``input_state``, or to the state
-    ``bindings`` build, then project onto each detection pattern; equal, bit
-    for bit, to projecting the full ``apply_elements`` output.  A
-    ``MixedState`` input gives each pattern its branches' weighted
+    ``bindings`` build, and route each term to every pattern that admits it;
+    equal, bit for bit, to projecting the full ``apply_elements`` output.
+    A ``MixedState`` input gives each pattern its branches' weighted
     probability and a conditional state whose terms keep their labels."""
     if input_state is not None and bindings is not None:
         raise ValueError("give either input_state or bindings")
     heralded = _heralded_map(circuit)
     if input_state is None:
         input_state = initial_state(circuit, bindings)
-    evolved = input_state.substituted(heralded)
-    return [evolved.project(pattern) for pattern in circuit.patterns]
+    kept: list[dict] = [{} for _ in circuit.patterns]
+    for occ, amp in input_state.substituted(heralded).items():
+        for i in heralded.route(occ):
+            kept[i][occ] = amp
+    return [ConditionalOutcome.of(terms, p) for terms, p in zip(kept, circuit.patterns)]
 
 
 # -- fusion apparatus -------------------------------------------------------

@@ -94,23 +94,24 @@ class MemoRules(dict):
 
     The map memoizes each occupation's image and verdict, keyed by the
     occupation (tags included), for as long as it lives; it must not change
-    afterwards.  With ``keep``, each image holds only the output occupations
-    that ``keep`` admits, so a substitution builds no other term; the kept
-    terms get the same additions, in the same order, as without it.  Threads
-    racing on a miss may expand an image twice but all get the first stored.
+    afterwards.  With ``patterns``, each image holds only the output
+    occupations one of them admits, with the same additions, in the same
+    order, as without them, and ``route`` memoizes which patterns admit each.
+    Threads racing on a miss may compute an entry twice but all get the first.
     """
 
-    def __init__(self, rules, checks: tuple, keep=None):
+    def __init__(self, rules, checks: tuple, patterns: tuple | None = None):
         super().__init__(rules)
         self.checks = checks
-        self.keep = keep
+        self.patterns = patterns
         self._images: dict = {}
+        self._routes: dict = {}
 
     def image(self, occ: Occupation):
         """``occ``'s creation-operator monomial expanded under the map, as
         ``(√Π n_in!, ((out_occ, coeff, √Π n_out!), ...), refused)``, the
-        terms kept by ``keep`` and ``refused`` the index of the first check
-        that refuses ``occ``, or ``len(self.checks)``."""
+        terms those a pattern admits and ``refused`` the index of the first
+        check that refuses ``occ``, or ``len(self.checks)``."""
         found = self._images.get(occ)
         if found is not None:
             return found
@@ -131,12 +132,20 @@ class MemoRules(dict):
         terms = tuple(
             (mono, coeff, math.sqrt(math.prod(math.factorial(n) for _, n in mono)))
             for mono, coeff in poly.items()
-            if self.keep is None or self.keep(mono)
+            if self.patterns is None or any(p.matches(mono) for p in self.patterns)
         )
         held = {(mode, channel) for (mode, channel, _tag), _n in occ}
         refusals = (i for i, (ops, _) in enumerate(self.checks) if not ops.isdisjoint(held))
         found = (math.sqrt(fact_in), terms, next(refusals, len(self.checks)))
         return self._images.setdefault(occ, found)
+
+    def route(self, occ: Occupation) -> tuple[int, ...]:
+        """The indices of the patterns that admit the output occupation ``occ``."""
+        found = self._routes.get(occ)
+        if found is None:
+            admitted = tuple(i for i, p in enumerate(self.patterns) if p.matches(occ))
+            found = self._routes.setdefault(occ, admitted)
+        return found
 
 
 class PureState:
@@ -289,18 +298,9 @@ class PureState:
         return PureState(out)
 
     def project(self, pattern: "DetectionPattern") -> "ConditionalOutcome":
-        """Keep basis vectors matching the pattern; renormalize the rest.
-
-        A zero-probability projection yields probability 0 and the
-        empty-state marker rather than raising.
-        """
+        """The terms the pattern admits, renormalized by ``ConditionalOutcome.of``."""
         kept = {occ: amp for occ, amp in self._terms.items() if pattern.matches(occ)}
-        probability = sum(abs(a) ** 2 for a in kept.values())
-        if probability <= 0.0:
-            return ConditionalOutcome(0.0, PureState.zero(), pattern)
-        scale = 1.0 / math.sqrt(probability)
-        state = PureState({occ: amp * scale for occ, amp in kept.items()})
-        return ConditionalOutcome(probability, state, pattern)
+        return ConditionalOutcome.of(kept, pattern)
 
     def factor_on_modes(self, modes: Iterable[str]) -> "PureState":
         """Restrict to ``modes`` when the complement part factors out.
@@ -467,6 +467,15 @@ class ConditionalOutcome:
     probability: float
     state: PureState
     pattern: DetectionPattern
+
+    @classmethod
+    def of(cls, kept: dict[Occupation, complex], pattern: DetectionPattern) -> "ConditionalOutcome":
+        """The outcome of the heralded terms ``kept``: Σ|a|² and the terms renormalized."""
+        probability = sum(abs(a) ** 2 for a in kept.values())
+        if probability <= 0.0:
+            return cls(0.0, PureState.zero(), pattern)
+        scale = 1.0 / math.sqrt(probability)
+        return cls(probability, PureState({occ: amp * scale for occ, amp in kept.items()}), pattern)
 
 
 class MixedState(PureState):

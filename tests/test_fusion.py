@@ -6,11 +6,19 @@ checks, run by ``test_acceptance.py``; this file pins specific inputs and
 the runner API.
 """
 
+import copy
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import fockfuse
 from fockfuse import circuits
 from fockfuse.circuits import (
     Circuit,
@@ -24,8 +32,17 @@ from fockfuse.circuits import (
     run_fission,
     run_fusion,
 )
-from fockfuse.elements import Hwp, Pbs, SigmaX, Unfold
-from fockfuse.states import H, INV_SQRT2, V, DetectionPattern, MixedState, PureState, fidelity
+from fockfuse.elements import Hwp, Pbs, SigmaX, Unfold, apply_elements
+from fockfuse.states import (
+    BRANCH_MODE,
+    H,
+    INV_SQRT2,
+    V,
+    DetectionPattern,
+    MixedState,
+    PureState,
+    fidelity,
+)
 from fockfuse.verify import random_qubit
 
 
@@ -162,6 +179,106 @@ class TestGenericRunner:
     def test_unbound_slot_raises(self):
         with pytest.raises(ValueError, match="unbound"):
             initial_state(build_fusion_circuit(), {"psi": (1, 0)})
+
+
+def outcome_bits(outcomes):
+    """Each outcome's pattern, probability and terms, signed zeros included."""
+    return [
+        (o.pattern, o.probability.hex(), [(occ, a.real.hex(), a.imag.hex()) for occ, a in o.state.items()])
+        for o in outcomes
+    ]
+
+
+class TestRouting:
+    """``run_circuit`` routes each heralded term, in one pass, to every
+    pattern that admits it; each outcome must equal, bit for bit, the
+    projection of the full output onto its pattern."""
+
+    def projected(self, circuit, state):
+        full = apply_elements(state, circuit.elements)
+        return [full.project(pattern) for pattern in circuit.patterns]
+
+    def test_overlapping_patterns_both_receive_a_term(self):
+        either, h_only = DetectionPattern.of({"a": "any"}), DetectionPattern.of({"a": H})
+        circuit = Circuit(("a", "b"), (PhotonIn("a", H), PhotonIn("b", V)), (Hwp("a", 22.5),), (either, h_only))
+        state = initial_state(circuit)
+        got = run_circuit(circuit, state)
+        assert outcome_bits(got) == outcome_bits(self.projected(circuit, state))
+        assert got[0].probability == pytest.approx(1.0) and got[1].probability == pytest.approx(0.5)
+        heralded = circuits._heralded_map(circuit)
+        (h_term, _amp), = got[1].state.items()
+        assert heralded.route(h_term) == (0, 1) and h_term in dict(got[0].state.items())
+
+    def test_a_pattern_that_admits_no_term_is_empty(self):
+        patterns = (DetectionPattern.of({"a": "any"}), DetectionPattern.of({"a": "none"}))
+        circuit = Circuit(("a",), (PhotonIn("a", H),), (Hwp("a", 22.5),), patterns)
+        state = initial_state(circuit)
+        admitted, empty = run_circuit(circuit, state)
+        assert admitted.probability == pytest.approx(1.0)
+        assert empty.probability == 0.0 and empty.state.is_zero and list(empty.state.items()) == []
+        assert outcome_bits([admitted, empty]) == outcome_bits(self.projected(circuit, state))
+
+    def test_a_warm_run_equals_a_cold_one(self):
+        circuit = build_fusion_circuit()
+        bindings = {"psi": (0.6, 0.8j), "phi": (INV_SQRT2, -INV_SQRT2)}
+        earlier = initial_state(circuit, {"psi": (1, 0), "phi": (0, 1)}, tags={"a": "A"})
+        circuits._heralded_map.cache_clear()
+        run_circuit(circuit, earlier)  # fills the map's memos with other occupations
+        warm = run_circuit(circuit, bindings=bindings)
+        circuits._heralded_map.cache_clear()
+        cold = run_circuit(circuit, bindings=bindings)
+        assert outcome_bits(warm) == outcome_bits(cold)
+
+    def test_a_mixture_routes_like_its_flattened_branches(self):
+        circuit = build_fusion_circuit()
+        bindings = {"psi": (0.6, 0.8j), "phi": (INV_SQRT2, INV_SQRT2)}
+        plain = initial_state(circuit, bindings)
+        tagged = initial_state(circuit, bindings, tags={"a": "A", "t": "B"})
+        mixed = MixedState(((0.25, plain), (0.75, tagged)))
+        flat = PureState(dict(mixed.items()))
+        assert type(flat) is PureState
+        got = run_circuit(circuit, mixed)
+        assert outcome_bits(got) == outcome_bits(run_circuit(circuit, flat))
+        assert outcome_bits(got) == outcome_bits(self.projected(circuit, flat))
+        labels = {occ[0][0] for outcome in got for occ, _amp in outcome.state.items()}
+        assert labels == {(BRANCH_MODE, "", "0"), (BRANCH_MODE, "", "1")}
+
+
+class TestCircuitHash:
+    def test_each_instance_hashes_once(self, monkeypatch):
+        circuit = build_fusion_circuit.__wrapped__()
+        assert hash(circuit) == hash(build_fusion_circuit.__wrapped__())
+        monkeypatch.setattr(Circuit, "patterns", property(lambda self: pytest.fail("rehashed")), raising=False)
+        assert hash(circuit) == hash(circuit)
+
+    def test_copies_hash_afresh(self):
+        circuit = build_fusion_circuit.__wrapped__()
+        hash(circuit)
+        fresh = build_fusion_circuit.__wrapped__()
+        for twin in (pickle.loads(pickle.dumps(circuit)), copy.copy(circuit), copy.deepcopy(circuit)):
+            assert "_hash" not in vars(twin)
+            assert twin == circuit and repr(twin) == repr(fresh) and hash(twin) == hash(fresh)
+        fewer = replace(circuit, patterns=circuit.patterns[:2])
+        assert "_hash" not in vars(fewer) and fewer != circuit
+        assert hash(fewer) == hash(replace(fresh, patterns=fresh.patterns[:2])) != hash(circuit)
+
+    def test_a_circuit_pickled_in_another_process_hashes_here(self):
+        """``str`` hashes differ between processes, so a loaded circuit must
+        not keep the hash of the process that pickled it."""
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        src = str(Path(fockfuse.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        script = (
+            "import pickle, sys; from fockfuse.circuits import build_fusion_circuit as build; "
+            "circuit = build(); hash(circuit); sys.stdout.buffer.write(pickle.dumps(circuit))"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, check=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+        )
+        loaded = pickle.loads(child.stdout)
+        assert loaded == build_fusion_circuit() and hash(loaded) == hash(build_fusion_circuit.__wrapped__())
+        assert circuits._heralded_map(loaded) is circuits._heralded_map(build_fusion_circuit())
 
 
 class TestAmplitudes:

@@ -5,10 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockfuse.circuits import FUSED_KETS, build_fusion_circuit, fusion_input, normalized_amplitudes, run_circuit
+from fockfuse.circuits import (
+    FUSED_KETS,
+    build_fusion_circuit,
+    fusion_input,
+    normalized_amplitudes,
+    run_circuit,
+    superpose,
+)
 from fockfuse.states import (
     H,
     INV_SQRT2,
+    PRUNE_TOL,
     V,
     DetectionPattern,
     MixedState,
@@ -81,6 +89,63 @@ class TestCreation:
         for mode, pol, tag in [("a", H, ""), ("a", V, ""), ("c", H, "A"), ("a", H, "")]:
             reference = (reference or PureState.vacuum()).create(mode, pol, tag)
         assert abs(state.inner(reference) - reference.squared_norm()) < 1e-12
+
+
+def superpose_reference(base, amps, kets, tags=None):
+    """``superpose`` as a chain of ``create``, ``*`` and ``+``: one
+    intermediate state per photon and per ket."""
+    tags = tags or {}
+    out = PureState.zero()
+    for a, ket in zip(amps, kets):
+        if a != 0:
+            term = base
+            for mode, pol in ket:
+                term = term.create(mode, pol, tags.get(mode, ""))
+            out = out + complex(a) * term
+    return out
+
+
+def bits(state):
+    """A state's terms in order, each amplitude as its exact bits (signed zeros included)."""
+    return [(occ, a.real.hex(), a.imag.hex()) for occ, a in state.items()]
+
+
+#: a few values repeated so that equal kets cancel exactly, signed zeros, and
+#: magnitudes within a decade of PRUNE_TOL on either side
+POOL = (0, 1, -1, 0.5, -0.5j, complex(-0.0, 1.0), complex(1.0, -0.0), -0.0, PRUNE_TOL, -PRUNE_TOL)
+AMPLITUDES = st.one_of(
+    st.sampled_from(POOL),
+    st.builds(lambda x, sign: sign * x, st.floats(PRUNE_TOL / 10, PRUNE_TOL * 10), st.sampled_from((1, -1, 1j, -1j))),
+    st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False),
+)
+PHOTONS = st.tuples(st.sampled_from(("a", "b")), st.sampled_from((H, V, "")))
+KETS = st.lists(PHOTONS, min_size=1, max_size=3).map(tuple)
+BRACKETS = st.lists(st.tuples(AMPLITUDES, KETS), max_size=4)
+TAG_MAPS = st.dictionaries(st.sampled_from(("a", "b")), TAGS, max_size=2)
+
+
+class TestSuperpose:
+    @settings(deadline=None)
+    @given(BRACKETS, TAG_MAPS, BRACKETS, TAG_MAPS)
+    def test_one_pass_equals_the_create_chain(self, base_terms, base_tags, terms, tags):
+        """Same terms, in the same order, with the same bits, over tagged and
+        untagged kets, two photons on one key, multi-term bases, zero
+        amplitudes and amplitudes near ``PRUNE_TOL``."""
+        base = PureState.vacuum()
+        if base_terms:
+            base = superpose_reference(base, *zip(*base_terms), base_tags)
+        amps, kets = zip(*terms) if terms else ((), ())
+        assert bits(superpose(base, amps, kets, tags)) == bits(superpose_reference(base, amps, kets, tags))
+
+    def test_a_cancelled_term_is_dropped_and_re_added_last(self):
+        base = ket(("a", H))
+        kets = ((("b", H),), (("b", V),), (("b", H),), (("b", H),))
+        amps = (1.0, 0.5, -1.0, 0.25)
+        got = superpose(base, amps, kets)
+        assert bits(got) == bits(superpose_reference(base, amps, kets))
+        (with_v, _amp), = ket(("a", H), ("b", V)).items()
+        (with_h, _amp), = ket(("a", H), ("b", H)).items()
+        assert [occ for occ, _amp in got.items()] == [with_v, with_h]
 
 
 class TestInnerProduct:
