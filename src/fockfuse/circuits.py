@@ -20,7 +20,8 @@ output occupation that none of the circuit's patterns admits dropped, so it
 computes only the terms a detector can herald, and routes each, in one pass,
 to the patterns that admit it.  ``apply_elements`` gives the full output
 state, as the feed-forward corrections use it.  Each map memoizes its images,
-check verdicts and routes; the 256 most recent heralded maps are kept.
+check verdicts and routes, and a plan for each of its 256 most recent input
+supports; the 256 most recent heralded maps are kept.
 """
 
 from __future__ import annotations
@@ -292,7 +293,7 @@ def superpose(base: PureState, amps, kets, tags=None) -> PureState:
                 out[occ] = total = out.get(occ, 0.0) + amp
                 if abs(total) <= PRUNE_TOL:
                     del out[occ]
-    return PureState(out)
+    return PureState._of(out)
 
 
 def run_circuit(

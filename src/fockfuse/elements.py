@@ -18,8 +18,8 @@ forbidden operator at that step with a coefficient above ``PRUNE_TOL``.  A
 state fails when one of its terms holds an operator of that set, so the
 check also fires when interference leaves the target exactly empty.  The
 map decides each input occupation's verdict once, with its image, and
-keeps both for as long as it lives; ``compile_elements`` keeps the 256 most
-recent maps.
+keeps both for as long as it lives, with a plan for each of its 256 most
+recent input supports; ``compile_elements`` keeps the 256 most recent maps.
 """
 
 from __future__ import annotations

@@ -15,13 +15,15 @@ inputs.
 A linear optical network is one ``MemoRules`` map: its creation-operator
 substitution and its occupancy checks.  ``substituted`` is the one step that
 pushes a state through such a map, which decides each input occupation's
-image and check verdict once and keeps both in its own memo.  A mixture is a
-pure state too: ``MixedState`` labels each branch on a mode no detector
-reads, so one algebra serves both.
+image and check verdict once and keeps both in its own memo, with a plan
+replaying them for each of its ``PLAN_LIMIT`` most recent input supports.  A
+mixture is a pure state too: ``MixedState`` labels each branch on a mode no
+detector reads, so one algebra serves both.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -32,6 +34,8 @@ V = "V"
 UNTAGGED = ""
 
 PRUNE_TOL = 1e-12
+#: the most input supports whose plans one map keeps
+PLAN_LIMIT = 256
 #: the mode holding a mixture's branch labels: no circuit can name or detect
 #: it, and it sorts before every valid mode name
 BRANCH_MODE = "#"
@@ -93,7 +97,8 @@ class MemoRules(dict):
     checks that refuse an input occupation holding any of the operators.
 
     The map memoizes each occupation's image and verdict, keyed by the
-    occupation (tags included), for as long as it lives; it must not change
+    occupation (tags included), for as long as it lives, and the ``plan`` of
+    each of its ``PLAN_LIMIT`` most recent input supports; it must not change
     afterwards.  With ``patterns``, each image holds only the output
     occupations one of them admits, with the same additions, in the same
     order, as without them, and ``route`` memoizes which patterns admit each.
@@ -105,6 +110,7 @@ class MemoRules(dict):
         self.checks = checks
         self.patterns = patterns
         self._images: dict = {}
+        self._plans: dict = {}
         self._routes: dict = {}
 
     def image(self, occ: Occupation):
@@ -139,6 +145,26 @@ class MemoRules(dict):
         found = (math.sqrt(fact_in), terms, next(refusals, len(self.checks)))
         return self._images.setdefault(occ, found)
 
+    def plan(self, support: tuple[Occupation, ...]):
+        """The images of the input occupations ``support`` merged as ``(roots,
+        rows, refused)``: each input's √Π n_in!, each output occupation in
+        first-touch order with its ``(input index, coeff, √Π n_out!)``
+        additions in order, and the earliest refusing check, as in ``image``."""
+        found = self._plans.get(support)
+        if found is not None:
+            return found
+        roots, rows, refused = [], {}, len(self.checks)
+        for i, occ in enumerate(support):
+            root, terms, check = self.image(occ)
+            roots.append(root)
+            refused = min(refused, check)
+            for mono, coeff, root_out in terms:
+                rows.setdefault(mono, []).append((i, coeff, root_out))
+        found = (tuple(roots), tuple(rows.items()), refused)
+        if len(self._plans) >= PLAN_LIMIT:
+            self._plans.clear()
+        return self._plans.setdefault(support, found)
+
     def route(self, occ: Occupation) -> tuple[int, ...]:
         """The indices of the patterns that admit the output occupation ``occ``."""
         found = self._routes.get(occ)
@@ -164,6 +190,15 @@ class PureState:
                 elif not size <= PRUNE_TOL:  # NaN or infinite, never pruned
                     raise ValueError("amplitudes must be finite")
         self._terms = data
+
+    @staticmethod
+    def _of(terms: dict[Occupation, complex]) -> "PureState":
+        """``terms``, complex and above ``PRUNE_TOL``; only finiteness is checked."""
+        if not all(map(cmath.isfinite, terms.values())):
+            raise ValueError("amplitudes must be finite")
+        state = object.__new__(PureState)
+        state._terms = terms
+        return state
 
     @classmethod
     def vacuum(cls) -> "PureState":
@@ -260,10 +295,9 @@ class PureState:
                 raise PhotonCapExceeded(
                     f"creating a photon on {key} exceeds the cap of {cap}"
                 )
-            n = dict(occ).get(key, 0)
-            out_occ = _occ_bump(occ, key)
-            out[out_occ] = out.get(out_occ, 0.0) + amp * math.sqrt(n + 1)
-        return PureState(out)
+            # the bump is injective; 0.0 + keeps the sum's signed zeros
+            out[_occ_bump(occ, key)] = 0.0 + amp * math.sqrt(dict(occ).get(key, 0) + 1)
+        return PureState._of(out)
 
     def inner(self, other: "PureState") -> complex:
         """<self|other>, conjugate-linear in ``self``."""
@@ -285,17 +319,18 @@ class PureState:
         """
         if not rules:
             return self
-        out: dict[Occupation, complex] = {}
-        refused = len(rules.checks)
-        for occ, amp in self._terms.items():
-            root_fact_in, terms, check = rules.image(occ)
-            refused = min(refused, check)
-            scale = amp / root_fact_in
-            for mono, coeff, root_fact_out in terms:
-                out[mono] = out.get(mono, 0.0) + scale * coeff * root_fact_out
+        roots, rows, refused = rules.plan(tuple(self._terms))
         if refused < len(rules.checks):
             raise ValueError(rules.checks[refused][1])
-        return PureState(out)
+        scales = [amp / root for amp, root in zip(self._terms.values(), roots)]
+        out: dict[Occupation, complex] = {}
+        for occ, row in rows:
+            total = 0.0
+            for i, coeff, root in row:
+                total += scales[i] * coeff * root
+            if not abs(total) <= PRUNE_TOL:  # NaN is kept for ``_of`` to refuse
+                out[occ] = total
+        return PureState._of(out)
 
     def project(self, pattern: "DetectionPattern") -> "ConditionalOutcome":
         """The terms the pattern admits, renormalized by ``ConditionalOutcome.of``."""
@@ -313,16 +348,18 @@ class PureState:
         rest_ref: Occupation | None = None
         out: dict[Occupation, complex] = {}
         for occ, amp in self._terms.items():
-            inside = tuple((k, n) for k, n in occ if k[0] in keep)
-            outside = tuple((k, n) for k, n in occ if k[0] not in keep)
+            inside, outside = [], []
+            for pair in occ:
+                (inside if pair[0][0] in keep else outside).append(pair)
             if rest_ref is None:
                 rest_ref = outside
             elif outside != rest_ref:
                 raise ValueError(
                     f"state does not factor on modes {sorted(keep)}"
                 )
-            out[inside] = out.get(inside, 0.0) + amp
-        return PureState(out)
+            # the common outside part makes inside parts distinct; 0.0 + as in create
+            out[tuple(inside)] = 0.0 + amp
+        return PureState._of(out)
 
     def to_json_obj(self) -> list[dict]:
         """Canonical serialization: sorted list of occupation/amplitude rows."""
@@ -475,7 +512,9 @@ class ConditionalOutcome:
         if probability <= 0.0:
             return cls(0.0, PureState.zero(), pattern)
         scale = 1.0 / math.sqrt(probability)
-        return cls(probability, PureState({occ: amp * scale for occ, amp in kept.items()}), pattern)
+        # amp * scale may fall below PRUNE_TOL; NaN is kept for ``_of`` to refuse
+        terms = {occ: z for occ, amp in kept.items() if not abs(z := amp * scale) <= PRUNE_TOL}
+        return cls(probability, PureState._of(terms), pattern)
 
 
 class MixedState(PureState):

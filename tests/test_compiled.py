@@ -3,8 +3,8 @@
 A whole element sequence is applied as one composed substitution; these
 tests hold it to element-by-element application and to an independent
 transfer-matrix/permanent calculation.  Each compiled map memoizes its
-monomial images in a memo of its own; the memo must never change a result
-or skip a check.
+monomial images, and a plan per input support, in a memo of its own; the
+memo must never change a result or skip a check.
 """
 
 import itertools
@@ -32,7 +32,7 @@ from fockfuse.elements import (
     compile_elements,
 )
 from fockfuse.circuits import _heralded_map, build_fusion_circuit, initial_state, run_fusion
-from fockfuse.states import H, INV_SQRT2, V, MemoRules, PureState
+from fockfuse.states import H, INV_SQRT2, PLAN_LIMIT, V, MemoRules, PureState
 
 # the benchmark's numpy oracles are the one copy of the transfer-matrix/permanent calculation
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -241,20 +241,68 @@ def multi_photon_states(draw, modes):
     return sum((z * ket(*photons) for z, photons in zip(coeffs, terms)), PureState.zero())
 
 
+def accumulated(state, rules):
+    """The reference for ``substituted``: each term's image, expanded by a
+    fresh map, added term by term into one dict, then the checked
+    constructor."""
+    if not rules:
+        return state
+    fresh = MemoRules(dict(rules), rules.checks, rules.patterns)
+    out, refused = {}, len(rules.checks)
+    for occ, amp in state.items():
+        root_fact_in, terms, check = fresh.image(occ)
+        refused = min(refused, check)
+        scale = amp / root_fact_in
+        for mono, coeff, root_fact_out in terms:
+            out[mono] = out.get(mono, 0.0) + scale * coeff * root_fact_out
+    if refused < len(rules.checks):
+        raise ValueError(rules.checks[refused][1])
+    return PureState(out)
+
+
+def result(fn):
+    """``outcome`` with a state's terms, in order, in place of the state."""
+    kind, value = outcome(fn)
+    return kind, list(value.items()) if kind == "ok" else value
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_memoized_application_equals_fresh_expansion(data):
     modes, elements = data.draw(circuits())
     state = data.draw(multi_photon_states(modes))
+    terms = list(state.items())
+    # supports sharing occupations: zero amplitudes in different slots, the
+    # same terms in another order, and new amplitudes on the same support
+    variants = [state]
+    for _ in range(2):
+        order = data.draw(st.permutations(terms))
+        zeros = data.draw(st.lists(st.booleans(), min_size=len(terms), max_size=len(terms)))
+        variants.append(PureState({occ: 0.0 if zero else amp for (occ, amp), zero in zip(order, zeros)}))
+    coeffs = data.draw(st.lists(st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0), min_size=len(terms)))
+    variants.append(PureState({occ: z for (occ, _amp), z in zip(terms, coeffs)}))
     rules = compile_elements(elements)
-    fresh = state.substituted(MemoRules(rules, ()))
-    for _ in range(2):  # the repeat call reuses the first call's images
-        got = outcome(lambda: apply_elements(state, elements))
-        if got[0] == "ok":
-            assert list(got[1].items()) == list(fresh.items())
+    cold = MemoRules(dict(rules), rules.checks)
+    for _ in range(2):  # the repeat pass replays the first pass's plans
+        for variant in variants:
+            want = result(lambda: accumulated(variant, rules))
+            assert result(lambda: variant.substituted(cold)) == want
+            assert result(lambda: apply_elements(variant, elements)) == want
     for occ, _amp in state.items():
         assert rules.image(occ) is rules.image(occ)
         assert rules.image(occ)[:2] == MemoRules(dict(rules), ()).image(occ)[:2]
+
+
+def test_plan_memo_is_bounded():
+    mesh = (Hwp("a", 22.5), Pbs("a", "b", "a", "b"), Hwp("b", 30.0), Unfold("c", "x", "y"))
+    compiled = compile_elements(mesh)
+    rules = MemoRules(dict(compiled), compiled.checks)
+    for _ in range(2):
+        for i in range(300):  # 300 distinct supports, each tag its own sector
+            state = 0.6 * ket(("a", H, f"t{i}")) + 0.8j * ket(("a", V), ("b", H, f"t{i}"))
+            assert result(lambda: state.substituted(rules)) == result(lambda: accumulated(state, rules))
+            assert len(rules._plans) <= PLAN_LIMIT
+    assert rules._plans
 
 
 @pytest.mark.parametrize(

@@ -13,11 +13,13 @@ from fockfuse.circuits import (
     run_circuit,
     superpose,
 )
+from fockfuse.elements import Hwp, apply_elements
 from fockfuse.states import (
     H,
     INV_SQRT2,
     PRUNE_TOL,
     V,
+    ConditionalOutcome,
     DetectionPattern,
     MixedState,
     PhotonCapExceeded,
@@ -231,6 +233,44 @@ class TestPruning:
             PureState({((("a", H, ""), 1),): bad})
         with pytest.raises(ValueError, match="^amplitudes must be finite$"):
             ket(("a", H)) * bad
+
+
+class TestTrustedPaths:
+    """States built from already-checked terms still refuse non-finite amplitudes."""
+
+    def test_create_overflowing_on_a_doubly_occupied_key(self):
+        with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+            (ket(("a", H)) * 1.5e308).create("a", H)
+
+    def test_superpose_with_an_infinite_amplitude(self):
+        with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+            superpose(PureState.vacuum(), (math.inf, 1.0), ((("a", H),), (("a", V),)))
+
+    def test_substituted_overflowing_through_a_hwp(self):
+        state = (ket(("a", H)) + ket(("a", V))) * 1.5e308  # H gains both halves
+        for _ in range(2):  # cold, then through the memoized plan
+            with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+                apply_elements(state, (Hwp("a", 22.5),))
+
+    def test_conditional_outcome_of_a_nan(self):
+        kept = {((("a", H, ""), 1),): complex(math.nan, 0.0)}
+        with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+            ConditionalOutcome.of(kept, DetectionPattern.of({"a": H}))
+
+    def test_conditional_outcome_prunes_what_renormalization_shrinks(self):
+        big, small = ((("a", H, ""), 1),), ((("a", V, ""), 1),)
+        outcome = ConditionalOutcome.of({big: 1e6 + 0j, small: 1e-7 + 0j}, DetectionPattern.of({"a": "any"}))
+        assert [occ for occ, _amp in outcome.state.items()] == [big]
+
+    def test_unnormalized_fusion_input_is_unchanged(self):
+        # an input of norm 3 gives every pattern nine times its probability
+        # (ROADMAP item 5); pinned here bit for bit
+        outcomes = run_circuit(FUSION, input_state=fusion_input((1, 0, 0, 0)) * 3)
+        t1_pol = {(H, H): H, (H, V): H, (V, H): V, (V, V): V}
+        for o, (a, c) in zip(outcomes, [(H, H), (H, V), (V, H), (V, V)]):
+            assert o.probability == 0.28125000000000006
+            occ = ((("a", a, ""), 1), (("c", c, ""), 1), (("t1", t1_pol[a, c], ""), 1))
+            assert [(k, repr(z)) for k, z in o.state.items()] == [(occ, "(1+0j)")]
 
 
 class TestScale:
