@@ -11,17 +11,18 @@ parse it once per process.  Detection heralds success; pattern-dependent
 unitary corrections (feed-forward) fold all heralded branches onto the
 canonical output.
 
-A circuit's elements compile once (``elements.compile_elements``, cached)
-into one ``MemoRules`` map: a linear substitution of the creation operators
-that carries the elements' checks.  A circuit is validated once, when it
-is built; ``run_circuit`` pushes its input, a mixture included, through one
-``substituted`` call of its heralded map: the same map and checks with every
-output occupation that none of the circuit's patterns admits dropped, so it
-computes only the terms a detector can herald, and routes each, in one pass,
-to the patterns that admit it.  ``apply_elements`` gives the full output
-state, as the feed-forward corrections use it.  Each map memoizes its images,
-check verdicts and routes, and a plan for each of its 256 most recent input
-supports; the 256 most recent heralded maps are kept.
+Inputs and targets are built by ``states.superpose``, which owns photon
+creation.  A circuit's elements compile once (``elements.compile_elements``,
+cached) into one ``MemoRules`` map: a linear substitution of the creation
+operators that carries the elements' checks.  A circuit is validated once,
+when it is built; ``run_circuit`` pushes its input, a mixture included,
+through one ``substituted`` call of its heralded map: the same map and checks
+with every output occupation that none of the circuit's patterns admits
+dropped, so it computes only the terms a detector can herald, and routes each,
+in one pass, to the patterns that admit it.  ``apply_elements`` gives the full
+output state, as the feed-forward corrections use it.  Each map memoizes its
+images, check verdicts and routes, and a plan for each of its 256 most recent
+input supports; the 256 most recent heralded maps are kept.
 """
 
 from __future__ import annotations
@@ -48,14 +49,12 @@ from .elements import (
 from .elements import apply_element, apply_relabel, apply_sigma_x, apply_sign_flip_v  # noqa: F401
 from .states import (
     H,
-    PRUNE_TOL,
     V,
     ConditionalOutcome,
     DetectionPattern,
     MemoRules,
     PureState,
-    _occ_bump,
-    make_key,
+    superpose,
     unit_shift,
 )
 
@@ -270,32 +269,6 @@ def initial_state(
     return state
 
 
-def superpose(base: PureState, amps, kets, tags=None) -> PureState:
-    """Sum of ``a * (base with the ket's photons created)`` over nonzero ``a``.
-
-    A ket is a sequence of ``(mode, pol)`` photons; ``tags`` maps a mode to
-    its distinguishability tag.  One pass forms each amplitude as ``create``,
-    ``*`` and ``+`` would, -0.0 parts included: √(n+1) per photon, then ``a``;
-    a product or a running sum at or below ``PRUNE_TOL`` is dropped.
-    """
-    tags = tags or {}
-    out: dict = {}
-    for a, ket in zip(amps, kets):
-        if a != 0:
-            keys = [make_key(mode, pol, tags.get(mode)) for mode, pol in ket]
-            for occ, amp in base.items():
-                for key in keys:
-                    amp = 0.0 + amp * math.sqrt(dict(occ).get(key, 0) + 1)
-                    occ = _occ_bump(occ, key)
-                amp = amp * complex(a)
-                if abs(amp) <= PRUNE_TOL:
-                    continue
-                out[occ] = total = out.get(occ, 0.0) + amp
-                if abs(total) <= PRUNE_TOL:
-                    del out[occ]
-    return PureState._of(out)
-
-
 def run_circuit(
     circuit: Circuit,
     input_state: PureState | None = None,
@@ -427,13 +400,12 @@ def fission_feed_forward(outcome: ConditionalOutcome) -> PureState:
     A V-polarized ancilla needs a sign flip of the V component on ``t``; an
     exit through ``c'`` needs an H/V swap on ``t`` (flip applied first), and
     the output is relabeled onto ``c``.  Returns the two-photon state on
-    (t, c).
+    (t, c).  An outcome of any other pattern is refused.
     """
-    pa = outcome.pattern.requirement_for("a")
-    via_prime = outcome.pattern.requirement_for("c'") == "any"
-    if pa not in (H, V):
+    if outcome.pattern not in build_fission_circuit().patterns:
         raise ValueError("outcome does not carry a fission detection pattern")
+    pa = outcome.pattern.requirement_for("a")
     corrections: tuple[OpticalElement, ...] = (SignFlipV("t"),) if pa == V else ()
-    if via_prime:
+    if outcome.pattern.requirement_for("c'") == "any":
         corrections += (SigmaX("t"), Relabel("c'", "c"))
     return apply_elements(outcome.state, corrections).factor_on_modes(("t", "c"))

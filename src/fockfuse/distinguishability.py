@@ -208,17 +208,12 @@ def _branch_raw_rows(basis_key: str) -> tuple[tuple[tuple[float, ...], ...], ...
         for psi, phi in basis.input_states:
             state = fusion_input(product_qudit(psi, phi), ancilla_tag, pair_tag)
             # the first pattern: a and c both H, one photon across t1/t2
+            # a zero-probability outcome carries the zero state, so its row is 0.0
             detected = run_circuit(circuit, input_state=state)[0]
-            row = []
-            for j in range(4):
-                if detected.probability <= 0.0:
-                    row.append(0.0)
-                else:
-                    row.append(
-                        detected.probability
-                        * projector_probability(detected.state, basis.projector(j))
-                    )
-            rows.append(tuple(row))
+            rows.append(tuple(
+                detected.probability * projector_probability(detected.state, basis.projector(j))
+                for j in range(4)
+            ))
         tables.append(tuple(rows))
     return tuple(tables)
 

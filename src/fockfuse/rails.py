@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuits import normalized_amplitudes, product_qudit, rescaled_amplitudes, superpose
-from .states import INV_SQRT2, PureState
+from .circuits import normalized_amplitudes, product_qudit, rescaled_amplitudes
+from .states import INV_SQRT2, PureState, superpose
 
 RailPair = tuple[str, str]
 
@@ -35,16 +35,12 @@ def _rail_key(rail: str) -> tuple[str, str, str]:
 
 def rail_ket(occupied: tuple[str, ...]) -> PureState:
     """Basis ket with one photon in each listed rail."""
-    state = PureState.vacuum()
-    for rail in occupied:
-        state = state.create(rail, "")
-    return state
+    return superpose(PureState.vacuum(), (1.0,), (tuple((rail, "") for rail in occupied),))
 
 
 def qubit_on(pair: RailPair, amps) -> PureState:
     """a0|10> + a1|01> on a rail pair."""
-    a0, a1 = (complex(x) for x in amps)
-    return a0 * rail_ket((pair[0],)) + a1 * rail_ket((pair[1],))
+    return superpose(PureState.vacuum(), amps, tuple(((rail, ""),) for rail in pair))
 
 
 def _pair_occupancy(occ, pair: RailPair) -> tuple[int, int]:
@@ -281,11 +277,6 @@ def fission(qudit, vacuum_amp: complex = 1.0):
     if probability <= 0.0:
         return PureState.zero(), 0.0
     return state.normalized(), probability
-
-
-def two_qubit_ket(c_bit: int, t_bit: int) -> PureState:
-    """|c_bit>_c |t_bit>_t on the fission output rails."""
-    return rail_ket((FISSION_C_RAILS[c_bit], FISSION_T_RAILS[t_bit]))
 
 
 def two_qubit_state(c_amps, t_amps) -> PureState:

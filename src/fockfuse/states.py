@@ -8,9 +8,10 @@ if all three key components agree.
 
 Amplitudes are stored against *normalized* kets, but transformations follow
 the creation-operator convention: applying the same creation operator twice
-to vacuum yields sqrt(2) times the normalized two-photon ket.  All values are
-immutable after construction and every operation is a pure function of its
-inputs.
+to vacuum yields sqrt(2) times the normalized two-photon ket.  ``superpose``
+is the one routine that creates photons; ``PureState.create`` and every
+input builder call it.  All values are immutable after construction and
+every operation is a pure function of its inputs.
 
 A linear optical network is one ``MemoRules`` map: its creation-operator
 substitution and its occupancy checks.  ``substituted`` is the one step that
@@ -66,14 +67,15 @@ def unit_shift(amps: Iterable[complex]) -> int:
     return -math.frexp(peak)[1]
 
 
-def _occ_bump(occ: Occupation, key: Key) -> Occupation:
-    """``occ`` with one more photon on ``key``, kept sorted."""
+def _occ_bump(occ: Occupation, key: Key) -> tuple[Occupation, int]:
+    """``occ`` with one more photon on ``key``, kept sorted, and the count
+    ``key`` now holds."""
     for i, (k, n) in enumerate(occ):
         if k == key:
-            return occ[:i] + ((k, n + 1),) + occ[i + 1 :]
+            return occ[:i] + ((k, n + 1),) + occ[i + 1 :], n + 1
         if key < k:
-            return occ[:i] + ((key, 1),) + occ[i:]
-    return occ + ((key, 1),)
+            return occ[:i] + ((key, 1),) + occ[i:], 1
+    return occ + ((key, 1),), 1
 
 
 def _mode_channel_counts(occ: Occupation, modes: frozenset[str]) -> tuple[int, int] | None:
@@ -100,8 +102,8 @@ class MemoRules(dict):
     occupation (tags included), for as long as it lives, and the ``plan`` of
     each of its ``PLAN_LIMIT`` most recent input supports; it must not change
     afterwards.  With ``patterns``, each image holds only the output
-    occupations one of them admits, with the same additions, in the same
-    order, as without them, and ``route`` memoizes which patterns admit each.
+    occupations that ``route`` admits to one of them, with the same
+    additions, in the same order, as without them.
     Threads racing on a miss may compute an entry twice but all get the first.
     """
 
@@ -132,13 +134,13 @@ class MemoRules(dict):
                 nxt: dict[Occupation, complex] = {}
                 for mono, coeff in poly.items():
                     for (m2, c2), u in images:
-                        bumped = _occ_bump(mono, (m2, c2, tag))
+                        bumped, _n = _occ_bump(mono, (m2, c2, tag))
                         nxt[bumped] = nxt.get(bumped, 0.0) + coeff * u
                 poly = nxt
         terms = tuple(
             (mono, coeff, math.sqrt(math.prod(math.factorial(n) for _, n in mono)))
             for mono, coeff in poly.items()
-            if self.patterns is None or any(p.matches(mono) for p in self.patterns)
+            if self.patterns is None or self.route(mono)
         )
         held = {(mode, channel) for (mode, channel, _tag), _n in occ}
         refusals = (i for i, (ops, _) in enumerate(self.checks) if not ops.isdisjoint(held))
@@ -166,11 +168,14 @@ class MemoRules(dict):
         return self._plans.setdefault(support, found)
 
     def route(self, occ: Occupation) -> tuple[int, ...]:
-        """The indices of the patterns that admit the output occupation ``occ``."""
+        """The indices of the patterns that admit the output occupation
+        ``occ``; only a nonempty route is memoized, so the memo holds no
+        more occupations than the images keep."""
         found = self._routes.get(occ)
         if found is None:
-            admitted = tuple(i for i, p in enumerate(self.patterns) if p.matches(occ))
-            found = self._routes.setdefault(occ, admitted)
+            found = tuple(i for i, p in enumerate(self.patterns) if p.matches(occ))
+            if found:
+                found = self._routes.setdefault(occ, found)
         return found
 
 
@@ -286,18 +291,13 @@ class PureState:
         tag: str | None = None,
         cap: int | None = None,
     ) -> "PureState":
-        """Apply a creation operator: count n gains factor sqrt(n+1); a term
-        may hold at most ``cap`` photons if one is given."""
-        key = make_key(mode, channel, tag)
-        out: dict[Occupation, complex] = {}
-        for occ, amp in self._terms.items():
-            if cap is not None and total_photons(occ) + 1 > cap:
-                raise PhotonCapExceeded(
-                    f"creating a photon on {key} exceeds the cap of {cap}"
-                )
-            # the bump is injective; 0.0 + keeps the sum's signed zeros
-            out[_occ_bump(occ, key)] = 0.0 + amp * math.sqrt(dict(occ).get(key, 0) + 1)
-        return PureState._of(out)
+        """Apply a creation operator, as ``superpose`` does: count n gains
+        factor sqrt(n+1); a term may hold at most ``cap`` photons if one is
+        given."""
+        if cap is not None and self.max_photons() + 1 > cap:
+            key = make_key(mode, channel, tag)
+            raise PhotonCapExceeded(f"creating a photon on {key} exceeds the cap of {cap}")
+        return superpose(self, (1.0,), (((mode, channel),),), {mode: tag})
 
     def inner(self, other: "PureState") -> complex:
         """<self|other>, conjugate-linear in ``self``."""
@@ -377,6 +377,34 @@ class PureState:
 
     def to_canonical_text(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True)
+
+
+def superpose(base: PureState, amps, kets, tags=None) -> PureState:
+    """Sum of ``a * (base with the ket's photons created)`` over nonzero ``a``:
+    the one routine that puts photons on occupations.
+
+    A ket is a sequence of ``(mode, pol)`` photons; ``tags`` maps a mode to
+    its distinguishability tag.  One pass forms each amplitude as ``create``,
+    ``*`` and ``+`` chained would, -0.0 parts included: √(n+1) per photon,
+    then ``a``; a product or a running sum at or below ``PRUNE_TOL`` is
+    dropped.
+    """
+    tags = tags or {}
+    out: dict[Occupation, complex] = {}
+    for a, ket in zip(amps, kets):
+        if a != 0:
+            keys = [make_key(mode, pol, tags.get(mode)) for mode, pol in ket]
+            for occ, amp in base.items():
+                for key in keys:
+                    occ, n = _occ_bump(occ, key)
+                    amp = 0.0 + amp * math.sqrt(n)
+                amp = amp * complex(a)
+                if abs(amp) <= PRUNE_TOL:
+                    continue
+                out[occ] = total = out.get(occ, 0.0) + amp
+                if abs(total) <= PRUNE_TOL:
+                    del out[occ]
+    return PureState._of(out)
 
 
 def fidelity(x: PureState, y: PureState) -> float:

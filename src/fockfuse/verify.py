@@ -28,7 +28,6 @@ from .circuits import (
     run_circuit,
     run_fission,
     run_fusion,
-    superpose,
 )
 from .distinguishability import (
     BASIS_KEYS,
@@ -59,6 +58,7 @@ from .states import (
     MixedState,
     PureState,
     fidelity,
+    superpose,
 )
 
 TOL = 1e-10

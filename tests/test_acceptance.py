@@ -1,13 +1,18 @@
 """Acceptance suite: every check of ``fockfuse.verify.CHECKS`` at fixed seeds.
 
 ``pytest tests/test_acceptance.py -v`` lists one line per check, named as in
-``fockfuse verify``, plus the two timing gates.
+``fockfuse verify``, plus the two timing gates and one line per library call
+that must be refused with a one-line error.
 """
 
+import re
 import time
 
 import pytest
 
+from fockfuse import elements, rails
+from fockfuse.circuits import run_fusion
+from fockfuse.distinguishability import ProbabilityMatrix, fit_p, indistinguishable_fraction
 from fockfuse.verify import CHECKS, check_fusion_correctness, run_verification
 
 SEEDS = (1001, 1002, 1003, 1004, 1005)
@@ -30,3 +35,44 @@ def test_criterion_10_verify_runtime():
     started = time.monotonic()
     assert run_verification(seed=2026, out=lambda line: None) == 0
     assert time.monotonic() - started < 60.0
+
+
+TWO_PHOTONS = rails.rail_ket(("c0", "c1"))
+NEGATIVE = [[0.25] * 4 for _ in range(3)] + [[0.25, 0.25, 0.25, -0.25]]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: run_fusion(), ValueError, "psi and phi amplitude pairs are required", id="run_fusion-no-input"),
+    pytest.param(
+        lambda: run_fusion((1, 0), (1, 0), entangled=(1, 0, 0, 0)), ValueError,
+        "give either psi/phi or an entangled input", id="run_fusion-both-inputs",
+    ),
+    pytest.param(
+        lambda: rails.cnot(rails.rail_ket(("c0", "c0")), ("c0", "c1"), ("t0", "t1")), ValueError,
+        "rail occupancy outside the protocol space: ((('c0', '', ''), 2),)", id="cnot-two-photons-on-a-rail",
+    ),
+    pytest.param(
+        lambda: rails.measure_plus_minus(TWO_PHOTONS, ("c0", "c1")), ValueError,
+        "erased qubit must carry exactly one photon", id="measure_plus_minus-two-photons",
+    ),
+    pytest.param(
+        lambda: rails.erase_to_zero_port(TWO_PHOTONS, ("c0", "c1")), ValueError,
+        "erased qubit must carry at most one photon", id="erase_to_zero_port-two-photons",
+    ),
+    pytest.param(
+        lambda: indistinguishable_fraction(1.5), ValueError,
+        "indistinguishability parameter p=1.5 outside [0, 1]", id="indistinguishable_fraction-above-one",
+    ),
+    pytest.param(
+        lambda: ProbabilityMatrix.from_csv(",H,V\nH,1,0\nV,0,1\n", "i"), ValueError,
+        "expected a header line plus 4 data rows", id="from_csv-three-lines",
+    ),
+    pytest.param(lambda: fit_p(NEGATIVE), ValueError, "observed matrix must be non-negative", id="fit_p-negative"),
+    pytest.param(
+        lambda: elements.block(object()), TypeError, "unknown optical element <object object at ",
+        id="block-not-an-element",
+    ),
+])
+def test_library_call_is_refused(call, error, message):
+    with pytest.raises(error, match="^" + re.escape(message)):
+        call()

@@ -57,10 +57,23 @@ class TestFuseCommand:
         assert "--entangled alone" in capsys.readouterr().err
 
     def test_rejects_nan_amplitude(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["fuse", "--psi", "nan,1", "--phi", "1,0"])
-        assert exc.value.code == 2
-        assert "error: argument --psi: amplitudes must be finite" in capsys.readouterr().err
+        """A NaN or unreadable amplitude option exits 2 with one message."""
+        for argv, message in [
+            (["fuse", "--psi", "nan,1", "--phi", "1,0"], "error: argument --psi: amplitudes must be finite"),
+            (["fuse", "--psi=abc", "--phi=1,0"], "error: argument --psi: cannot parse amplitudes from 'abc'"),
+            (
+                ["abstract-fuse", "--psi=1,0", "--phi=1,0", "--vacuum-amp=x"],
+                "error: argument --vacuum-amp: cannot parse complex number 'x'",
+            ),
+            (
+                ["abstract-fuse", "--psi=1,0", "--phi=1,0", "--vacuum-amp=nan"],
+                "error: argument --vacuum-amp: complex number must be finite, got 'nan'",
+            ),
+        ]:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "fuse", "--psi", "0.6,0.8", "--phi", "1,0", "--format", "json")
@@ -337,6 +350,9 @@ class TestRunCommand:
         )
         assert code == 2 and out == ""
         assert err == "error: slot 'psi': expected 2 amplitudes, got 3\n"
+        code, out, err = run_cli(capsys, "run", "fusion.lop", "--bind", "psi", "--bind", "phi=1,0")
+        assert code == 2 and out == ""
+        assert err == "error: --bind needs name=a0,a1,... (got 'psi')\n"
 
     def test_zero_binding_reports_error(self, capsys):
         code, out, err = run_cli(

@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 from fockfuse.circuits import (
+    apply_feed_forward,
     build_fission_circuit,
     fission_feed_forward,
     fission_success_target,
     run_fission,
+    run_fusion,
 )
 from fockfuse.states import H, V, PureState, fidelity
 from fockfuse.verify import random_qudit
@@ -84,6 +86,15 @@ class TestFeedForward:
         target = fission_success_target(amps)
         outcome_p = run_fission(amps)[2]
         assert fidelity(fission_feed_forward(outcome_p), target) >= 1.0 - 1e-10
+
+    @pytest.mark.parametrize("branch", range(4))
+    def test_each_feed_forward_refuses_the_other_apparatus(self, branch):
+        fusion_outcome = run_fusion((1, 0), (1, 0))[branch]
+        with pytest.raises(ValueError, match="^outcome does not carry a fission detection pattern$"):
+            fission_feed_forward(fusion_outcome)
+        fission_outcome = run_fission((1, 0, 0, 0))[branch]
+        with pytest.raises(ValueError, match="^outcome does not carry a fusion detection pattern$"):
+            apply_feed_forward(fission_outcome)
 
 
 class TestStructure:

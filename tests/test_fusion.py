@@ -243,6 +243,16 @@ class TestRouting:
         labels = {occ[0][0] for outcome in got for occ, _amp in outcome.state.items()}
         assert labels == {(BRANCH_MODE, "", "0"), (BRANCH_MODE, "", "1")}
 
+    def test_an_occupation_no_pattern_admits_is_not_memoized(self):
+        # an element-free circuit leaves each input term unfiltered for ``route``
+        circuit = Circuit(("a", "b"), (PhotonIn("a", H),), (), (DetectionPattern.of({"a": H}),))
+        state = PureState.vacuum()
+        for _ in range(5):
+            state = state.create("b", V)
+            (outcome,) = run_circuit(circuit, state)
+            assert outcome.probability == 0.0
+        assert circuits._heralded_map(circuit)._routes == {}
+
 
 class TestCircuitHash:
     def test_each_instance_hashes_once(self, monkeypatch):

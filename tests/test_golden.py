@@ -40,6 +40,7 @@ CASES = {
         for key in ("i", "ii", "iii", "iv")
         for fmt in ("json", "csv")
     },
+    "basis-scan-ii.txt": ["basis-scan", "--basis", "ii", "--p", "0.37"],
     "fidelity-curve.json": [
         "fidelity-curve", "--p-min", "0.2", "--p-max", "0.9", "--steps", "3", "--format", "json",
     ],

@@ -19,7 +19,6 @@ from fockfuse.rails import (
     fuse_joint,
     qubit_on,
     rail_ket,
-    two_qubit_ket,
     two_qubit_state,
 )
 from fockfuse.states import INV_SQRT2, fidelity
@@ -159,7 +158,7 @@ class TestFission:
     def test_basis_ket(self):
         state, prob = fission((1, 0, 0, 0))
         assert prob == pytest.approx(0.5, abs=1e-12)
-        assert fidelity(state, two_qubit_ket(0, 0)) == pytest.approx(1.0)
+        assert fidelity(state, rail_ket(("c_0", "t_0"))) == pytest.approx(1.0)
 
     def test_product_qudit_separates(self):
         rng = random.Random(25)
@@ -171,7 +170,7 @@ class TestFission:
 
     def test_bell_qudit(self):
         state, _ = fission((INV_SQRT2, 0, 0, INV_SQRT2))
-        bell = INV_SQRT2 * (two_qubit_ket(0, 0) + two_qubit_ket(1, 1))
+        bell = INV_SQRT2 * (rail_ket(("c_0", "t_0")) + rail_ket(("c_1", "t_1")))
         assert fidelity(state, bell) >= 1.0 - 1e-12
 
     def test_inverts_fuse(self):
@@ -213,7 +212,7 @@ class TestInputScale:
         assert fuse_iterated([(3 * scale, 0), (scale, 0)])[1] == pytest.approx(0.5, abs=1e-12)
         state, probability = fission((2 * scale, 0, 0, 0))
         assert probability == pytest.approx(0.5, abs=1e-12)
-        assert fidelity(state, two_qubit_ket(0, 0)) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity(state, rail_ket(("c_0", "t_0"))) == pytest.approx(1.0, abs=1e-12)
 
     def test_scale_leaves_amplitudes_unchanged(self):
         plus = (INV_SQRT2, INV_SQRT2)

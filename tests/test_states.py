@@ -11,7 +11,6 @@ from fockfuse.circuits import (
     fusion_input,
     normalized_amplitudes,
     run_circuit,
-    superpose,
 )
 from fockfuse.elements import Hwp, apply_elements
 from fockfuse.states import (
@@ -25,7 +24,9 @@ from fockfuse.states import (
     PhotonCapExceeded,
     PureState,
     fidelity,
+    make_key,
     projector_probability,
+    superpose,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -93,16 +94,30 @@ class TestCreation:
         assert abs(state.inner(reference) - reference.squared_norm()) < 1e-12
 
 
+def create_reference(state, mode, pol, tag):
+    """One creation operator by its own arithmetic: count n gains √(n+1),
+    summed onto 0.0 as an addition to an absent term would be."""
+    key = make_key(mode, pol, tag)
+    out = {}
+    for occ, amp in state.items():
+        counts = dict(occ)
+        n = counts.get(key, 0) + 1
+        counts[key] = n
+        out[tuple(sorted(counts.items()))] = 0.0 + amp * math.sqrt(n)
+    return PureState(out)
+
+
 def superpose_reference(base, amps, kets, tags=None):
-    """``superpose`` as a chain of ``create``, ``*`` and ``+``: one
-    intermediate state per photon and per ket."""
+    """``superpose`` as a chain of ``create_reference``, ``*`` and ``+``:
+    one intermediate state per photon and per ket, sharing no code with
+    ``superpose`` or ``create``."""
     tags = tags or {}
     out = PureState.zero()
     for a, ket in zip(amps, kets):
         if a != 0:
             term = base
             for mode, pol in ket:
-                term = term.create(mode, pol, tags.get(mode, ""))
+                term = create_reference(term, mode, pol, tags.get(mode, ""))
             out = out + complex(a) * term
     return out
 
@@ -132,12 +147,16 @@ class TestSuperpose:
     def test_one_pass_equals_the_create_chain(self, base_terms, base_tags, terms, tags):
         """Same terms, in the same order, with the same bits, over tagged and
         untagged kets, two photons on one key, multi-term bases, zero
-        amplitudes and amplitudes near ``PRUNE_TOL``."""
+        amplitudes and amplitudes near ``PRUNE_TOL``; ``create``, which is
+        one ``superpose`` call, gives each photon as the reference does."""
         base = PureState.vacuum()
         if base_terms:
             base = superpose_reference(base, *zip(*base_terms), base_tags)
         amps, kets = zip(*terms) if terms else ((), ())
         assert bits(superpose(base, amps, kets, tags)) == bits(superpose_reference(base, amps, kets, tags))
+        for mode, pol in (photon for ket in kets for photon in ket):
+            tag = tags.get(mode, "")
+            assert bits(base.create(mode, pol, tag)) == bits(create_reference(base, mode, pol, tag))
 
     def test_a_cancelled_term_is_dropped_and_re_added_last(self):
         base = ket(("a", H))
