@@ -43,14 +43,6 @@ def qubit_on(pair: RailPair, amps) -> PureState:
     return superpose(PureState.vacuum(), amps, tuple(((rail, ""),) for rail in pair))
 
 
-def _pair_occupancy(occ, pair: RailPair) -> tuple[int, int]:
-    counts = dict(occ)
-    return (
-        counts.get(_rail_key(pair[0]), 0),
-        counts.get(_rail_key(pair[1]), 0),
-    )
-
-
 def cnot(
     joint: PureState,
     control: RailPair,
@@ -64,10 +56,13 @@ def cnot(
     """
     if set(control) & set(target):
         raise ValueError("control and target rails overlap")
+    c0, c1 = (_rail_key(rail) for rail in control)
+    t0, t1 = (_rail_key(rail) for rail in target)
     out: dict = {}
     for occ, amp in joint.items():
-        nc = _pair_occupancy(occ, control)
-        nt = _pair_occupancy(occ, target)
+        counts = dict(occ)
+        nc = (counts.get(c0, 0), counts.get(c1, 0))
+        nt = (counts.get(t0, 0), counts.get(t1, 0))
         if nc not in ((0, 0), (0, 1), (1, 0)) or nt not in ((0, 0), (0, 1), (1, 0)):
             raise ValueError(f"rail occupancy outside the protocol space: {occ}")
         if nc == (0, 0) or nt == (0, 0):
@@ -75,9 +70,7 @@ def cnot(
         elif nc == (1, 0):
             new_occ, new_amp = occ, amp
         else:  # control logical 1: swap the target rails
-            counts = dict(occ)
-            k0, k1 = _rail_key(target[0]), _rail_key(target[1])
-            counts[k0], counts[k1] = counts.get(k1, 0), counts.get(k0, 0)
+            counts[t0], counts[t1] = nt[1], nt[0]
             new_occ = tuple(sorted((k, n) for k, n in counts.items() if n > 0))
             new_amp = amp
         out[new_occ] = out.get(new_occ, 0.0) + new_amp

@@ -17,9 +17,11 @@ A linear optical network is one ``MemoRules`` map: its creation-operator
 substitution and its occupancy checks.  ``substituted`` is the one step that
 pushes a state through such a map, which decides each input occupation's
 image and check verdict once and keeps both in its own memo, with a plan
-replaying them for each of its ``PLAN_LIMIT`` most recent input supports.  A
-mixture is a pure state too: ``MixedState`` labels each branch on a mode no
-detector reads, so one algebra serves both.
+replaying them for each of its ``PLAN_LIMIT`` most recent input supports.
+``projector_probability`` likewise replays a plan per support and set of
+target modes, ``PLAN_LIMIT`` of them kept in one bounded memo.  A mixture
+is a pure state too: ``MixedState`` labels each branch on a mode no detector
+reads, so one algebra serves both.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 H = "H"
@@ -35,7 +38,7 @@ V = "V"
 UNTAGGED = ""
 
 PRUNE_TOL = 1e-12
-#: the most input supports whose plans one map keeps
+#: the most input supports whose plans one map, or ``projector_probability``, keeps
 PLAN_LIMIT = 256
 #: the mode holding a mixture's branch labels: no circuit can name or detect
 #: it, and it sorts before every valid mode name
@@ -231,8 +234,14 @@ class PureState:
 
     def amplitudes(self, kets) -> tuple[complex, ...]:
         """Amplitudes of untagged kets, each a sequence of ``(mode, channel)``
-        photons, one photon per pair."""
-        return tuple(self.amplitude(tuple((make_key(m, ch), 1) for m, ch in ket)) for ket in kets)
+        photons, one photon per pair; a pair listed twice holds two."""
+        found = []
+        for ket in kets:
+            occ = ()
+            for mode, channel in ket:
+                occ, _n = _occ_bump(occ, make_key(mode, channel))
+            found.append(self._terms.get(occ, 0.0 + 0.0j))
+        return tuple(found)
 
     def squared_norm(self) -> float:
         """Σ|a|², or ``inf`` when it passes the float range."""
@@ -417,6 +426,25 @@ def fidelity(x: PureState, y: PureState) -> float:
     return abs(x.inner(y)) ** 2 / (nx * ny)
 
 
+@lru_cache(maxsize=PLAN_LIMIT)
+def _projector_plan(support: tuple[Occupation, ...], targets: frozenset[str]):
+    """For each occupation of ``support``: None unless it holds exactly one
+    photon in the ``targets`` modes, else that photon's ``(mode, channel)``
+    and its slot ``(spectator index, tag)``, the occupation's part outside
+    ``targets`` numbered in first-touch order."""
+    spectators: dict[Occupation, int] = {}
+    steps = []
+    for occ in support:
+        inside = [(k, n) for k, n in occ if k[0] in targets]
+        if sum(n for _, n in inside) != 1:
+            steps.append(None)
+            continue
+        (mode, channel, tag), _n = inside[0]
+        outside = tuple((k, n) for k, n in occ if k[0] not in targets)
+        steps.append(((mode, channel), (spectators.setdefault(outside, len(spectators)), tag)))
+    return tuple(steps)
+
+
 def projector_probability(
     state: PureState,
     amplitudes: Mapping[tuple[str, str], complex],
@@ -430,19 +458,20 @@ def projector_probability(
     label among them, are spectators.
     Terms with zero or several photons in the target modes are orthogonal to
     the one-photon outcome and contribute nothing.
+
+    Which term holds which photon beside which spectators is decided once
+    per support and set of target modes, and replayed from a memo of the
+    ``PLAN_LIMIT`` most recently used plans.
     """
-    target_modes = {mode for mode, _ in amplitudes}
-    overlaps: dict[tuple[Occupation, str], complex] = {}
-    for occ, amp in state.items():
-        inside = [(k, n) for k, n in occ if k[0] in target_modes]
-        if sum(n for _, n in inside) != 1:
+    plan = _projector_plan(tuple(state._terms), frozenset(mode for mode, _ in amplitudes))
+    overlaps: dict[tuple[int, str], complex] = {}
+    for amp, step in zip(state._terms.values(), plan):
+        if step is None:
             continue
-        (mode, channel, tag), _ = inside[0]
-        coeff = amplitudes.get((mode, channel))
+        key, slot = step
+        coeff = amplitudes.get(key)
         if coeff is None or coeff == 0:
             continue
-        outside = tuple((k, n) for k, n in occ if k[0] not in target_modes)
-        slot = (outside, tag)
         overlaps[slot] = overlaps.get(slot, 0.0) + complex(coeff).conjugate() * amp
     return sum(abs(v) ** 2 for v in overlaps.values())
 

@@ -16,6 +16,7 @@ from fockfuse.elements import Hwp, apply_elements
 from fockfuse.states import (
     H,
     INV_SQRT2,
+    PLAN_LIMIT,
     PRUNE_TOL,
     V,
     ConditionalOutcome,
@@ -25,6 +26,7 @@ from fockfuse.states import (
     PureState,
     fidelity,
     make_key,
+    _projector_plan,
     projector_probability,
     superpose,
 )
@@ -69,6 +71,12 @@ class TestCreation:
         # creation-operator convention: applying a-dagger twice gives sqrt(2)|2>
         state = PureState.vacuum().create("a", H).create("a", H)
         assert abs(state.amplitude(((("a", H, ""), 2),)) - SQRT2) < 1e-15
+
+    def test_amplitudes_of_a_ket_with_two_photons_on_one_key(self):
+        state = PureState.vacuum().create("a", H).create("a", H).create("b", V)
+        got = state.amplitudes(((("a", H), ("b", V), ("a", H)), (("a", H), ("b", V))))
+        assert got == (state.amplitude(((("a", H, ""), 2), (("b", V, ""), 1))), 0.0)
+        assert abs(got[0] - SQRT2) < 1e-15
 
     def test_independent_channels_do_not_rescale(self):
         state = PureState.vacuum().create("a", H).create("a", V)
@@ -341,7 +349,84 @@ class TestSerialization:
             entangled.factor_on_modes(("t1",))
 
 
+def projector_probability_reference(state, amplitudes):
+    """``projector_probability`` without a plan: each call splits every
+    occupation into its target-mode and spectator parts."""
+    target_modes = {mode for mode, _ in amplitudes}
+    overlaps = {}
+    for occ, amp in state.items():
+        inside = [(k, n) for k, n in occ if k[0] in target_modes]
+        if sum(n for _, n in inside) != 1:
+            continue
+        (mode, channel, tag), _ = inside[0]
+        coeff = amplitudes.get((mode, channel))
+        if coeff is None or coeff == 0:
+            continue
+        outside = tuple((k, n) for k, n in occ if k[0] not in target_modes)
+        slot = (outside, tag)
+        overlaps[slot] = overlaps.get(slot, 0.0) + complex(coeff).conjugate() * amp
+    return sum(abs(v) ** 2 for v in overlaps.values())
+
+
+def bracket_state(base_terms, base_tags, terms, tags):
+    """Drawn ``BRACKETS`` kets, each with its ``TAG_MAPS`` tags, on a base of
+    drawn kets: up to 16 terms of up to six photons on ``a`` and ``b``."""
+    base = PureState.vacuum()
+    for drawn, drawn_tags in ((base_terms, base_tags), (terms, tags)):
+        if drawn:
+            base = superpose_reference(base, *zip(*drawn), drawn_tags)
+    return base
+
+
+def exact(probability):
+    """A probability's type and bits: an empty sum is the int 0."""
+    return type(probability), float(probability).hex()
+
+
+BRACKET_STATES = st.builds(bracket_state, BRACKETS, TAG_MAPS, BRACKETS, TAG_MAPS)
+#: a mixture of two bracket states, its branch label a spectator on every target
+MIXED_STATES = st.builds(
+    lambda w, x, y: MixedState(((w, x), (1.0 - w, y))), st.floats(0.0, 1.0), BRACKET_STATES, BRACKET_STATES
+)
+#: zero, tiny and complex coefficients on some (mode, channel) pairs; the
+#: other channels of a target mode are missing, and an untargeted mode is a spectator
+ANALYZERS = st.dictionaries(
+    st.tuples(st.sampled_from(("a", "b")), st.sampled_from((H, V, ""))), AMPLITUDES, min_size=1, max_size=4
+)
+#: other amplitudes for a drawn support, none of them pruned
+AMPLITUDE_SETS = st.lists(
+    st.complex_numbers(min_magnitude=0.5, max_magnitude=4, allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=5,
+)
+
+
 class TestProjectorProbability:
+    @settings(deadline=None)
+    @given(st.one_of(BRACKET_STATES, MIXED_STATES), ANALYZERS, ANALYZERS, AMPLITUDE_SETS)
+    def test_plan_equals_the_reference(self, state, first, second, amps):
+        """The same bits as the reference, on a drawn support under two
+        analyzers and then with other amplitudes on the same support, so
+        that a plan is replayed."""
+        occs = [occ for occ, _amp in state.items()]
+        other = PureState({occ: amps[i % len(amps)] for i, occ in enumerate(occs)})
+        assert [occ for occ, _amp in other.items()] == occs
+        for drawn in (state, other):
+            for analyzer in (first, second):
+                got = projector_probability(drawn, analyzer)
+                assert exact(got) == exact(projector_probability_reference(drawn, analyzer))
+
+    def test_a_plan_dropped_from_the_memo_is_rebuilt(self):
+        analyzer = {("t1", H): INV_SQRT2, ("t1", V): 0.5j}
+        kets = ((("t1", H), ("s", H)), (("t1", V), ("s", V)), (("t1", H), ("t1", V)), (("s", V),))
+        made = [superpose(PureState.vacuum(), (1.0, 0.6, -0.3j, 2.0), kets, {"s": str(i)}) for i in range(PLAN_LIMIT + 1)]
+        want = [exact(projector_probability_reference(state, analyzer)) for state in made]
+        assert [exact(projector_probability(state, analyzer)) for state in made] == want
+        assert _projector_plan.cache_info().currsize <= PLAN_LIMIT
+        misses = _projector_plan.cache_info().misses
+        assert exact(projector_probability(made[0], analyzer)) == want[0]
+        assert _projector_plan.cache_info().misses == misses + 1
+
     def test_plus_projector(self):
         state = ket(("t1", H))
         amps = {("t1", H): 1 / SQRT2, ("t1", V): 1 / SQRT2}
