@@ -9,14 +9,26 @@ of a protocol must share that amplitude for the output to be correct.
 These protocols are the oracle for the full optical apparatus: the fusion
 plus-branch amplitudes here must match the optical H/H-heralded branch, and
 fission inverts fusion exactly.
+
+Each rail step decides where every term goes once per input support and
+rails, and replays that plan on later calls: ``cnot`` (``_cnot_plan``:
+each term's image under the CNOT table and whether it takes the vacuum
+amplitude), ``measure_plus_minus`` (``_measure_plan``: each term's rest
+once the pair's photon is consumed, and its sign in the minus branch) and
+``erase_to_zero_port`` (``_erase_plan``: each term's image and whether it
+takes 1/sqrt(2)).  Each memo keeps its ``PLAN_LIMIT`` most recently used
+plans; a support outside the protocol space gets no plan and raises its
+message on every call.  Results build from already-checked terms, pruned
+at ``PRUNE_TOL`` as the checking constructor prunes them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .circuits import normalized_amplitudes, product_qudit, rescaled_amplitudes
-from .states import INV_SQRT2, PureState, superpose
+from .states import INV_SQRT2, PLAN_LIMIT, PRUNE_TOL, PureState, superpose
 
 RailPair = tuple[str, str]
 
@@ -43,6 +55,50 @@ def qubit_on(pair: RailPair, amps) -> PureState:
     return superpose(PureState.vacuum(), amps, tuple(((rail, ""),) for rail in pair))
 
 
+#: a rail pair's photon counts inside the protocol space
+_PROTOCOL_PAIRS = ((0, 0), (0, 1), (1, 0))
+
+
+def _trusted(terms: dict) -> PureState:
+    """``terms`` without those at or below ``PRUNE_TOL``, as the checking
+    constructor keeps them; NaN is kept for ``_of`` to refuse."""
+    return PureState._of({occ: z for occ, z in terms.items() if not abs(z) <= PRUNE_TOL})
+
+
+def _replay(plan, state: PureState, factor: complex) -> PureState:
+    """``state`` with each term moved to its plan's occupation, scaled by
+    ``factor`` where the plan says so, and summed onto 0.0."""
+    out: dict = {}
+    for (occ, scaled), amp in zip(plan, state._terms.values()):
+        if scaled:
+            amp = amp * factor
+        out[occ] = out.get(occ, 0.0) + amp
+    return _trusted(out)
+
+
+@lru_cache(maxsize=PLAN_LIMIT)
+def _cnot_plan(support, control: RailPair, target: RailPair):
+    """For each occupation of ``support``: its image under the CNOT table
+    and whether it takes the vacuum passthrough amplitude."""
+    if set(control) & set(target):
+        raise ValueError("control and target rails overlap")
+    c0, c1 = (_rail_key(rail) for rail in control)
+    t0, t1 = (_rail_key(rail) for rail in target)
+    steps = []
+    for occ in support:
+        counts = dict(occ)
+        nc = (counts.get(c0, 0), counts.get(c1, 0))
+        nt = (counts.get(t0, 0), counts.get(t1, 0))
+        if nc not in _PROTOCOL_PAIRS or nt not in _PROTOCOL_PAIRS:
+            raise ValueError(f"rail occupancy outside the protocol space: {occ}")
+        empty = nc == (0, 0) or nt == (0, 0)
+        if nc == (0, 1) and not empty:  # control logical 1: swap the target rails
+            counts[t0], counts[t1] = nt[1], nt[0]
+            occ = tuple(sorted((k, n) for k, n in counts.items() if n > 0))
+        steps.append((occ, empty))
+    return tuple(steps)
+
+
 def cnot(
     joint: PureState,
     control: RailPair,
@@ -54,27 +110,24 @@ def cnot(
     Populated control/target follow the CNOT table; an empty control or an
     empty target leaves the term unchanged scaled by ``vacuum_amp``.
     """
-    if set(control) & set(target):
-        raise ValueError("control and target rails overlap")
-    c0, c1 = (_rail_key(rail) for rail in control)
-    t0, t1 = (_rail_key(rail) for rail in target)
-    out: dict = {}
-    for occ, amp in joint.items():
+    plan = _cnot_plan(tuple(joint._terms), tuple(control), tuple(target))
+    return _replay(plan, joint, vacuum_amp)
+
+
+@lru_cache(maxsize=PLAN_LIMIT)
+def _measure_plan(support, pair: RailPair):
+    """For each occupation of ``support``: the rest once the pair's photon
+    is consumed, and whether it sat on the second rail (the minus branch
+    subtracts it)."""
+    k0, k1 = _rail_key(pair[0]), _rail_key(pair[1])
+    steps = []
+    for occ in support:
         counts = dict(occ)
-        nc = (counts.get(c0, 0), counts.get(c1, 0))
-        nt = (counts.get(t0, 0), counts.get(t1, 0))
-        if nc not in ((0, 0), (0, 1), (1, 0)) or nt not in ((0, 0), (0, 1), (1, 0)):
-            raise ValueError(f"rail occupancy outside the protocol space: {occ}")
-        if nc == (0, 0) or nt == (0, 0):
-            new_occ, new_amp = occ, amp * vacuum_amp
-        elif nc == (1, 0):
-            new_occ, new_amp = occ, amp
-        else:  # control logical 1: swap the target rails
-            counts[t0], counts[t1] = nt[1], nt[0]
-            new_occ = tuple(sorted((k, n) for k, n in counts.items() if n > 0))
-            new_amp = amp
-        out[new_occ] = out.get(new_occ, 0.0) + new_amp
-    return PureState(out)
+        n0, n1 = counts.pop(k0, 0), counts.pop(k1, 0)
+        if (n0, n1) not in ((1, 0), (0, 1)):
+            raise ValueError("erased qubit must carry exactly one photon")
+        steps.append((tuple(sorted(counts.items())), n1 == 1))
+    return tuple(steps)
 
 
 def measure_plus_minus(state: PureState, pair: RailPair):
@@ -84,26 +137,40 @@ def measure_plus_minus(state: PureState, pair: RailPair):
     (p_minus, state_minus)) with renormalized remainder states (or the
     zero-state marker at probability zero).
     """
-    k0, k1 = _rail_key(pair[0]), _rail_key(pair[1])
-    collected = {+1: {}, -1: {}}
-    for occ, amp in state.items():
-        counts = dict(occ)
-        n0, n1 = counts.pop(k0, 0), counts.pop(k1, 0)
-        rest = tuple(sorted(counts.items()))
-        if (n0, n1) == (1, 0):
-            collected[+1][rest] = collected[+1].get(rest, 0.0) + amp * INV_SQRT2
-            collected[-1][rest] = collected[-1].get(rest, 0.0) + amp * INV_SQRT2
-        elif (n0, n1) == (0, 1):
-            collected[+1][rest] = collected[+1].get(rest, 0.0) + amp * INV_SQRT2
-            collected[-1][rest] = collected[-1].get(rest, 0.0) - amp * INV_SQRT2
+    plan = _measure_plan(tuple(state._terms), tuple(pair))
+    plus: dict = {}
+    minus: dict = {}
+    for (rest, flipped), amp in zip(plan, state._terms.values()):
+        plus[rest] = plus.get(rest, 0.0) + amp * INV_SQRT2
+        if flipped:
+            minus[rest] = minus.get(rest, 0.0) - amp * INV_SQRT2
         else:
-            raise ValueError("erased qubit must carry exactly one photon")
+            minus[rest] = minus.get(rest, 0.0) + amp * INV_SQRT2
     results = []
-    for sign in (+1, -1):
-        branch = PureState(collected[sign])
+    for collected in (plus, minus):
+        branch = _trusted(collected)
         prob = branch.squared_norm()
         results.append((prob, branch.normalized() if prob > 0 else PureState.zero()))
     return tuple(results)
+
+
+@lru_cache(maxsize=PLAN_LIMIT)
+def _erase_plan(support, pair: RailPair):
+    """For each occupation of ``support``: the occupation with a populated
+    pair's photon moved onto its first rail, and whether it was populated
+    (it then takes 1/sqrt(2))."""
+    k0, k1 = _rail_key(pair[0]), _rail_key(pair[1])
+    steps = []
+    for occ in support:
+        counts = dict(occ)
+        n0, n1 = counts.pop(k0, 0), counts.pop(k1, 0)
+        if (n0, n1) not in _PROTOCOL_PAIRS:
+            raise ValueError("erased qubit must carry at most one photon")
+        populated = (n0, n1) != (0, 0)
+        if populated:
+            counts[k0] = 1
+        steps.append((tuple(sorted((k, n) for k, n in counts.items() if n > 0)), populated))
+    return tuple(steps)
 
 
 def erase_to_zero_port(state: PureState, pair: RailPair) -> PureState:
@@ -113,21 +180,7 @@ def erase_to_zero_port(state: PureState, pair: RailPair) -> PureState:
     amplitude 1/sqrt(2); an empty pair passes unchanged.  The result is the
     unnormalized success branch.
     """
-    k0, k1 = _rail_key(pair[0]), _rail_key(pair[1])
-    out: dict = {}
-    for occ, amp in state.items():
-        counts = dict(occ)
-        n0, n1 = counts.pop(k0, 0), counts.pop(k1, 0)
-        if (n0, n1) == (0, 0):
-            new_amp = amp
-        elif (n0, n1) in ((1, 0), (0, 1)):
-            counts[k0] = 1
-            new_amp = amp * INV_SQRT2
-        else:
-            raise ValueError("erased qubit must carry at most one photon")
-        new_occ = tuple(sorted((k, n) for k, n in counts.items() if n > 0))
-        out[new_occ] = out.get(new_occ, 0.0) + new_amp
-    return PureState(out)
+    return _replay(_erase_plan(tuple(state._terms), tuple(pair)), state, INV_SQRT2)
 
 
 # -- fusion -----------------------------------------------------------------
@@ -230,7 +283,8 @@ def fuse_iterated(qubits, vacuum_amp: complex = 1.0):
     for q in qubits[1:]:
         # spread rail i onto rail 2i, freeing odd rails as logical-1 slots
         spread = {f"r{i}": f"r{2 * i}" for i in range(width)}
-        state = PureState({
+        # an injective relabeling of already-checked terms
+        state = PureState._of({
             tuple(sorted(((spread[rail], ch, tag), n) for (rail, ch, tag), n in occ)): amp
             for occ, amp in state.items()
         })

@@ -18,10 +18,18 @@ substitution and its occupancy checks.  ``substituted`` is the one step that
 pushes a state through such a map, which decides each input occupation's
 image and check verdict once and keeps both in its own memo, with a plan
 replaying them for each of its ``PLAN_LIMIT`` most recent input supports.
-``projector_probability`` likewise replays a plan per support and set of
-target modes, ``PLAN_LIMIT`` of them kept in one bounded memo.  A mixture
-is a pure state too: ``MixedState`` labels each branch on a mode no detector
-reads, so one algebra serves both.
+Three more steps replay a plan per input support, each keeping its
+``PLAN_LIMIT`` most recently used plans in one bounded memo:
+``superpose`` (``_superpose_plan``, per support, kets and tags: where each
+photon lands and its √n), ``factor_on_modes`` (``_factor_plan``, per
+support and kept modes: each term's part inside them, or a refusal) and
+``projector_probability`` (``_projector_plan``, per support and target
+modes: which term holds the one target photon beside which spectators).
+A plan decides only where terms go; each call redoes every float
+operation on its own amplitudes, in the order the plain loop would.
+
+A mixture is a pure state too: ``MixedState`` labels each branch on a mode
+no detector reads, so one algebra serves both.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ V = "V"
 UNTAGGED = ""
 
 PRUNE_TOL = 1e-12
-#: the most input supports whose plans one map, or ``projector_probability``, keeps
+#: the most input supports whose plans one map, or one planned step, keeps
 PLAN_LIMIT = 256
 #: the mode holding a mixture's branch labels: no circuit can name or detect
 #: it, and it sorts before every valid mode name
@@ -351,24 +359,13 @@ class PureState:
 
         Every term must carry one common occupation outside ``modes``;
         otherwise the state is entangled with the remainder and a
-        ``ValueError`` is raised.
+        ``ValueError`` is raised.  Each term's part inside ``modes`` is
+        decided once per support and replayed from a memo of the
+        ``PLAN_LIMIT`` most recently used plans.
         """
-        keep = frozenset(modes)
-        rest_ref: Occupation | None = None
-        out: dict[Occupation, complex] = {}
-        for occ, amp in self._terms.items():
-            inside, outside = [], []
-            for pair in occ:
-                (inside if pair[0][0] in keep else outside).append(pair)
-            if rest_ref is None:
-                rest_ref = outside
-            elif outside != rest_ref:
-                raise ValueError(
-                    f"state does not factor on modes {sorted(keep)}"
-                )
-            # the common outside part makes inside parts distinct; 0.0 + as in create
-            out[tuple(inside)] = 0.0 + amp
-        return PureState._of(out)
+        inside = _factor_plan(tuple(self._terms), frozenset(modes))
+        # the common outside part makes inside parts distinct; 0.0 + as in create
+        return PureState._of({occ: 0.0 + amp for occ, amp in zip(inside, self._terms.values())})
 
     def to_json_obj(self) -> list[dict]:
         """Canonical serialization: sorted list of occupation/amplitude rows."""
@@ -388,6 +385,26 @@ class PureState:
         return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
+@lru_cache(maxsize=PLAN_LIMIT)
+def _superpose_plan(support: tuple[Occupation, ...], kets: tuple, tags: tuple):
+    """For each ket, for each occupation of ``support``: that occupation with
+    the ket's photons created on the ``tags`` of their modes, and the √n each
+    photon in turn gains."""
+    tags = dict(tags)
+    plan = []
+    for ket in kets:
+        keys = [make_key(mode, pol, tags.get(mode)) for mode, pol in ket]
+        rows = []
+        for occ in support:
+            roots = []
+            for key in keys:
+                occ, n = _occ_bump(occ, key)
+                roots.append(math.sqrt(n))
+            rows.append((occ, tuple(roots)))
+        plan.append(tuple(rows))
+    return tuple(plan)
+
+
 def superpose(base: PureState, amps, kets, tags=None) -> PureState:
     """Sum of ``a * (base with the ket's photons created)`` over nonzero ``a``:
     the one routine that puts photons on occupations.
@@ -396,18 +413,20 @@ def superpose(base: PureState, amps, kets, tags=None) -> PureState:
     its distinguishability tag.  One pass forms each amplitude as ``create``,
     ``*`` and ``+`` chained would, -0.0 parts included: √(n+1) per photon,
     then ``a``; a product or a running sum at or below ``PRUNE_TOL`` is
-    dropped.
+    dropped.  Where each photon lands, and its √(n+1), is decided once per
+    base support, kets and tags, and replayed from a memo of the
+    ``PLAN_LIMIT`` most recently used plans.
     """
-    tags = tags or {}
+    tags = tuple(tags.items()) if tags else ()
+    plan = _superpose_plan(tuple(base._terms), tuple(map(tuple, kets)), tags)
     out: dict[Occupation, complex] = {}
-    for a, ket in zip(amps, kets):
+    for a, rows in zip(amps, plan):
         if a != 0:
-            keys = [make_key(mode, pol, tags.get(mode)) for mode, pol in ket]
-            for occ, amp in base.items():
-                for key in keys:
-                    occ, n = _occ_bump(occ, key)
-                    amp = 0.0 + amp * math.sqrt(n)
-                amp = amp * complex(a)
+            a = complex(a)
+            for (occ, roots), amp in zip(rows, base._terms.values()):
+                for root in roots:
+                    amp = 0.0 + amp * root
+                amp = amp * a
                 if abs(amp) <= PRUNE_TOL:
                     continue
                 out[occ] = total = out.get(occ, 0.0) + amp
@@ -424,6 +443,24 @@ def fidelity(x: PureState, y: PureState) -> float:
     if nx * ny == math.inf:  # fidelity ignores each state's scale
         return fidelity(x.normalized(), y.normalized())
     return abs(x.inner(y)) ** 2 / (nx * ny)
+
+
+@lru_cache(maxsize=PLAN_LIMIT)
+def _factor_plan(support: tuple[Occupation, ...], keep: frozenset[str]) -> tuple[Occupation, ...]:
+    """Each occupation of ``support`` restricted to the ``keep`` modes;
+    ``ValueError`` unless all of them share one occupation outside ``keep``."""
+    rest_ref: list | None = None
+    inside_parts = []
+    for occ in support:
+        inside, outside = [], []
+        for pair in occ:
+            (inside if pair[0][0] in keep else outside).append(pair)
+        if rest_ref is None:
+            rest_ref = outside
+        elif outside != rest_ref:
+            raise ValueError(f"state does not factor on modes {sorted(keep)}")
+        inside_parts.append(tuple(inside))
+    return tuple(inside_parts)
 
 
 @lru_cache(maxsize=PLAN_LIMIT)
@@ -473,7 +510,7 @@ def projector_probability(
         if coeff is None or coeff == 0:
             continue
         overlaps[slot] = overlaps.get(slot, 0.0) + complex(coeff).conjugate() * amp
-    return sum(abs(v) ** 2 for v in overlaps.values())
+    return sum((abs(v) ** 2 for v in overlaps.values()), 0.0)
 
 
 #: detection requirement -> the (H, V) photon counts over its group that it admits

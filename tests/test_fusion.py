@@ -13,7 +13,7 @@ import pickle
 import random
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -254,6 +254,12 @@ class TestRouting:
         assert circuits._heralded_map(circuit)._routes == {}
 
 
+def field_values(circuit):
+    """Each field of a circuit by name: compared by value, so unlike ``repr``
+    it does not depend on the order in which a frozenset prints."""
+    return {f.name: getattr(circuit, f.name) for f in fields(circuit)}
+
+
 class TestCircuitHash:
     def test_each_instance_hashes_once(self, monkeypatch):
         circuit = build_fusion_circuit.__wrapped__()
@@ -267,7 +273,9 @@ class TestCircuitHash:
         fresh = build_fusion_circuit.__wrapped__()
         for twin in (pickle.loads(pickle.dumps(circuit)), copy.copy(circuit), copy.deepcopy(circuit)):
             assert "_hash" not in vars(twin)
-            assert twin == circuit and repr(twin) == repr(fresh) and hash(twin) == hash(fresh)
+            assert twin == circuit and hash(twin) == hash(fresh)
+            assert field_values(twin) == field_values(fresh)
+            assert "_hash" not in repr(twin) and "_hash" not in repr(fresh)
         fewer = replace(circuit, patterns=circuit.patterns[:2])
         assert "_hash" not in vars(fewer) and fewer != circuit
         assert hash(fewer) == hash(replace(fresh, patterns=fresh.patterns[:2])) != hash(circuit)

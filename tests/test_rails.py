@@ -11,17 +11,22 @@ from hypothesis import strategies as st
 from fockfuse.circuits import apply_feed_forward, fused_target, product_qudit, run_fusion
 from fockfuse.rails import (
     SPLIT_RAIL_KETS,
+    _cnot_plan,
+    _erase_plan,
     _fuse_joint_with_vacuum_amps,
+    _measure_plan,
     cnot,
+    erase_to_zero_port,
     fission,
     fuse,
     fuse_iterated,
     fuse_joint,
+    measure_plus_minus,
     qubit_on,
     rail_ket,
     two_qubit_state,
 )
-from fockfuse.states import INV_SQRT2, fidelity
+from fockfuse.states import H, INV_SQRT2, PLAN_LIMIT, PRUNE_TOL, PureState, fidelity
 from fockfuse.verify import random_qubit
 
 C = ("c0", "c1")
@@ -61,6 +66,190 @@ class TestCnot:
     def test_overlapping_rails_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
             cnot(rail_ket(("c0",)), C, ("c1", "t0"))
+
+
+def _rail_key(rail):
+    return (rail, "", "")
+
+
+def cnot_reference(joint, control, target, vacuum_amp=1.0):
+    """``cnot`` without a plan: each call reads every term's rail pairs."""
+    if set(control) & set(target):
+        raise ValueError("control and target rails overlap")
+    c0, c1 = (_rail_key(rail) for rail in control)
+    t0, t1 = (_rail_key(rail) for rail in target)
+    out: dict = {}
+    for occ, amp in joint.items():
+        counts = dict(occ)
+        nc = (counts.get(c0, 0), counts.get(c1, 0))
+        nt = (counts.get(t0, 0), counts.get(t1, 0))
+        if nc not in ((0, 0), (0, 1), (1, 0)) or nt not in ((0, 0), (0, 1), (1, 0)):
+            raise ValueError(f"rail occupancy outside the protocol space: {occ}")
+        if nc == (0, 0) or nt == (0, 0):
+            new_occ, new_amp = occ, amp * vacuum_amp
+        elif nc == (1, 0):
+            new_occ, new_amp = occ, amp
+        else:  # control logical 1: swap the target rails
+            counts[t0], counts[t1] = nt[1], nt[0]
+            new_occ = tuple(sorted((k, n) for k, n in counts.items() if n > 0))
+            new_amp = amp
+        out[new_occ] = out.get(new_occ, 0.0) + new_amp
+    return PureState(out)
+
+
+def measure_plus_minus_reference(state, pair):
+    """``measure_plus_minus`` without a plan."""
+    k0, k1 = _rail_key(pair[0]), _rail_key(pair[1])
+    collected = {+1: {}, -1: {}}
+    for occ, amp in state.items():
+        counts = dict(occ)
+        n0, n1 = counts.pop(k0, 0), counts.pop(k1, 0)
+        rest = tuple(sorted(counts.items()))
+        if (n0, n1) == (1, 0):
+            collected[+1][rest] = collected[+1].get(rest, 0.0) + amp * INV_SQRT2
+            collected[-1][rest] = collected[-1].get(rest, 0.0) + amp * INV_SQRT2
+        elif (n0, n1) == (0, 1):
+            collected[+1][rest] = collected[+1].get(rest, 0.0) + amp * INV_SQRT2
+            collected[-1][rest] = collected[-1].get(rest, 0.0) - amp * INV_SQRT2
+        else:
+            raise ValueError("erased qubit must carry exactly one photon")
+    results = []
+    for sign in (+1, -1):
+        branch = PureState(collected[sign])
+        prob = branch.squared_norm()
+        results.append((prob, branch.normalized() if prob > 0 else PureState.zero()))
+    return tuple(results)
+
+
+def erase_to_zero_port_reference(state, pair):
+    """``erase_to_zero_port`` without a plan."""
+    k0, k1 = _rail_key(pair[0]), _rail_key(pair[1])
+    out: dict = {}
+    for occ, amp in state.items():
+        counts = dict(occ)
+        n0, n1 = counts.pop(k0, 0), counts.pop(k1, 0)
+        if (n0, n1) == (0, 0):
+            new_amp = amp
+        elif (n0, n1) in ((1, 0), (0, 1)):
+            counts[k0] = 1
+            new_amp = amp * INV_SQRT2
+        else:
+            raise ValueError("erased qubit must carry at most one photon")
+        new_occ = tuple(sorted((k, n) for k, n in counts.items() if n > 0))
+        out[new_occ] = out.get(new_occ, 0.0) + new_amp
+    return PureState(out)
+
+
+def exact(value):
+    """A result's exact bits, signed zeros included: states as their ordered
+    terms, probabilities as their type (the zero state's squared norm is the
+    int 0) and ``float.hex``, recursively over tuples."""
+    if isinstance(value, PureState):
+        return [(occ, a.real.hex(), a.imag.hex()) for occ, a in value.items()]
+    if isinstance(value, tuple):
+        return tuple(exact(v) for v in value)
+    return type(value), float(value).hex()
+
+
+def outcome(step, *args):
+    """A step's exact result, or the message of the ``ValueError`` it raises."""
+    try:
+        return exact(step(*args))
+    except ValueError as exc:
+        return str(exc)
+
+
+#: repeated values so that terms cancel exactly, signed zeros, and magnitudes
+#: that fall to or below PRUNE_TOL once scaled by 1/sqrt(2) or a vacuum amplitude
+RAIL_AMPS = st.sampled_from(
+    (1.0, -1.0, 0.5j, -0.5j, complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -0.5),
+     1.2 * PRUNE_TOL, -1.2 * PRUNE_TOL, 3 * PRUNE_TOL, 0.3 - 0.4j)
+)
+#: rail-pair photon counts, mostly inside the protocol space
+PAIR_COUNTS = st.sampled_from(((0, 0), (1, 0), (0, 1), (1, 0), (0, 1), (1, 1), (2, 0)))
+#: photons no rail step reads: a tagged or polarized photon on a rail's mode, or one elsewhere
+SPECTATORS = st.lists(
+    st.sampled_from(((("s", H, ""), 1), (("s", H, "A"), 1), (("c0", "", "A"), 1), (("t1", H, ""), 2))),
+    max_size=2,
+    unique=True,
+)
+
+
+def rail_occupation(control, target, spectators):
+    counts = {}
+    for rail, n in zip(C + T, control + target):
+        if n:
+            counts[_rail_key(rail)] = n
+    counts.update(spectators)
+    return tuple(sorted(counts.items()))
+
+
+RAIL_STATES = st.dictionaries(
+    st.builds(rail_occupation, PAIR_COUNTS, PAIR_COUNTS, SPECTATORS), RAIL_AMPS, min_size=1, max_size=8
+).map(PureState)
+VACUUM_AMPS = st.sampled_from((1.0, 0.5j, complex(-0.0, 1.0), 1e-7, 0.3 - 0.4j))
+
+#: each planned step, its reference, its plan memo and a call on rails C and T
+RAIL_STEPS = {
+    "cnot": (lambda s, amp: cnot(s, C, T, amp), lambda s, amp: cnot_reference(s, C, T, amp), _cnot_plan),
+    "cnot_reversed": (lambda s, amp: cnot(s, T, C, amp), lambda s, amp: cnot_reference(s, T, C, amp), _cnot_plan),
+    "measure_plus_minus": (
+        lambda s, amp: measure_plus_minus(s, C), lambda s, amp: measure_plus_minus_reference(s, C), _measure_plan
+    ),
+    "erase_to_zero_port": (
+        lambda s, amp: erase_to_zero_port(s, T), lambda s, amp: erase_to_zero_port_reference(s, T), _erase_plan
+    ),
+}
+
+
+class TestRailPlans:
+    @pytest.mark.parametrize("name", sorted(RAIL_STEPS))
+    @settings(deadline=None, max_examples=60)
+    @given(state=RAIL_STATES, amps=st.lists(RAIL_AMPS, min_size=1, max_size=8), vacuum_amp=VACUUM_AMPS)
+    def test_plan_equals_the_reference(self, name, state, amps, vacuum_amp):
+        """The same bits, or the same refusal, as the reference: cold, warm,
+        and with other amplitudes on the same support."""
+        step, reference, plan = RAIL_STEPS[name]
+        other = PureState._of({occ: complex(amps[i % len(amps)]) for i, (occ, _a) in enumerate(state.items())})
+        plan.cache_clear()
+        for drawn in (state, state, other):
+            assert outcome(step, drawn, vacuum_amp) == outcome(reference, drawn, vacuum_amp)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: cnot(rail_ket(("c0",)), C, ("c1", "t0")), "^control and target rails overlap$"),
+        (
+            lambda: cnot(rail_ket(("c0", "c1", "t0")), C, T),
+            r"^rail occupancy outside the protocol space: \(\(\('c0', '', ''\), 1\), ",
+        ),
+        (lambda: measure_plus_minus(rail_ket(("t0",)), C), "^erased qubit must carry exactly one photon$"),
+        (lambda: erase_to_zero_port(rail_ket(("c0", "c1")), C), "^erased qubit must carry at most one photon$"),
+    ], ids=["overlap", "outside", "measure", "erase"])
+    def test_a_refusal_is_raised_on_every_call(self, call, message):
+        plans = (_cnot_plan, _measure_plan, _erase_plan)
+        for plan in plans:
+            plan.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                call()
+        assert [plan.cache_info().currsize for plan in plans] == [0, 0, 0]
+
+    @pytest.mark.parametrize("name", sorted(RAIL_STEPS))
+    def test_a_plan_dropped_from_the_memo_is_rebuilt(self, name):
+        step, reference, plan = RAIL_STEPS[name]
+        made = [
+            PureState({
+                rail_occupation((1, 0), (0, 1), ((("s", H, str(i)), 1),)): 0.6,
+                rail_occupation((0, 1), (1, 0), ((("s", H, str(i)), 1),)): -0.8j,
+                rail_occupation((0, 1), (0, 1), ((("s", H, str(i)), 1),)): complex(-0.0, 0.5),
+            })
+            for i in range(PLAN_LIMIT + 1)
+        ]
+        want = [exact(reference(state, 0.5j)) for state in made]
+        assert [exact(step(state, 0.5j)) for state in made] == want
+        assert plan.cache_info().currsize <= PLAN_LIMIT
+        misses = plan.cache_info().misses
+        assert exact(step(made[0], 0.5j)) == want[0]
+        assert plan.cache_info().misses == misses + 1
 
 
 class TestFuse:

@@ -26,7 +26,9 @@ from fockfuse.states import (
     PureState,
     fidelity,
     make_key,
+    _factor_plan,
     _projector_plan,
+    _superpose_plan,
     projector_probability,
     superpose,
 )
@@ -149,19 +151,45 @@ BRACKETS = st.lists(st.tuples(AMPLITUDES, KETS), max_size=4)
 TAG_MAPS = st.dictionaries(st.sampled_from(("a", "b")), TAGS, max_size=2)
 
 
+#: other amplitudes for a drawn support, none of them pruned
+AMPLITUDE_SETS = st.lists(
+    st.complex_numbers(min_magnitude=0.5, max_magnitude=4, allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=5,
+)
+#: amplitudes with a signed zero part, which a sum onto 0.0 turns positive
+SIGNED_ZEROS = [complex(-0.0, 0.75), complex(0.5, -0.0)]
+
+
+def on_support(state, amps):
+    """``state``'s occupations, in order, with ``amps`` cycled over them."""
+    other = PureState({occ: amps[i % len(amps)] for i, (occ, _amp) in enumerate(state.items())})
+    assert [occ for occ, _amp in other.items()] == [occ for occ, _amp in state.items()]
+    return other
+
+
 class TestSuperpose:
     @settings(deadline=None)
-    @given(BRACKETS, TAG_MAPS, BRACKETS, TAG_MAPS)
-    def test_one_pass_equals_the_create_chain(self, base_terms, base_tags, terms, tags):
+    @given(BRACKETS, TAG_MAPS, BRACKETS, TAG_MAPS, st.lists(AMPLITUDES, min_size=4, max_size=4), AMPLITUDE_SETS)
+    def test_one_pass_equals_the_create_chain(self, base_terms, base_tags, terms, tags, again, base_amps):
         """Same terms, in the same order, with the same bits, over tagged and
         untagged kets, two photons on one key, multi-term bases, zero
         amplitudes and amplitudes near ``PRUNE_TOL``; ``create``, which is
-        one ``superpose`` call, gives each photon as the reference does."""
+        one ``superpose`` call, gives each photon as the reference does.
+        The same support and kets with other amplitudes, on the kets and
+        then on the base (signed zero parts first), replay the plan the
+        first call made."""
         base = PureState.vacuum()
         if base_terms:
             base = superpose_reference(base, *zip(*base_terms), base_tags)
         amps, kets = zip(*terms) if terms else ((), ())
         assert bits(superpose(base, amps, kets, tags)) == bits(superpose_reference(base, amps, kets, tags))
+        misses = _superpose_plan.cache_info().misses
+        again = again[: len(kets)]
+        assert bits(superpose(base, again, kets, tags)) == bits(superpose_reference(base, again, kets, tags))
+        other = on_support(base, SIGNED_ZEROS + base_amps)
+        assert bits(superpose(other, amps, kets, tags)) == bits(superpose_reference(other, amps, kets, tags))
+        assert _superpose_plan.cache_info().misses == misses
         for mode, pol in (photon for ket in kets for photon in ket):
             tag = tags.get(mode, "")
             assert bits(base.create(mode, pol, tag)) == bits(create_reference(base, mode, pol, tag))
@@ -175,6 +203,18 @@ class TestSuperpose:
         (with_v, _amp), = ket(("a", H), ("b", V)).items()
         (with_h, _amp), = ket(("a", H), ("b", H)).items()
         assert [occ for occ, _amp in got.items()] == [with_v, with_h]
+
+    def test_a_plan_dropped_from_the_memo_is_rebuilt(self):
+        kets = ((("t", H), ("c", H)), (("t", V), ("t", V)), (("c", V),))
+        amps, tags = (1.0, complex(-0.0, 0.6), -0.3j), {"t": "A", "c": None}
+        # bases built without superpose, so that only the calls below fill its memo
+        made = [PureState({((("a", H, str(i)), 1),): 1.0, ((("t", V, "A"), 1),): -0.5}) for i in range(PLAN_LIMIT + 1)]
+        want = [bits(superpose_reference(base, amps, kets, tags)) for base in made]
+        assert [bits(superpose(base, amps, kets, tags)) for base in made] == want
+        assert _superpose_plan.cache_info().currsize <= PLAN_LIMIT
+        misses = _superpose_plan.cache_info().misses
+        assert bits(superpose(made[0], amps, kets, tags)) == want[0]
+        assert _superpose_plan.cache_info().misses == misses + 1
 
 
 class TestInnerProduct:
@@ -349,6 +389,68 @@ class TestSerialization:
             entangled.factor_on_modes(("t1",))
 
 
+def factor_on_modes_reference(state, modes):
+    """``factor_on_modes`` without a plan: each call splits every occupation."""
+    keep = frozenset(modes)
+    rest_ref = None
+    out = {}
+    for occ, amp in state.items():
+        inside, outside = [], []
+        for pair in occ:
+            (inside if pair[0][0] in keep else outside).append(pair)
+        if rest_ref is None:
+            rest_ref = outside
+        elif outside != rest_ref:
+            raise ValueError(
+                f"state does not factor on modes {sorted(keep)}"
+            )
+        # the common outside part makes inside parts distinct; 0.0 + as in create
+        out[tuple(inside)] = 0.0 + amp
+    return PureState._of(out)
+
+
+def outcome(step, *args):
+    """A step's result as its bits, or the message of the ``ValueError`` it raises."""
+    try:
+        return bits(step(*args))
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestFactorOnModes:
+    @settings(deadline=None)
+    @given(
+        BRACKETS, TAG_MAPS, BRACKETS, TAG_MAPS, st.sampled_from(("", "A")), AMPLITUDE_SETS,
+        st.sampled_from(((), ("a",), ("b",), ("a", "b"), ("a", "s"), ("a", "b", "s"), ["b", "b"])),
+    )
+    def test_plan_equals_the_reference(self, base_terms, base_tags, terms, tags, tag, amps, modes):
+        """The same bits, or the same refusal, as the reference on tagged
+        multi-term states with a spectator photon on ``s``: cold, warm, and
+        with other amplitudes, signed zero parts first, on the same support."""
+        state = bracket_state(base_terms, base_tags, terms, tags).create("s", H, tag)
+        other = on_support(state, SIGNED_ZEROS + amps)
+        _factor_plan.cache_clear()
+        for drawn in (state, state, other):
+            assert outcome(drawn.factor_on_modes, modes) == outcome(factor_on_modes_reference, drawn, modes)
+
+    def test_a_refusal_is_raised_on_every_call(self):
+        entangled = ket(("a", H), ("t1", H)) + ket(("a", V), ("t1", V))
+        _factor_plan.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^state does not factor on modes \['t1'\]$"):
+                entangled.factor_on_modes(("t1",))
+        assert _factor_plan.cache_info().currsize == 0
+
+    def test_a_plan_dropped_from_the_memo_is_rebuilt(self):
+        made = [ket(("s", H, str(i)), ("t1", H)) + 0.5j * ket(("s", H, str(i)), ("t1", V)) for i in range(PLAN_LIMIT + 1)]
+        want = [bits(factor_on_modes_reference(state, ("t1",))) for state in made]
+        assert [bits(state.factor_on_modes(("t1",))) for state in made] == want
+        assert _factor_plan.cache_info().currsize <= PLAN_LIMIT
+        misses = _factor_plan.cache_info().misses
+        assert bits(made[0].factor_on_modes(("t1",))) == want[0]
+        assert _factor_plan.cache_info().misses == misses + 1
+
+
 def projector_probability_reference(state, amplitudes):
     """``projector_probability`` without a plan: each call splits every
     occupation into its target-mode and spectator parts."""
@@ -379,8 +481,8 @@ def bracket_state(base_terms, base_tags, terms, tags):
 
 
 def exact(probability):
-    """A probability's type and bits: an empty sum is the int 0."""
-    return type(probability), float(probability).hex()
+    """A probability's bits; the reference's empty sum is the int 0."""
+    return float(probability).hex()
 
 
 BRACKET_STATES = st.builds(bracket_state, BRACKETS, TAG_MAPS, BRACKETS, TAG_MAPS)
@@ -393,27 +495,17 @@ MIXED_STATES = st.builds(
 ANALYZERS = st.dictionaries(
     st.tuples(st.sampled_from(("a", "b")), st.sampled_from((H, V, ""))), AMPLITUDES, min_size=1, max_size=4
 )
-#: other amplitudes for a drawn support, none of them pruned
-AMPLITUDE_SETS = st.lists(
-    st.complex_numbers(min_magnitude=0.5, max_magnitude=4, allow_nan=False, allow_infinity=False),
-    min_size=1,
-    max_size=5,
-)
-
-
 class TestProjectorProbability:
     @settings(deadline=None)
     @given(st.one_of(BRACKET_STATES, MIXED_STATES), ANALYZERS, ANALYZERS, AMPLITUDE_SETS)
     def test_plan_equals_the_reference(self, state, first, second, amps):
-        """The same bits as the reference, on a drawn support under two
-        analyzers and then with other amplitudes on the same support, so
-        that a plan is replayed."""
-        occs = [occ for occ, _amp in state.items()]
-        other = PureState({occ: amps[i % len(amps)] for i, occ in enumerate(occs)})
-        assert [occ for occ, _amp in other.items()] == occs
-        for drawn in (state, other):
+        """The same bits as the reference, always as a float, on a drawn
+        support under two analyzers and then with other amplitudes on the
+        same support, so that a plan is replayed."""
+        for drawn in (state, on_support(state, amps)):
             for analyzer in (first, second):
                 got = projector_probability(drawn, analyzer)
+                assert type(got) is float
                 assert exact(got) == exact(projector_probability_reference(drawn, analyzer))
 
     def test_a_plan_dropped_from_the_memo_is_rebuilt(self):
