@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockfuse.circuits import apply_feed_forward, fused_target, product_qudit, run_fusion
+from fockfuse.circuits import apply_feed_forward, fused_target, normalized_amplitudes, product_qudit, run_fusion
 from fockfuse.rails import (
+    MAX_FUSED_QUBITS,
     SPLIT_RAIL_KETS,
     _cnot_plan,
     _erase_plan,
@@ -26,7 +27,7 @@ from fockfuse.rails import (
     rail_ket,
     two_qubit_state,
 )
-from fockfuse.states import H, INV_SQRT2, PLAN_LIMIT, PRUNE_TOL, PureState, fidelity
+from fockfuse.states import H, INV_SQRT2, PLAN_LIMIT, PRUNE_TOL, PureState, _superpose_plan, fidelity, superpose
 from fockfuse.verify import random_qubit
 
 C = ("c0", "c1")
@@ -143,11 +144,14 @@ def erase_to_zero_port_reference(state, pair):
 def exact(value):
     """A result's exact bits, signed zeros included: states as their ordered
     terms, probabilities as their type (the zero state's squared norm is the
-    int 0) and ``float.hex``, recursively over tuples."""
+    int 0) and ``float.hex``, amplitudes as both parts' ``float.hex``,
+    recursively over tuples."""
     if isinstance(value, PureState):
         return [(occ, a.real.hex(), a.imag.hex()) for occ, a in value.items()]
     if isinstance(value, tuple):
         return tuple(exact(v) for v in value)
+    if isinstance(value, complex):
+        return value.real.hex(), value.imag.hex()
     return type(value), float(value).hex()
 
 
@@ -161,10 +165,11 @@ def outcome(step, *args):
 
 #: repeated values so that terms cancel exactly, signed zeros, and magnitudes
 #: that fall to or below PRUNE_TOL once scaled by 1/sqrt(2) or a vacuum amplitude
-RAIL_AMPS = st.sampled_from(
-    (1.0, -1.0, 0.5j, -0.5j, complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -0.5),
-     1.2 * PRUNE_TOL, -1.2 * PRUNE_TOL, 3 * PRUNE_TOL, 0.3 - 0.4j)
+RAIL_VALUES = (
+    1.0, -1.0, 0.5j, -0.5j, complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -0.5),
+    1.2 * PRUNE_TOL, -1.2 * PRUNE_TOL, 3 * PRUNE_TOL, 0.3 - 0.4j,
 )
+RAIL_AMPS = st.sampled_from(RAIL_VALUES)
 #: rail-pair photon counts, mostly inside the protocol space
 PAIR_COUNTS = st.sampled_from(((0, 0), (1, 0), (0, 1), (1, 0), (0, 1), (1, 1), (2, 0)))
 #: photons no rail step reads: a tagged or polarized photon on a rail's mode, or one elsewhere
@@ -250,6 +255,50 @@ class TestRailPlans:
         misses = plan.cache_info().misses
         assert exact(step(made[0], 0.5j)) == want[0]
         assert plan.cache_info().misses == misses + 1
+
+
+#: the control rails of every fusion round
+FUSION_CONTROL = ("cx0", "cx1")
+
+
+def fuse_iterated_reference(qubits, vacuum_amp=1.0):
+    """``fuse_iterated`` without plans: each round spreads the register by a
+    relabeling comprehension, then runs the CNOT and erasure references."""
+    qubits = [normalized_amplitudes(q, 2) for q in qubits]
+    state = qubit_on(("r0", "r1"), qubits[0])
+    width = 2
+    probability = 1.0
+    for q in qubits[1:]:
+        spread = {f"r{i}": f"r{2 * i}" for i in range(width)}
+        state = PureState._of({
+            tuple(sorted(((spread[rail], ch, tag), n) for (rail, ch, tag), n in occ)): amp
+            for occ, amp in state.items()
+        })
+        width *= 2
+        state = superpose(state, q, tuple(((rail, ""),) for rail in FUSION_CONTROL))
+        for k in range(width // 2):
+            state = cnot_reference(state, FUSION_CONTROL, (f"r{2 * k}", f"r{2 * k + 1}"), vacuum_amp)
+        (p_plus, state), _minus = measure_plus_minus_reference(state, FUSION_CONTROL)
+        probability *= p_plus
+    return state.amplitudes(tuple(((f"r{i}", ""),) for i in range(width))), probability
+
+
+#: qubits of RAIL_AMPS values, or a basis state with a signed zero, never both zero
+QUBITS = st.lists(
+    st.tuples(*[st.sampled_from(RAIL_VALUES + (0.0, -0.0))] * 2).filter(any), min_size=1, max_size=MAX_FUSED_QUBITS
+)
+
+
+class TestFuseIteratedPlans:
+    @settings(deadline=None, max_examples=60)
+    @given(qubits=QUBITS, others=QUBITS, vacuum_amp=VACUUM_AMPS)
+    def test_plans_equal_the_reference(self, qubits, others, vacuum_amp):
+        """The same bits, or the same refusal, as the reference on one to
+        four qubits: cold, warm, and then on other qubits."""
+        for plan in (_superpose_plan, _cnot_plan, _measure_plan):
+            plan.cache_clear()
+        for drawn in (qubits, qubits, others):
+            assert outcome(fuse_iterated, drawn, vacuum_amp) == outcome(fuse_iterated_reference, drawn, vacuum_amp)
 
 
 class TestFuse:
