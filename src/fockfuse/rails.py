@@ -10,25 +10,16 @@ These protocols are the oracle for the full optical apparatus: the fusion
 plus-branch amplitudes here must match the optical H/H-heralded branch, and
 fission inverts fusion exactly.
 
-Each rail step decides where every term goes once per input support and
-rails, and replays that plan on later calls: ``cnot`` (``_cnot_plan``:
-each term's image under the CNOT table and whether it takes the vacuum
-amplitude), ``measure_plus_minus`` (``_measure_plan``: each term's rest
-once the pair's photon is consumed, and its sign in the minus branch) and
-``erase_to_zero_port`` (``_erase_plan``: each term's image and whether it
-takes 1/sqrt(2)).  Each memo keeps its ``PLAN_LIMIT`` most recently used
-plans; a support outside the protocol space gets no plan and raises its
-message on every call.  Results build from already-checked terms, pruned
-at ``PRUNE_TOL`` as the checking constructor prunes them.
+Each step plans and replays its terms by the rule stated in
+``fockfuse.states``, through ``planned`` and ``moved``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .circuits import normalized_amplitudes, product_qudit, rescaled_amplitudes
-from .states import INV_SQRT2, PLAN_LIMIT, PRUNE_TOL, PureState, superpose
+from .states import INV_SQRT2, PureState, make_key, moved, planned, superpose
 
 RailPair = tuple[str, str]
 
@@ -39,10 +30,6 @@ FISSION_T_RAILS: RailPair = ("t_0", "t_1")
 SPLIT_RAIL_KETS = tuple(((c, ""), (t, "")) for c in FISSION_C_RAILS for t in FISSION_T_RAILS)
 
 MAX_FUSED_QUBITS = 4
-
-
-def _rail_key(rail: str) -> tuple[str, str, str]:
-    return (rail, "", "")
 
 
 def rail_ket(occupied: tuple[str, ...]) -> PureState:
@@ -59,31 +46,13 @@ def qubit_on(pair: RailPair, amps) -> PureState:
 _PROTOCOL_PAIRS = ((0, 0), (0, 1), (1, 0))
 
 
-def _trusted(terms: dict) -> PureState:
-    """``terms`` without those at or below ``PRUNE_TOL``, as the checking
-    constructor keeps them; NaN is kept for ``_of`` to refuse."""
-    return PureState._of({occ: z for occ, z in terms.items() if not abs(z) <= PRUNE_TOL})
-
-
-def _replay(plan, state: PureState, factor: complex) -> PureState:
-    """``state`` with each term moved to its plan's occupation, scaled by
-    ``factor`` where the plan says so, and summed onto 0.0."""
-    out: dict = {}
-    for (occ, scaled), amp in zip(plan, state._terms.values()):
-        if scaled:
-            amp = amp * factor
-        out[occ] = out.get(occ, 0.0) + amp
-    return _trusted(out)
-
-
-@lru_cache(maxsize=PLAN_LIMIT)
 def _cnot_plan(support, control: RailPair, target: RailPair):
-    """For each occupation of ``support``: its image under the CNOT table
-    and whether it takes the vacuum passthrough amplitude."""
+    """For each occupation of ``support``: its image under the CNOT table,
+    at sign 1 (True) if it takes the vacuum passthrough amplitude."""
     if set(control) & set(target):
         raise ValueError("control and target rails overlap")
-    c0, c1 = (_rail_key(rail) for rail in control)
-    t0, t1 = (_rail_key(rail) for rail in target)
+    c0, c1 = (make_key(rail, "") for rail in control)
+    t0, t1 = (make_key(rail, "") for rail in target)
     steps = []
     for occ in support:
         counts = dict(occ)
@@ -110,24 +79,24 @@ def cnot(
     Populated control/target follow the CNOT table; an empty control or an
     empty target leaves the term unchanged scaled by ``vacuum_amp``.
     """
-    plan = _cnot_plan(tuple(joint._terms), tuple(control), tuple(target))
-    return _replay(plan, joint, vacuum_amp)
+    return moved(joint, planned(_cnot_plan, tuple(joint._terms), tuple(control), tuple(target)), vacuum_amp)
 
 
-@lru_cache(maxsize=PLAN_LIMIT)
 def _measure_plan(support, pair: RailPair):
-    """For each occupation of ``support``: the rest once the pair's photon
-    is consumed, and whether it sat on the second rail (the minus branch
-    subtracts it)."""
-    k0, k1 = _rail_key(pair[0]), _rail_key(pair[1])
-    steps = []
+    """The plus and the minus branch's plans: for each occupation of
+    ``support``, the rest once the pair's photon is consumed, at sign 1,
+    or at -1 in the minus branch if the photon sat on the second rail."""
+    k0, k1 = (make_key(rail, "") for rail in pair)
+    plus, minus = [], []
     for occ in support:
         counts = dict(occ)
         n0, n1 = counts.pop(k0, 0), counts.pop(k1, 0)
         if (n0, n1) not in ((1, 0), (0, 1)):
             raise ValueError("erased qubit must carry exactly one photon")
-        steps.append((tuple(sorted(counts.items())), n1 == 1))
-    return tuple(steps)
+        rest = tuple(sorted(counts.items()))
+        plus.append((rest, 1))
+        minus.append((rest, -1 if n1 else 1))
+    return tuple(plus), tuple(minus)
 
 
 def measure_plus_minus(state: PureState, pair: RailPair):
@@ -137,29 +106,19 @@ def measure_plus_minus(state: PureState, pair: RailPair):
     (p_minus, state_minus)) with renormalized remainder states (or the
     zero-state marker at probability zero).
     """
-    plan = _measure_plan(tuple(state._terms), tuple(pair))
-    plus: dict = {}
-    minus: dict = {}
-    for (rest, flipped), amp in zip(plan, state._terms.values()):
-        plus[rest] = plus.get(rest, 0.0) + amp * INV_SQRT2
-        if flipped:
-            minus[rest] = minus.get(rest, 0.0) - amp * INV_SQRT2
-        else:
-            minus[rest] = minus.get(rest, 0.0) + amp * INV_SQRT2
     results = []
-    for collected in (plus, minus):
-        branch = _trusted(collected)
+    for plan in planned(_measure_plan, tuple(state._terms), tuple(pair)):
+        branch = moved(state, plan, INV_SQRT2)
         prob = branch.squared_norm()
         results.append((prob, branch.normalized() if prob > 0 else PureState.zero()))
     return tuple(results)
 
 
-@lru_cache(maxsize=PLAN_LIMIT)
 def _erase_plan(support, pair: RailPair):
     """For each occupation of ``support``: the occupation with a populated
-    pair's photon moved onto its first rail, and whether it was populated
-    (it then takes 1/sqrt(2))."""
-    k0, k1 = _rail_key(pair[0]), _rail_key(pair[1])
+    pair's photon moved onto its first rail, at sign 1 (True) if it was
+    populated (it then takes 1/sqrt(2))."""
+    k0, k1 = (make_key(rail, "") for rail in pair)
     steps = []
     for occ in support:
         counts = dict(occ)
@@ -180,7 +139,7 @@ def erase_to_zero_port(state: PureState, pair: RailPair) -> PureState:
     amplitude 1/sqrt(2); an empty pair passes unchanged.  The result is the
     unnormalized success branch.
     """
-    return _replay(_erase_plan(tuple(state._terms), tuple(pair)), state, INV_SQRT2)
+    return moved(state, planned(_erase_plan, tuple(state._terms), tuple(pair)), INV_SQRT2)
 
 
 # -- fusion -----------------------------------------------------------------
@@ -212,6 +171,15 @@ def _register_kets(width: int):
 #: joint kets by (target bit, control bit): the unfolded target's logical 0
 #: sits on pair (r0, r1), its logical 1 on (r2, r3)
 _JOINT_KETS = tuple(((f"r{2 * t}", ""), (c, "")) for t in (0, 1) for c in _CONTROL)
+
+
+def _spread_plan(support, width: int):
+    """Each occupation of ``support`` with register rail i moved onto rail
+    2i, at sign 0: an injective relabeling that frees the odd rails."""
+    spread = {f"r{i}": f"r{2 * i}" for i in range(width)}
+    return tuple(
+        (tuple(sorted(((spread[rail], ch, tag), n) for (rail, ch, tag), n in occ)), 0) for occ in support
+    )
 
 
 def _fusion_round(joint: PureState, vacuum_amps):
@@ -281,13 +249,7 @@ def fuse_iterated(qubits, vacuum_amp: complex = 1.0):
     width = 2
     probability = 1.0
     for q in qubits[1:]:
-        # spread rail i onto rail 2i, freeing odd rails as logical-1 slots
-        spread = {f"r{i}": f"r{2 * i}" for i in range(width)}
-        # an injective relabeling of already-checked terms
-        state = PureState._of({
-            tuple(sorted(((spread[rail], ch, tag), n) for (rail, ch, tag), n in occ)): amp
-            for occ, amp in state.items()
-        })
+        state = moved(state, planned(_spread_plan, tuple(state._terms), width))
         width *= 2
         state = superpose(state, q, tuple(((c_rail, ""),) for c_rail in _CONTROL))
         p_plus, state = _fusion_round(state, [vacuum_amp] * (width // 2))[0]

@@ -18,15 +18,17 @@ substitution and its occupancy checks.  ``substituted`` is the one step that
 pushes a state through such a map, which decides each input occupation's
 image and check verdict once and keeps both in its own memo, with a plan
 replaying them for each of its ``PLAN_LIMIT`` most recent input supports.
-Three more steps replay a plan per input support, each keeping its
-``PLAN_LIMIT`` most recently used plans in one bounded memo:
-``superpose`` (``_superpose_plan``, per support, kets and tags: where each
-photon lands and its √n), ``factor_on_modes`` (``_factor_plan``, per
-support and kept modes: each term's part inside them, or a refusal) and
-``projector_probability`` (``_projector_plan``, per support and target
-modes: which term holds the one target photon beside which spectators).
-A plan decides only where terms go; each call redoes every float
-operation on its own amplitudes, in the order the plain loop would.
+
+Every other step that goes term by term keeps one rule: where each term
+goes is decided once per input support (its ordered occupations) and the
+step's arguments, by a builder whose plan ``planned`` keeps in one memo of
+the ``PLAN_LIMIT`` most recently used plans.  A builder's refusal is not
+kept, so it is raised on every call.  A plan decides only where terms go;
+each call redoes every float operation on its own amplitudes, in the order
+the plain loop would.  ``moved`` replays the plans that send each term to
+one occupation, with at most one factor (``factor_on_modes`` and the rail
+steps of ``fockfuse.rails``); ``superpose`` and ``projector_probability``
+replay their own, which hold each photon's √n and each projector slot.
 
 A mixture is a pure state too: ``MixedState`` labels each branch on a mode
 no detector reads, so one algebra serves both.
@@ -46,7 +48,7 @@ V = "V"
 UNTAGGED = ""
 
 PRUNE_TOL = 1e-12
-#: the most input supports whose plans one map, or one planned step, keeps
+#: the most plans one map, or ``planned``, keeps
 PLAN_LIMIT = 256
 #: the mode holding a mixture's branch labels: no circuit can name or detect
 #: it, and it sorts before every valid mode name
@@ -237,9 +239,6 @@ class PureState:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def amplitude(self, occ: Occupation) -> complex:
-        return self._terms.get(tuple(sorted(occ)), 0.0 + 0.0j)
-
     def amplitudes(self, kets) -> tuple[complex, ...]:
         """Amplitudes of untagged kets, each a sequence of ``(mode, channel)``
         photons, one photon per pair; a pair listed twice holds two."""
@@ -254,7 +253,7 @@ class PureState:
     def squared_norm(self) -> float:
         """Σ|a|², or ``inf`` when it passes the float range."""
         try:
-            return sum(abs(a) ** 2 for a in self._terms.values())
+            return sum((abs(a) ** 2 for a in self._terms.values()), 0.0)
         except OverflowError:
             return math.inf
 
@@ -359,13 +358,9 @@ class PureState:
 
         Every term must carry one common occupation outside ``modes``;
         otherwise the state is entangled with the remainder and a
-        ``ValueError`` is raised.  Each term's part inside ``modes`` is
-        decided once per support and replayed from a memo of the
-        ``PLAN_LIMIT`` most recently used plans.
+        ``ValueError`` is raised.
         """
-        inside = _factor_plan(tuple(self._terms), frozenset(modes))
-        # the common outside part makes inside parts distinct; 0.0 + as in create
-        return PureState._of({occ: 0.0 + amp for occ, amp in zip(inside, self._terms.values())})
+        return moved(self, planned(_factor_plan, tuple(self._terms), frozenset(modes)))
 
     def to_json_obj(self) -> list[dict]:
         """Canonical serialization: sorted list of occupation/amplitude rows."""
@@ -386,6 +381,28 @@ class PureState:
 
 
 @lru_cache(maxsize=PLAN_LIMIT)
+def planned(build, support: tuple[Occupation, ...], *args):
+    """``build(support, *args)``, kept for the ``PLAN_LIMIT`` most recently
+    used calls."""
+    return build(support, *args)
+
+
+def moved(state: PureState, plan, factor: complex = 1.0) -> PureState:
+    """``state`` with each term sent to its plan's ``(occupation, sign)``
+    and summed onto 0.0: as it is at sign 0, plus ``amp * factor`` at 1 and
+    minus it at -1; sums at or below ``PRUNE_TOL`` are dropped, as the
+    checking constructor drops them, and NaN is kept for ``_of`` to refuse."""
+    out: dict[Occupation, complex] = {}
+    for (occ, sign), amp in zip(plan, state._terms.values()):
+        if not sign:
+            out[occ] = out.get(occ, 0.0) + amp
+        elif sign > 0:
+            out[occ] = out.get(occ, 0.0) + amp * factor
+        else:
+            out[occ] = out.get(occ, 0.0) - amp * factor
+    return PureState._of({occ: z for occ, z in out.items() if not abs(z) <= PRUNE_TOL})
+
+
 def _superpose_plan(support: tuple[Occupation, ...], kets: tuple, tags: tuple):
     """For each ket, for each occupation of ``support``: that occupation with
     the ket's photons created on the ``tags`` of their modes, and the √n each
@@ -413,12 +430,10 @@ def superpose(base: PureState, amps, kets, tags=None) -> PureState:
     its distinguishability tag.  One pass forms each amplitude as ``create``,
     ``*`` and ``+`` chained would, -0.0 parts included: √(n+1) per photon,
     then ``a``; a product or a running sum at or below ``PRUNE_TOL`` is
-    dropped.  Where each photon lands, and its √(n+1), is decided once per
-    base support, kets and tags, and replayed from a memo of the
-    ``PLAN_LIMIT`` most recently used plans.
+    dropped.
     """
     tags = tuple(tags.items()) if tags else ()
-    plan = _superpose_plan(tuple(base._terms), tuple(map(tuple, kets)), tags)
+    plan = planned(_superpose_plan, tuple(base._terms), tuple(map(tuple, kets)), tags)
     out: dict[Occupation, complex] = {}
     for a, rows in zip(amps, plan):
         if a != 0:
@@ -445,10 +460,10 @@ def fidelity(x: PureState, y: PureState) -> float:
     return abs(x.inner(y)) ** 2 / (nx * ny)
 
 
-@lru_cache(maxsize=PLAN_LIMIT)
-def _factor_plan(support: tuple[Occupation, ...], keep: frozenset[str]) -> tuple[Occupation, ...]:
-    """Each occupation of ``support`` restricted to the ``keep`` modes;
-    ``ValueError`` unless all of them share one occupation outside ``keep``."""
+def _factor_plan(support: tuple[Occupation, ...], keep: frozenset[str]):
+    """Each occupation of ``support`` restricted to the ``keep`` modes, at
+    sign 0 (the common outside part keeps them distinct); ``ValueError``
+    unless all of them share one occupation outside ``keep``."""
     rest_ref: list | None = None
     inside_parts = []
     for occ in support:
@@ -459,11 +474,10 @@ def _factor_plan(support: tuple[Occupation, ...], keep: frozenset[str]) -> tuple
             rest_ref = outside
         elif outside != rest_ref:
             raise ValueError(f"state does not factor on modes {sorted(keep)}")
-        inside_parts.append(tuple(inside))
+        inside_parts.append((tuple(inside), 0))
     return tuple(inside_parts)
 
 
-@lru_cache(maxsize=PLAN_LIMIT)
 def _projector_plan(support: tuple[Occupation, ...], targets: frozenset[str]):
     """For each occupation of ``support``: None unless it holds exactly one
     photon in the ``targets`` modes, else that photon's ``(mode, channel)``
@@ -495,12 +509,8 @@ def projector_probability(
     label among them, are spectators.
     Terms with zero or several photons in the target modes are orthogonal to
     the one-photon outcome and contribute nothing.
-
-    Which term holds which photon beside which spectators is decided once
-    per support and set of target modes, and replayed from a memo of the
-    ``PLAN_LIMIT`` most recently used plans.
     """
-    plan = _projector_plan(tuple(state._terms), frozenset(mode for mode, _ in amplitudes))
+    plan = planned(_projector_plan, tuple(state._terms), frozenset(mode for mode, _ in amplitudes))
     overlaps: dict[tuple[int, str], complex] = {}
     for amp, step in zip(state._terms.values(), plan):
         if step is None:

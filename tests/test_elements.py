@@ -121,7 +121,7 @@ class TestUnfoldMerge:
 
     def test_unfold_vacuum(self):
         out = apply_element(PureState.vacuum(), Unfold("t", "t1", "t2"))
-        assert out.amplitude(()) == 1.0
+        assert out.amplitudes(((),)) == (1.0,)
 
     def test_merge_inverts_unfold(self):
         rng = np.random.default_rng(9)

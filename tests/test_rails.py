@@ -12,10 +12,7 @@ from fockfuse.circuits import apply_feed_forward, fused_target, normalized_ampli
 from fockfuse.rails import (
     MAX_FUSED_QUBITS,
     SPLIT_RAIL_KETS,
-    _cnot_plan,
-    _erase_plan,
     _fuse_joint_with_vacuum_amps,
-    _measure_plan,
     cnot,
     erase_to_zero_port,
     fission,
@@ -27,7 +24,18 @@ from fockfuse.rails import (
     rail_ket,
     two_qubit_state,
 )
-from fockfuse.states import H, INV_SQRT2, PLAN_LIMIT, PRUNE_TOL, PureState, _superpose_plan, fidelity, superpose
+from fockfuse.states import (
+    H,
+    INV_SQRT2,
+    PLAN_LIMIT,
+    PRUNE_TOL,
+    V,
+    PureState,
+    fidelity,
+    planned,
+    projector_probability,
+    superpose,
+)
 from fockfuse.verify import random_qubit
 
 C = ("c0", "c1")
@@ -50,13 +58,13 @@ class TestCnot:
 
     def test_empty_target_rescales(self):
         out = cnot(rail_ket(("c0",)), C, T, vacuum_amp=1.0)
-        assert out.amplitude(((("c0", "", ""), 1),)) == 1.0
+        assert out.amplitudes(((("c0", ""),),)) == (1.0,)
         out = cnot(rail_ket(("c0",)), C, T, vacuum_amp=0.5)
-        assert out.amplitude(((("c0", "", ""), 1),)) == 0.5
+        assert out.amplitudes(((("c0", ""),),)) == (0.5,)
 
     def test_empty_control_rescales(self):
         out = cnot(rail_ket(("t1",)), C, T, vacuum_amp=0.5)
-        assert out.amplitude(((("t1", "", ""), 1),)) == 0.5
+        assert out.amplitudes(((("t1", ""),),)) == (0.5,)
 
     def test_linearity_on_superpositions(self):
         state = qubit_on(C, (INV_SQRT2, INV_SQRT2)).create("t0", "")
@@ -143,9 +151,8 @@ def erase_to_zero_port_reference(state, pair):
 
 def exact(value):
     """A result's exact bits, signed zeros included: states as their ordered
-    terms, probabilities as their type (the zero state's squared norm is the
-    int 0) and ``float.hex``, amplitudes as both parts' ``float.hex``,
-    recursively over tuples."""
+    terms, probabilities as their type and ``float.hex``, amplitudes as both
+    parts' ``float.hex``, recursively over tuples."""
     if isinstance(value, PureState):
         return [(occ, a.real.hex(), a.imag.hex()) for occ, a in value.items()]
     if isinstance(value, tuple):
@@ -194,16 +201,33 @@ RAIL_STATES = st.dictionaries(
 ).map(PureState)
 VACUUM_AMPS = st.sampled_from((1.0, 0.5j, complex(-0.0, 1.0), 1e-7, 0.3 - 0.4j))
 
-#: each planned step, its reference, its plan memo and a call on rails C and T
+#: each planned step and its reference, as a call on rails C and T
 RAIL_STEPS = {
-    "cnot": (lambda s, amp: cnot(s, C, T, amp), lambda s, amp: cnot_reference(s, C, T, amp), _cnot_plan),
-    "cnot_reversed": (lambda s, amp: cnot(s, T, C, amp), lambda s, amp: cnot_reference(s, T, C, amp), _cnot_plan),
-    "measure_plus_minus": (
-        lambda s, amp: measure_plus_minus(s, C), lambda s, amp: measure_plus_minus_reference(s, C), _measure_plan
-    ),
-    "erase_to_zero_port": (
-        lambda s, amp: erase_to_zero_port(s, T), lambda s, amp: erase_to_zero_port_reference(s, T), _erase_plan
-    ),
+    "cnot": (lambda s, amp: cnot(s, C, T, amp), lambda s, amp: cnot_reference(s, C, T, amp)),
+    "cnot_reversed": (lambda s, amp: cnot(s, T, C, amp), lambda s, amp: cnot_reference(s, T, C, amp)),
+    "measure_plus_minus": (lambda s, amp: measure_plus_minus(s, C), lambda s, amp: measure_plus_minus_reference(s, C)),
+    "erase_to_zero_port": (lambda s, amp: erase_to_zero_port(s, T), lambda s, amp: erase_to_zero_port_reference(s, T)),
+}
+
+
+#: PLAN_LIMIT + 1 supports, each its own by a spectator's tag, that every
+#: planned step accepts
+MEMO_STATES = [
+    PureState({
+        rail_occupation((1, 0), (0, 1), ((("s", H, str(i)), 1),)): 0.6,
+        rail_occupation((0, 1), (1, 0), ((("s", H, str(i)), 1),)): -0.8j,
+        rail_occupation((0, 1), (0, 1), ((("s", H, str(i)), 1),)): complex(-0.0, 0.5),
+    })
+    for i in range(PLAN_LIMIT + 1)
+]
+#: every step that plans through ``planned``, as a call on one state
+PLANNED_STEPS = {
+    "superpose": lambda s: superpose(s, (1.0, -0.6j), ((("a", H),), (("a", V), ("b", V))), {"a": "A", "b": None}),
+    "factor_on_modes": lambda s: s.factor_on_modes(C + T),
+    "projector_probability": lambda s: projector_probability(s, {("t0", ""): INV_SQRT2, ("t1", ""): 0.5j}),
+    "cnot": lambda s: cnot(s, C, T, 0.5j),
+    "measure_plus_minus": lambda s: measure_plus_minus(s, C),
+    "erase_to_zero_port": lambda s: erase_to_zero_port(s, T),
 }
 
 
@@ -214,47 +238,47 @@ class TestRailPlans:
     def test_plan_equals_the_reference(self, name, state, amps, vacuum_amp):
         """The same bits, or the same refusal, as the reference: cold, warm,
         and with other amplitudes on the same support."""
-        step, reference, plan = RAIL_STEPS[name]
+        step, reference = RAIL_STEPS[name]
         other = PureState._of({occ: complex(amps[i % len(amps)]) for i, (occ, _a) in enumerate(state.items())})
-        plan.cache_clear()
+        planned.cache_clear()
         for drawn in (state, state, other):
             assert outcome(step, drawn, vacuum_amp) == outcome(reference, drawn, vacuum_amp)
 
-    @pytest.mark.parametrize("call, message", [
-        (lambda: cnot(rail_ket(("c0",)), C, ("c1", "t0")), "^control and target rails overlap$"),
+    @pytest.mark.parametrize("step, state, message", [
+        (lambda s: cnot(s, C, ("c1", "t0")), rail_ket(("c0",)), "^control and target rails overlap$"),
         (
-            lambda: cnot(rail_ket(("c0", "c1", "t0")), C, T),
+            lambda s: cnot(s, C, T),
+            rail_ket(("c0", "c1", "t0")),
             r"^rail occupancy outside the protocol space: \(\(\('c0', '', ''\), 1\), ",
         ),
-        (lambda: measure_plus_minus(rail_ket(("t0",)), C), "^erased qubit must carry exactly one photon$"),
-        (lambda: erase_to_zero_port(rail_ket(("c0", "c1")), C), "^erased qubit must carry at most one photon$"),
+        (lambda s: measure_plus_minus(s, C), rail_ket(("t0",)), "^erased qubit must carry exactly one photon$"),
+        (lambda s: erase_to_zero_port(s, C), rail_ket(("c0", "c1")), "^erased qubit must carry at most one photon$"),
     ], ids=["overlap", "outside", "measure", "erase"])
-    def test_a_refusal_is_raised_on_every_call(self, call, message):
-        plans = (_cnot_plan, _measure_plan, _erase_plan)
-        for plan in plans:
-            plan.cache_clear()
+    def test_a_refusal_is_raised_on_every_call(self, step, state, message):
+        planned.cache_clear()
         for _ in range(2):
             with pytest.raises(ValueError, match=message):
-                call()
-        assert [plan.cache_info().currsize for plan in plans] == [0, 0, 0]
+                step(state)
+        assert planned.cache_info().currsize == 0
 
-    @pytest.mark.parametrize("name", sorted(RAIL_STEPS))
+    def test_a_fully_pruned_branch_has_a_float_probability(self):
+        tiny = PureState({((("c0", "", ""), 1),): 1.2 * PRUNE_TOL})
+        (p_plus, plus), (p_minus, minus) = measure_plus_minus(tiny, C)
+        assert exact((p_plus, p_minus)) == ((float, "0x0.0p+0"), (float, "0x0.0p+0"))
+        assert plus.is_zero and minus.is_zero
+        assert exact(PureState.zero().squared_norm()) == (float, "0x0.0p+0")
+
+    @pytest.mark.parametrize("name", sorted(PLANNED_STEPS))
     def test_a_plan_dropped_from_the_memo_is_rebuilt(self, name):
-        step, reference, plan = RAIL_STEPS[name]
-        made = [
-            PureState({
-                rail_occupation((1, 0), (0, 1), ((("s", H, str(i)), 1),)): 0.6,
-                rail_occupation((0, 1), (1, 0), ((("s", H, str(i)), 1),)): -0.8j,
-                rail_occupation((0, 1), (0, 1), ((("s", H, str(i)), 1),)): complex(-0.0, 0.5),
-            })
-            for i in range(PLAN_LIMIT + 1)
-        ]
-        want = [exact(reference(state, 0.5j)) for state in made]
-        assert [exact(step(state, 0.5j)) for state in made] == want
-        assert plan.cache_info().currsize <= PLAN_LIMIT
-        misses = plan.cache_info().misses
-        assert exact(step(made[0], 0.5j)) == want[0]
-        assert plan.cache_info().misses == misses + 1
+        """The one memo keeps ``PLAN_LIMIT`` plans; the least recently used
+        is dropped, and a call on its support rebuilds it with the same bits."""
+        step = PLANNED_STEPS[name]
+        planned.cache_clear()
+        first = [exact(step(state)) for state in MEMO_STATES]
+        assert planned.cache_info().currsize == PLAN_LIMIT
+        misses = planned.cache_info().misses
+        assert exact(step(MEMO_STATES[0])) == first[0]
+        assert planned.cache_info().misses == misses + 1
 
 
 #: the control rails of every fusion round
@@ -295,8 +319,7 @@ class TestFuseIteratedPlans:
     def test_plans_equal_the_reference(self, qubits, others, vacuum_amp):
         """The same bits, or the same refusal, as the reference on one to
         four qubits: cold, warm, and then on other qubits."""
-        for plan in (_superpose_plan, _cnot_plan, _measure_plan):
-            plan.cache_clear()
+        planned.cache_clear()
         for drawn in (qubits, qubits, others):
             assert outcome(fuse_iterated, drawn, vacuum_amp) == outcome(fuse_iterated_reference, drawn, vacuum_amp)
 
