@@ -226,6 +226,7 @@ PLANNED_STEPS = {
     "factor_on_modes": lambda s: s.factor_on_modes(C + T),
     "projector_probability": lambda s: projector_probability(s, {("t0", ""): INV_SQRT2, ("t1", ""): 0.5j}),
     "cnot": lambda s: cnot(s, C, T, 0.5j),
+    "cnot_reversed": lambda s: cnot(s, T, C, 0.5j),
     "measure_plus_minus": lambda s: measure_plus_minus(s, C),
     "erase_to_zero_port": lambda s: erase_to_zero_port(s, T),
 }
