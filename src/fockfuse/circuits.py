@@ -242,7 +242,7 @@ def initial_state(
     tags: dict[str, str] | None = None,
 ) -> PureState:
     """Build the input state, binding each slot's amplitudes by name; ``tags``
-    optionally assigns a distinguishability tag per input mode."""
+    optionally assigns a distinguishability tag per mode an input occupies."""
     bindings = bindings or {}
     tags = tags or {}
     slots = circuit.slot_names()
@@ -253,6 +253,7 @@ def initial_state(
     if unknown:
         raise ValueError(f"no input slot named {', '.join(map(repr, unknown))}")
     state = PureState.vacuum()
+    occupied = set()
     for inp in circuit.inputs:
         if isinstance(inp, PhotonIn):
             amps, kets, tag = (1.0,), (((inp.mode, inp.pol),),), inp.tag
@@ -265,7 +266,11 @@ def initial_state(
             except ValueError as exc:
                 raise ValueError(f"slot {inp.name!r}: {exc}") from None
         mode_tags = {m: tags.get(m, tag) for ket in kets for m, _ in ket}
+        occupied.update(mode_tags)
         state = superpose(state, amps, kets, mode_tags)
+    stray = [m for m in tags if m not in occupied]
+    if stray:
+        raise ValueError(f"no input on mode {', '.join(map(repr, stray))}")
     return state
 
 

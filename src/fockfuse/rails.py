@@ -10,8 +10,11 @@ These protocols are the oracle for the full optical apparatus: the fusion
 plus-branch amplitudes here must match the optical H/H-heralded branch, and
 fission inverts fusion exactly.
 
-Each step plans and replays its terms by the rule stated in
-``fockfuse.states``, through ``planned`` and ``moved``.
+Each rail step is a table, in ``_STEPS``, from the photon counts on its
+rails to the counts it leaves there and the sign ``moved`` reads.  One
+builder, ``_rail_plan``, applies a table to every term of a support,
+and refuses a term whose counts the table lacks; the plan is kept and
+replayed by the rule stated in ``fockfuse.states``.
 """
 
 from __future__ import annotations
@@ -42,30 +45,53 @@ def qubit_on(pair: RailPair, amps) -> PureState:
     return superpose(PureState.vacuum(), amps, tuple(((rail, ""),) for rail in pair))
 
 
-#: a rail pair's photon counts inside the protocol space
-_PROTOCOL_PAIRS = ((0, 0), (0, 1), (1, 0))
+#: a rail pair's counts: the empty qubit, logical 0 and logical 1
+_EMPTY, _ZERO, _ONE = (0, 0), (1, 0), (0, 1)
+
+#: each rail step's table and refusal message
+_STEPS = {
+    # counts on the control rails, then the target rails
+    "cnot": (
+        {
+            # an empty control or target takes the passthrough amplitude
+            _EMPTY + _EMPTY: (_EMPTY + _EMPTY, 1),
+            _EMPTY + _ZERO: (_EMPTY + _ZERO, 1),
+            _EMPTY + _ONE: (_EMPTY + _ONE, 1),
+            _ZERO + _EMPTY: (_ZERO + _EMPTY, 1),
+            _ONE + _EMPTY: (_ONE + _EMPTY, 1),
+            # both populated: a logical-1 control swaps the target
+            _ZERO + _ZERO: (_ZERO + _ZERO, 0),
+            _ZERO + _ONE: (_ZERO + _ONE, 0),
+            _ONE + _ZERO: (_ONE + _ONE, 0),
+            _ONE + _ONE: (_ONE + _ZERO, 0),
+        },
+        "rail occupancy outside the protocol space: {}",
+    ),
+    # a populated pair's photon moves onto its first rail
+    "erase": (
+        {_EMPTY: (_EMPTY, 0), _ZERO: (_ZERO, 1), _ONE: (_ZERO, 1)},
+        "erased qubit must carry at most one photon",
+    ),
+    # the pair's one photon is consumed, with a sign on the second rail in minus
+    "plus": ({_ZERO: (_EMPTY, 1), _ONE: (_EMPTY, 1)}, "erased qubit must carry exactly one photon"),
+    "minus": ({_ZERO: (_EMPTY, 1), _ONE: (_EMPTY, -1)}, "erased qubit must carry exactly one photon"),
+}
 
 
-def _cnot_plan(support, control: RailPair, target: RailPair):
-    """For each occupation of ``support``: its image under the CNOT table,
-    at sign 1 (True) if it takes the vacuum passthrough amplitude."""
-    if set(control) & set(target):
-        raise ValueError("control and target rails overlap")
-    c0, c1 = (make_key(rail, "") for rail in control)
-    t0, t1 = (make_key(rail, "") for rail in target)
-    steps = []
+def _rail_plan(support, step: str, rails: tuple[str, ...]):
+    """For each occupation of ``support``: its counts on ``rails`` replaced
+    by the ``step`` table's row for them, and that row's sign."""
+    table, refusal = _STEPS[step]
+    keys = [make_key(rail, "") for rail in rails]
+    plan = []
     for occ in support:
         counts = dict(occ)
-        nc = (counts.get(c0, 0), counts.get(c1, 0))
-        nt = (counts.get(t0, 0), counts.get(t1, 0))
-        if nc not in _PROTOCOL_PAIRS or nt not in _PROTOCOL_PAIRS:
-            raise ValueError(f"rail occupancy outside the protocol space: {occ}")
-        empty = nc == (0, 0) or nt == (0, 0)
-        if nc == (0, 1) and not empty:  # control logical 1: swap the target rails
-            counts[t0], counts[t1] = nt[1], nt[0]
-            occ = tuple(sorted((k, n) for k, n in counts.items() if n > 0))
-        steps.append((occ, empty))
-    return tuple(steps)
+        row = table.get(tuple(counts.pop(key, 0) for key in keys))
+        if row is None:
+            raise ValueError(refusal.format(occ))
+        counts.update((key, n) for key, n in zip(keys, row[0]) if n)
+        plan.append((tuple(sorted(counts.items())), row[1]))
+    return tuple(plan)
 
 
 def cnot(
@@ -79,24 +105,9 @@ def cnot(
     Populated control/target follow the CNOT table; an empty control or an
     empty target leaves the term unchanged scaled by ``vacuum_amp``.
     """
-    return moved(joint, planned(_cnot_plan, tuple(joint._terms), tuple(control), tuple(target)), vacuum_amp)
-
-
-def _measure_plan(support, pair: RailPair):
-    """The plus and the minus branch's plans: for each occupation of
-    ``support``, the rest once the pair's photon is consumed, at sign 1,
-    or at -1 in the minus branch if the photon sat on the second rail."""
-    k0, k1 = (make_key(rail, "") for rail in pair)
-    plus, minus = [], []
-    for occ in support:
-        counts = dict(occ)
-        n0, n1 = counts.pop(k0, 0), counts.pop(k1, 0)
-        if (n0, n1) not in ((1, 0), (0, 1)):
-            raise ValueError("erased qubit must carry exactly one photon")
-        rest = tuple(sorted(counts.items()))
-        plus.append((rest, 1))
-        minus.append((rest, -1 if n1 else 1))
-    return tuple(plus), tuple(minus)
+    if set(control) & set(target):
+        raise ValueError("control and target rails overlap")
+    return moved(joint, planned(_rail_plan, tuple(joint._terms), "cnot", (*control, *target)), vacuum_amp)
 
 
 def measure_plus_minus(state: PureState, pair: RailPair):
@@ -107,29 +118,11 @@ def measure_plus_minus(state: PureState, pair: RailPair):
     zero-state marker at probability zero).
     """
     results = []
-    for plan in planned(_measure_plan, tuple(state._terms), tuple(pair)):
-        branch = moved(state, plan, INV_SQRT2)
+    for step in ("plus", "minus"):
+        branch = moved(state, planned(_rail_plan, tuple(state._terms), step, tuple(pair)), INV_SQRT2)
         prob = branch.squared_norm()
         results.append((prob, branch.normalized() if prob > 0 else PureState.zero()))
     return tuple(results)
-
-
-def _erase_plan(support, pair: RailPair):
-    """For each occupation of ``support``: the occupation with a populated
-    pair's photon moved onto its first rail, at sign 1 (True) if it was
-    populated (it then takes 1/sqrt(2))."""
-    k0, k1 = (make_key(rail, "") for rail in pair)
-    steps = []
-    for occ in support:
-        counts = dict(occ)
-        n0, n1 = counts.pop(k0, 0), counts.pop(k1, 0)
-        if (n0, n1) not in _PROTOCOL_PAIRS:
-            raise ValueError("erased qubit must carry at most one photon")
-        populated = (n0, n1) != (0, 0)
-        if populated:
-            counts[k0] = 1
-        steps.append((tuple(sorted((k, n) for k, n in counts.items() if n > 0)), populated))
-    return tuple(steps)
 
 
 def erase_to_zero_port(state: PureState, pair: RailPair) -> PureState:
@@ -139,7 +132,7 @@ def erase_to_zero_port(state: PureState, pair: RailPair) -> PureState:
     amplitude 1/sqrt(2); an empty pair passes unchanged.  The result is the
     unnormalized success branch.
     """
-    return moved(state, planned(_erase_plan, tuple(state._terms), tuple(pair)), INV_SQRT2)
+    return moved(state, planned(_rail_plan, tuple(state._terms), "erase", tuple(pair)), INV_SQRT2)
 
 
 # -- fusion -----------------------------------------------------------------

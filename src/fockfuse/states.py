@@ -19,16 +19,17 @@ pushes a state through such a map, which decides each input occupation's
 image and check verdict once and keeps both in its own memo, with a plan
 replaying them for each of its ``PLAN_LIMIT`` most recent input supports.
 
-Every other step that goes term by term keeps one rule: where each term
+Every other step that goes term by term but ``factor_on_modes`` (whose
+one pass costs less than a plan's lookup) keeps one rule: where each term
 goes is decided once per input support (its ordered occupations) and the
 step's arguments, by a builder whose plan ``planned`` keeps in one memo of
 the ``PLAN_LIMIT`` most recently used plans.  A builder's refusal is not
 kept, so it is raised on every call.  A plan decides only where terms go;
 each call redoes every float operation on its own amplitudes, in the order
 the plain loop would.  ``moved`` replays the plans that send each term to
-one occupation, with at most one factor (``factor_on_modes`` and the rail
-steps of ``fockfuse.rails``); ``superpose`` and ``projector_probability``
-replay their own, which hold each photon's √n and each projector slot.
+one occupation, with at most one factor (the rail steps of
+``fockfuse.rails``); ``superpose`` and ``projector_probability`` replay
+their own, which hold each photon's √n and each projector slot.
 
 A mixture is a pure state too: ``MixedState`` labels each branch on a mode
 no detector reads, so one algebra serves both.
@@ -360,7 +361,20 @@ class PureState:
         otherwise the state is entangled with the remainder and a
         ``ValueError`` is raised.
         """
-        return moved(self, planned(_factor_plan, tuple(self._terms), frozenset(modes)))
+        keep = frozenset(modes)
+        rest_ref = None
+        out = {}
+        for occ, amp in self._terms.items():
+            inside, outside = [], []
+            for pair in occ:
+                (inside if pair[0][0] in keep else outside).append(pair)
+            if rest_ref is None:
+                rest_ref = outside
+            elif outside != rest_ref:
+                raise ValueError(f"state does not factor on modes {sorted(keep)}")
+            # the common outside part keeps the inside parts distinct; 0.0 + as in ``moved``
+            out[tuple(inside)] = 0.0 + amp
+        return PureState._of(out)
 
     def to_json_obj(self) -> list[dict]:
         """Canonical serialization: sorted list of occupation/amplitude rows."""
@@ -432,6 +446,8 @@ def superpose(base: PureState, amps, kets, tags=None) -> PureState:
     then ``a``; a product or a running sum at or below ``PRUNE_TOL`` is
     dropped.
     """
+    if len(amps) != len(kets):
+        raise ValueError(f"expected {len(kets)} amplitudes, got {len(amps)}")
     tags = tuple(tags.items()) if tags else ()
     plan = planned(_superpose_plan, tuple(base._terms), tuple(map(tuple, kets)), tags)
     out: dict[Occupation, complex] = {}
@@ -458,24 +474,6 @@ def fidelity(x: PureState, y: PureState) -> float:
     if nx * ny == math.inf:  # fidelity ignores each state's scale
         return fidelity(x.normalized(), y.normalized())
     return abs(x.inner(y)) ** 2 / (nx * ny)
-
-
-def _factor_plan(support: tuple[Occupation, ...], keep: frozenset[str]):
-    """Each occupation of ``support`` restricted to the ``keep`` modes, at
-    sign 0 (the common outside part keeps them distinct); ``ValueError``
-    unless all of them share one occupation outside ``keep``."""
-    rest_ref: list | None = None
-    inside_parts = []
-    for occ in support:
-        inside, outside = [], []
-        for pair in occ:
-            (inside if pair[0][0] in keep else outside).append(pair)
-        if rest_ref is None:
-            rest_ref = outside
-        elif outside != rest_ref:
-            raise ValueError(f"state does not factor on modes {sorted(keep)}")
-        inside_parts.append((tuple(inside), 0))
-    return tuple(inside_parts)
 
 
 def _projector_plan(support: tuple[Occupation, ...], targets: frozenset[str]):

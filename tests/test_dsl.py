@@ -230,7 +230,11 @@ class TestGenerated:
         amps = {QubitSlot: (0.6, 0.8j), QuditSlot: (0.5, 0.5j, -0.5, 0.5)}
         bindings = {i.name: amps[type(i)] for i in circuit.inputs if not isinstance(i, PhotonIn)}
         tag = st.sampled_from(("", "A"))
-        tags = data.draw(st.dictionaries(st.sampled_from(circuit.modes), tag, max_size=2))
+        occupied = sorted(
+            {m for i in circuit.inputs for m in ((i.mode1, i.mode2) if isinstance(i, QuditSlot) else (i.mode,))}
+        )
+        # a tag on a mode no input occupies is refused
+        tags = data.draw(st.dictionaries(st.sampled_from(occupied), tag, max_size=2)) if occupied else {}
         state = initial_state(circuit, bindings, tags=tags)
         for mode, rail_tag in data.draw(st.lists(st.tuples(st.sampled_from(circuit.modes), tag), max_size=2)):
             state = state.create(mode, "", rail_tag)  # a rail photon

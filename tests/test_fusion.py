@@ -25,7 +25,9 @@ from fockfuse.circuits import (
     PhotonIn,
     apply_feed_forward,
     build_fusion_circuit,
+    fission_success_target,
     fused_target,
+    fusion_input,
     initial_state,
     normalized_amplitudes,
     run_circuit,
@@ -33,6 +35,7 @@ from fockfuse.circuits import (
     run_fusion,
 )
 from fockfuse.elements import Hwp, Pbs, SigmaX, Unfold, apply_elements
+from fockfuse.rails import qubit_on
 from fockfuse.states import (
     BRANCH_MODE,
     H,
@@ -42,6 +45,7 @@ from fockfuse.states import (
     MixedState,
     PureState,
     fidelity,
+    superpose,
 )
 from fockfuse.verify import random_qubit
 
@@ -180,6 +184,14 @@ class TestGenericRunner:
         with pytest.raises(ValueError, match="unbound"):
             initial_state(build_fusion_circuit(), {"psi": (1, 0)})
 
+    @pytest.mark.parametrize("tags, message", [
+        ({"t1": "A"}, "^no input on mode 't1'$"),
+        ({"a": "A", "ghost": "B", "c1": ""}, "^no input on mode 'ghost', 'c1'$"),
+    ], ids=["internal-mode", "undeclared-and-internal"])
+    def test_a_tag_on_a_mode_no_input_occupies_raises(self, tags, message):
+        with pytest.raises(ValueError, match=message):
+            initial_state(build_fusion_circuit(), {"psi": (1, 0), "phi": (0, 1)}, tags=tags)
+
 
 def outcome_bits(outcomes):
     """Each outcome's pattern, probability and terms, signed zeros included."""
@@ -315,6 +327,19 @@ class TestAmplitudes:
             normalized_amplitudes((0, 0), 2)
         with pytest.raises(ValueError, match="expected 4 amplitudes, got 2"):
             normalized_amplitudes((1, 0), 4)
+
+    @pytest.mark.parametrize("build, amps, message", [
+        (fused_target, (1, 0, 0), "expected 4 amplitudes, got 3"),
+        (fused_target, (0, 0, 0, 0, 5), "expected 4 amplitudes, got 5"),
+        (fission_success_target, (1,), "expected 4 amplitudes, got 1"),
+        (fusion_input, (1, 0), "expected 4 amplitudes, got 2"),
+        (lambda amps: qubit_on(("r0", "r1"), amps), (1, 0, 7), "expected 2 amplitudes, got 3"),
+        (lambda amps: superpose(PureState.vacuum(), amps, ((("a", H),),)), (), "expected 1 amplitudes, got 0"),
+    ], ids=["fused_target-short", "fused_target-long", "fission_target", "fusion_input", "qubit_on", "superpose"])
+    def test_a_miscounted_ket_amplitude_list_raises(self, build, amps, message):
+        """One amplitude per ket, not a silently truncated ``zip``."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(amps)
 
     def test_library_inputs_are_normalized(self):
         unit = run_fusion((0.6, 0.8j), (INV_SQRT2, INV_SQRT2))

@@ -178,7 +178,7 @@ RAIL_VALUES = (
 )
 RAIL_AMPS = st.sampled_from(RAIL_VALUES)
 #: rail-pair photon counts, mostly inside the protocol space
-PAIR_COUNTS = st.sampled_from(((0, 0), (1, 0), (0, 1), (1, 0), (0, 1), (1, 1), (2, 0)))
+PAIR_COUNTS = st.sampled_from(((0, 0), (1, 0), (0, 1), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)))
 #: photons no rail step reads: a tagged or polarized photon on a rail's mode, or one elsewhere
 SPECTATORS = st.lists(
     st.sampled_from(((("s", H, ""), 1), (("s", H, "A"), 1), (("c0", "", "A"), 1), (("t1", H, ""), 2))),
@@ -223,7 +223,6 @@ MEMO_STATES = [
 #: every step that plans through ``planned``, as a call on one state
 PLANNED_STEPS = {
     "superpose": lambda s: superpose(s, (1.0, -0.6j), ((("a", H),), (("a", V), ("b", V))), {"a": "A", "b": None}),
-    "factor_on_modes": lambda s: s.factor_on_modes(C + T),
     "projector_probability": lambda s: projector_probability(s, {("t0", ""): INV_SQRT2, ("t1", ""): 0.5j}),
     "cnot": lambda s: cnot(s, C, T, 0.5j),
     "cnot_reversed": lambda s: cnot(s, T, C, 0.5j),
@@ -272,14 +271,15 @@ class TestRailPlans:
     @pytest.mark.parametrize("name", sorted(PLANNED_STEPS))
     def test_a_plan_dropped_from_the_memo_is_rebuilt(self, name):
         """The one memo keeps ``PLAN_LIMIT`` plans; the least recently used
-        is dropped, and a call on its support rebuilds it with the same bits."""
+        is dropped, and a call on its support rebuilds it with the same bits
+        (both of them for ``measure_plus_minus``, which plans each branch)."""
         step = PLANNED_STEPS[name]
         planned.cache_clear()
         first = [exact(step(state)) for state in MEMO_STATES]
         assert planned.cache_info().currsize == PLAN_LIMIT
         misses = planned.cache_info().misses
         assert exact(step(MEMO_STATES[0])) == first[0]
-        assert planned.cache_info().misses == misses + 1
+        assert planned.cache_info().misses == misses + (2 if name == "measure_plus_minus" else 1)
 
 
 #: the control rails of every fusion round
