@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockfuse.circuits import apply_feed_forward, fused_target, normalized_amplitudes, product_qudit, run_fusion
+from fockfuse.circuits import (
+    apply_feed_forward,
+    fused_target,
+    normalized_amplitudes,
+    product_qudit,
+    rescaled_amplitudes,
+    run_fusion,
+)
 from fockfuse.rails import (
     MAX_FUSED_QUBITS,
     SPLIT_RAIL_KETS,
@@ -125,8 +132,8 @@ def measure_plus_minus_reference(state, pair):
     results = []
     for sign in (+1, -1):
         branch = PureState(collected[sign])
-        prob = branch.squared_norm()
-        results.append((prob, branch.normalized() if prob > 0 else PureState.zero()))
+        prob = sum((abs(a) ** 2 for _occ, a in branch.items()), 0.0)
+        results.append((prob, branch * (1.0 / math.sqrt(prob)) if prob > 0 else PureState.zero()))
     return tuple(results)
 
 
@@ -323,6 +330,47 @@ class TestFuseIteratedPlans:
         planned.cache_clear()
         for drawn in (qubits, qubits, others):
             assert outcome(fuse_iterated, drawn, vacuum_amp) == outcome(fuse_iterated_reference, drawn, vacuum_amp)
+
+
+def fuse_joint_reference(amps, vacuum_amp=1.0):
+    """``fuse_joint`` from the reference loops, in the spread layout: the
+    target's logical t on rail r2t, the CNOTs onto (r0, r1) and (r2, r3)."""
+    amps, squared_norm = rescaled_amplitudes(amps, 4)
+    joint = superpose(
+        PureState.vacuum(), amps, tuple(((f"r{2 * t}", ""), (c, "")) for t in (0, 1) for c in FUSION_CONTROL)
+    )
+    for k in range(2):
+        joint = cnot_reference(joint, FUSION_CONTROL, (f"r{2 * k}", f"r{2 * k + 1}"), vacuum_amp)
+    (p_plus, plus), (p_minus, minus) = measure_plus_minus_reference(joint, FUSION_CONTROL)
+    kets = tuple(((f"r{i}", ""),) for i in range(4))
+    return plus.amplitudes(kets), minus.amplitudes(kets), p_plus / squared_norm, p_minus / squared_norm
+
+
+def fuse_reference(psi, phi, vacuum_amp=1.0):
+    psi, phi = (rescaled_amplitudes(q, 2)[0] for q in (psi, phi))
+    return fuse_joint_reference(product_qudit(psi, phi), vacuum_amp)
+
+
+def branches(fusion):
+    return fusion.plus_amps, fusion.minus_amps, fusion.plus_probability, fusion.minus_probability
+
+
+class TestFuseJointPlans:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        amps=st.lists(st.sampled_from(RAIL_VALUES + (0.0, -0.0)), min_size=4, max_size=4),
+        qubits=st.lists(st.tuples(*[st.sampled_from(RAIL_VALUES + (0.0, -0.0))] * 2), min_size=2, max_size=2),
+        vacuum_amp=VACUUM_AMPS,
+    )
+    def test_branches_equal_the_reference(self, amps, qubits, vacuum_amp):
+        """``fuse_joint`` and ``fuse`` give the reference's amplitudes and
+        probabilities bit for bit, or its refusal: cold, then warm."""
+        planned.cache_clear()
+        for _ in range(2):
+            got = outcome(lambda *a: branches(fuse_joint(*a)), amps, vacuum_amp)
+            assert got == outcome(fuse_joint_reference, amps, vacuum_amp)
+            got = outcome(lambda *a: branches(fuse(*a)), *qubits, vacuum_amp)
+            assert got == outcome(fuse_reference, *qubits, vacuum_amp)
 
 
 class TestFuse:
