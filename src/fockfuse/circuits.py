@@ -54,6 +54,7 @@ from .states import (
     DetectionPattern,
     MemoRules,
     PureState,
+    conditioned,
     superpose,
     unit_shift,
 )
@@ -293,7 +294,7 @@ def run_circuit(
     for occ, amp in input_state.substituted(heralded).items():
         for i in heralded.route(occ):
             kept[i][occ] = amp
-    return [ConditionalOutcome.of(terms, p) for terms, p in zip(kept, circuit.patterns)]
+    return [ConditionalOutcome(*conditioned(terms), p) for terms, p in zip(kept, circuit.patterns)]
 
 
 # -- fusion apparatus -------------------------------------------------------

@@ -15,6 +15,11 @@ rails to the counts it leaves there and the sign ``moved`` reads.  One
 builder, ``_rail_plan``, applies a table to every term of a support,
 and refuses a term whose counts the table lacks; the plan is kept and
 replayed by the rule stated in ``fockfuse.states``.
+
+A fusion round on a register of width w (rails r0..r{w-1}) CNOTs the
+control onto each pair (r_k, r_{k+w}): the control's bit becomes the top
+bit of the rail index, no rail is relabelled, and the amplitudes, first
+qubit most significant, are read in bit-reversed rail order.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuits import normalized_amplitudes, product_qudit, rescaled_amplitudes
-from .states import INV_SQRT2, PureState, make_key, moved, planned, superpose
+from .states import INV_SQRT2, PureState, conditioned, make_key, moved, planned, superpose
 
 RailPair = tuple[str, str]
 
@@ -113,16 +118,13 @@ def cnot(
 def measure_plus_minus(state: PureState, pair: RailPair):
     """Erase a populated qubit by projecting on (|10> +/- |01>)/sqrt(2).
 
-    The measured photon is consumed.  Returns ((p_plus, state_plus),
-    (p_minus, state_minus)) with renormalized remainder states (or the
-    zero-state marker at probability zero).
+    The measured photon is consumed.  Returns the (plus, minus) branches,
+    each ``conditioned`` as ``(probability, state)``.
     """
-    results = []
-    for step in ("plus", "minus"):
-        branch = moved(state, planned(_rail_plan, tuple(state._terms), step, tuple(pair)), INV_SQRT2)
-        prob = branch.squared_norm()
-        results.append((prob, branch.normalized() if prob > 0 else PureState.zero()))
-    return tuple(results)
+    return tuple(
+        conditioned(moved(state, planned(_rail_plan, tuple(state._terms), step, tuple(pair)), INV_SQRT2)._terms)
+        for step in ("plus", "minus")
+    )
 
 
 def erase_to_zero_port(state: PureState, pair: RailPair) -> PureState:
@@ -137,7 +139,7 @@ def erase_to_zero_port(state: PureState, pair: RailPair) -> PureState:
 
 # -- fusion -----------------------------------------------------------------
 
-#: control rails of a fusion round; register qubit k sits on rails (r2k, r2k+1)
+#: control rails of a fusion round
 _CONTROL: RailPair = ("cx0", "cx1")
 
 MINUS_BRANCH_CORRECTION = (1.0, -1.0, 1.0, -1.0)
@@ -157,30 +159,22 @@ class FusionBranches:
 
 
 def _register_kets(width: int):
-    """One-photon kets of register rails r0..r{width-1}, in rail order."""
-    return tuple(((f"r{i}", ""),) for i in range(width))
+    """One-photon kets of register rails r0..r{width-1}, in bit-reversed order."""
+    bits = width.bit_length() - 1
+    return tuple(((f"r{int(f'{i:0{bits}b}'[::-1], 2)}", ""),) for i in range(width))
 
 
-#: joint kets by (target bit, control bit): the unfolded target's logical 0
-#: sits on pair (r0, r1), its logical 1 on (r2, r3)
-_JOINT_KETS = tuple(((f"r{2 * t}", ""), (c, "")) for t in (0, 1) for c in _CONTROL)
-
-
-def _spread_plan(support, width: int):
-    """Each occupation of ``support`` with register rail i moved onto rail
-    2i, at sign 0: an injective relabeling that frees the odd rails."""
-    spread = {f"r{i}": f"r{2 * i}" for i in range(width)}
-    return tuple(
-        (tuple(sorted(((spread[rail], ch, tag), n) for (rail, ch, tag), n in occ)), 0) for occ in support
-    )
+#: joint kets by (target bit, control bit): the target's logical t on rail rt
+_JOINT_KETS = tuple(((f"r{t}", ""), (c, "")) for t in (0, 1) for c in _CONTROL)
 
 
 def _fusion_round(joint: PureState, vacuum_amps):
-    """CNOT register pair k from the control with passthrough amplitude
-    ``vacuum_amps[k]``, then erase the control in the +/- basis; returns
-    ``measure_plus_minus``'s (plus, minus) branches."""
+    """CNOT pair (r_k, r_{k+w}), w = len(vacuum_amps), from the control with
+    passthrough amplitude ``vacuum_amps[k]``, then erase the control in the
+    +/- basis; returns ``measure_plus_minus``'s (plus, minus) branches."""
+    width = len(vacuum_amps)
     for k, amp in enumerate(vacuum_amps):
-        joint = cnot(joint, _CONTROL, (f"r{2 * k}", f"r{2 * k + 1}"), amp)
+        joint = cnot(joint, _CONTROL, (f"r{k}", f"r{k + width}"), amp)
     return measure_plus_minus(joint, _CONTROL)
 
 
@@ -242,10 +236,9 @@ def fuse_iterated(qubits, vacuum_amp: complex = 1.0):
     width = 2
     probability = 1.0
     for q in qubits[1:]:
-        state = moved(state, planned(_spread_plan, tuple(state._terms), width))
-        width *= 2
         state = superpose(state, q, tuple(((c_rail, ""),) for c_rail in _CONTROL))
-        p_plus, state = _fusion_round(state, [vacuum_amp] * (width // 2))[0]
+        p_plus, state = _fusion_round(state, [vacuum_amp] * width)[0]
+        width *= 2
         probability *= p_plus
     return state.amplitudes(_register_kets(width)), probability
 
@@ -275,10 +268,8 @@ def fission(qudit, vacuum_amp: complex = 1.0):
     state = cnot(state, _SRC2, FISSION_T_RAILS, vacuum_amp)
     state = erase_to_zero_port(state, _SRC1)
     state = erase_to_zero_port(state, _SRC2)
-    probability = state.squared_norm() / squared_norm
-    if probability <= 0.0:
-        return PureState.zero(), 0.0
-    return state.normalized(), probability
+    probability, state = conditioned(state._terms)
+    return state, probability / squared_norm
 
 
 def two_qubit_state(c_amps, t_amps) -> PureState:

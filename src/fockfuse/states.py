@@ -31,6 +31,11 @@ one occupation, with at most one factor (the rail steps of
 ``fockfuse.rails``); ``superpose`` and ``projector_probability`` replay
 their own, which hold each photon's √n and each projector slot.
 
+A heralded outcome (a detection pattern, a rail erasure, rail fission's
+zero ports) is conditioned by one rule, ``conditioned``: its probability
+is Σ|a|² of the heralded terms (``inf`` past the float range), and its
+state those terms times 1/√Σ, less any at or below ``PRUNE_TOL``.
+
 A mixture is a pure state too: ``MixedState`` labels each branch on a mode
 no detector reads, so one algebra serves both.
 """
@@ -252,11 +257,7 @@ class PureState:
         return tuple(found)
 
     def squared_norm(self) -> float:
-        """Σ|a|², or ``inf`` when it passes the float range."""
-        try:
-            return sum((abs(a) ** 2 for a in self._terms.values()), 0.0)
-        except OverflowError:
-            return math.inf
+        return _squared_sum(self._terms)
 
     def norm(self) -> float:
         """The norm at any scale, by an exact power-of-two prescale when Σ|a|²
@@ -294,10 +295,10 @@ class PureState:
     __rmul__ = __mul__
 
     def normalized(self) -> "PureState":
-        n = self.norm()
-        if n == 0.0:
+        probability, state = conditioned(self._terms)
+        if probability == 0.0:
             raise ValueError("cannot normalize the zero state")
-        return self * (1.0 / n)
+        return state
 
     # -- physics ------------------------------------------------------------
 
@@ -350,9 +351,9 @@ class PureState:
         return PureState._of(out)
 
     def project(self, pattern: "DetectionPattern") -> "ConditionalOutcome":
-        """The terms the pattern admits, renormalized by ``ConditionalOutcome.of``."""
+        """The terms the pattern admits, ``conditioned``."""
         kept = {occ: amp for occ, amp in self._terms.items() if pattern.matches(occ)}
-        return ConditionalOutcome.of(kept, pattern)
+        return ConditionalOutcome(*conditioned(kept), pattern)
 
     def factor_on_modes(self, modes: Iterable[str]) -> "PureState":
         """Restrict to ``modes`` when the complement part factors out.
@@ -392,6 +393,26 @@ class PureState:
 
     def to_canonical_text(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True)
+
+
+def _squared_sum(terms: Mapping[Occupation, complex]) -> float:
+    """Σ|a|² onto 0.0, or ``inf`` when it passes the float range."""
+    try:
+        return sum((abs(a) ** 2 for a in terms.values()), 0.0)
+    except OverflowError:
+        return math.inf
+
+
+def conditioned(terms: dict[Occupation, complex]) -> tuple[float, PureState]:
+    """The heralded ``terms`` as ``(probability, state)`` by the module
+    docstring's rule, scaled by ``norm``'s exact power-of-two prescale past
+    the float range; ``(0.0, PureState.zero())`` if none, NaN left to ``_of``."""
+    probability = _squared_sum(terms)
+    if probability <= 0.0:
+        return 0.0, PureState.zero()
+    scale = 1.0 / (PureState._of(terms).norm() if probability == math.inf else math.sqrt(probability))
+    kept = {occ: z for occ, amp in terms.items() if not abs(z := amp * scale) <= PRUNE_TOL}
+    return probability, PureState._of(kept)
 
 
 @lru_cache(maxsize=PLAN_LIMIT)
@@ -599,24 +620,13 @@ class DetectionPattern:
 
 @dataclass(frozen=True)
 class ConditionalOutcome:
-    """A detection pattern's probability and renormalized conditional state:
-    ``PureState.zero()`` at probability 0, and for a mixed input the
+    """A detection pattern's probability and conditional state, as
+    ``conditioned`` gives them; for a mixed input the state is the
     purification of the conditional mixture, each term keeping its label."""
 
     probability: float
     state: PureState
     pattern: DetectionPattern
-
-    @classmethod
-    def of(cls, kept: dict[Occupation, complex], pattern: DetectionPattern) -> "ConditionalOutcome":
-        """The outcome of the heralded terms ``kept``: Σ|a|² and the terms renormalized."""
-        probability = sum(abs(a) ** 2 for a in kept.values())
-        if probability <= 0.0:
-            return cls(0.0, PureState.zero(), pattern)
-        scale = 1.0 / math.sqrt(probability)
-        # amp * scale may fall below PRUNE_TOL; NaN is kept for ``_of`` to refuse
-        terms = {occ: z for occ, amp in kept.items() if not abs(z := amp * scale) <= PRUNE_TOL}
-        return cls(probability, PureState._of(terms), pattern)
 
 
 class MixedState(PureState):

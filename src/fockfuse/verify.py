@@ -153,22 +153,28 @@ def check_projection_completeness(seed: int) -> str | None:
     return None
 
 
+def _heralded_failure(outcomes, feed_forward, target) -> str | None:
+    """The apparatus heralding rule: every branch at 1/32, each fed forward
+    onto ``target``, and 1/8 in total (so four branches)."""
+    for outcome in outcomes:
+        if abs(outcome.probability - 1 / 32) > 1e-12:
+            return f"branch probability {outcome.probability} is not 1/32"
+        corrected = feed_forward(outcome)
+        if fidelity(corrected, target) < 1.0 - TOL:
+            return f"feed-forward fidelity {fidelity(corrected, target)}"
+    total = sum(outcome.probability for outcome in outcomes)
+    if abs(total - 1 / 8) > 1e-12:
+        return f"total heralded probability {total} is not 1/8"
+    return None
+
+
 def check_fusion_correctness(seed: int) -> str | None:
     rng = random.Random(seed)
     for _ in range(N_RANDOM):
         psi, phi = random_qubit(rng), random_qubit(rng)
-        outcomes = run_fusion(psi, phi)
         target = fused_target(product_qudit(psi, phi))
-        total = 0.0
-        for outcome in outcomes:
-            if abs(outcome.probability - 1 / 32) > 1e-12:
-                return f"branch probability {outcome.probability} is not 1/32"
-            corrected = apply_feed_forward(outcome)
-            if fidelity(corrected, target) < 1.0 - TOL:
-                return f"feed-forward fidelity {fidelity(corrected, target)}"
-            total += outcome.probability
-        if abs(total - 1 / 8) > 1e-12:
-            return f"total heralded probability {total} is not 1/8"
+        if failure := _heralded_failure(run_fusion(psi, phi), apply_feed_forward, target):
+            return failure
     return None
 
 
@@ -283,17 +289,8 @@ def check_fission_output(seed: int) -> str | None:
     rng = random.Random(seed)
     for _ in range(10):
         amps = random_qudit(rng)
-        outcomes = run_fission(amps)
-        target = fission_success_target(amps)
-        for outcome in outcomes:
-            if abs(outcome.probability - 1 / 32) > 1e-12:
-                return f"fission branch probability {outcome.probability}"
-            corrected = fission_feed_forward(outcome)
-            if fidelity(corrected, target) < 1.0 - TOL:
-                return f"fission feed-forward fidelity {fidelity(corrected, target)}"
-        total = sum(outcome.probability for outcome in outcomes)
-        if abs(total - 1 / 8) > 1e-12:
-            return f"fission heralded total {total}"
+        if failure := _heralded_failure(run_fission(amps), fission_feed_forward, fission_success_target(amps)):
+            return f"fission {failure}"
     return None
 
 

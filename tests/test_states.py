@@ -18,11 +18,11 @@ from fockfuse.states import (
     INV_SQRT2,
     PRUNE_TOL,
     V,
-    ConditionalOutcome,
     DetectionPattern,
     MixedState,
     PhotonCapExceeded,
     PureState,
+    conditioned,
     fidelity,
     make_key,
     planned,
@@ -306,12 +306,12 @@ class TestTrustedPaths:
     def test_conditional_outcome_of_a_nan(self):
         kept = {((("a", H, ""), 1),): complex(math.nan, 0.0)}
         with pytest.raises(ValueError, match="^amplitudes must be finite$"):
-            ConditionalOutcome.of(kept, DetectionPattern.of({"a": H}))
+            conditioned(kept)
 
     def test_conditional_outcome_prunes_what_renormalization_shrinks(self):
         big, small = ((("a", H, ""), 1),), ((("a", V, ""), 1),)
-        outcome = ConditionalOutcome.of({big: 1e6 + 0j, small: 1e-7 + 0j}, DetectionPattern.of({"a": "any"}))
-        assert [occ for occ, _amp in outcome.state.items()] == [big]
+        _probability, state = conditioned({big: 1e6 + 0j, small: 1e-7 + 0j})
+        assert [occ for occ, _amp in state.items()] == [big]
 
     def test_unnormalized_fusion_input_is_unchanged(self):
         # an input of norm 3 gives every pattern nine times its probability
@@ -324,8 +324,56 @@ class TestTrustedPaths:
             assert [(k, repr(z)) for k, z in o.state.items()] == [(occ, "(1+0j)")]
 
 
+def conditioned_reference(terms):
+    """The arithmetic ``ConditionalOutcome.of`` had, written out: Σ|a|²,
+    then each term times 1.0/√Σ, less those at or below ``PRUNE_TOL``."""
+    probability = sum(abs(a) ** 2 for a in terms.values())
+    if probability <= 0.0:
+        return 0.0, PureState.zero()
+    scale = 1.0 / math.sqrt(probability)
+    return probability, PureState({occ: amp * scale for occ, amp in terms.items()})
+
+
+def exact_outcome(outcome):
+    probability, state = outcome
+    return type(probability), probability.hex(), [(occ, a.real.hex(), a.imag.hex()) for occ, a in state.items()]
+
+
+#: heralded terms: signed zero parts, and magnitudes that fall to or below
+#: PRUNE_TOL once 1e6 or 1e150 sets the scale
+HERALDED_TERMS = st.dictionaries(
+    st.sampled_from([((("a", pol, tag), 1), (("c", H, ""), n)) for pol in (H, V) for tag in ("", "A") for n in (1, 2)]),
+    st.sampled_from(
+        (1.0, -0.6j, complex(-0.0, 0.8), complex(0.5, -0.0), 0.3 - 0.4j, 1e6, -1e6j, 1e150, 1e-7, 3e-12, 1e-140)
+    ),
+    max_size=6,
+)
+
+
+class TestConditioned:
+    @settings(deadline=None, max_examples=200)
+    @given(terms=HERALDED_TERMS)
+    def test_equals_the_old_arithmetic(self, terms):
+        assert exact_outcome(conditioned(terms)) == exact_outcome(conditioned_reference(terms))
+
+    def test_no_terms(self):
+        assert exact_outcome(conditioned({})) == (float, "0x0.0p+0", [])
+
+
 class TestScale:
     """Norms and fidelities give the unit-scale answer when Σ|a|² overflows."""
+
+    def test_run_circuit_past_the_float_range(self):
+        """The unit input's conditional states, and probability ``inf``, as
+        ``squared_norm`` reads it; before, Σ|a|² raised ``OverflowError``."""
+        unit = run_circuit(FUSION, input_state=fusion_input((1, 0, 0, 0)))
+        big = run_circuit(FUSION, input_state=fusion_input((1, 0, 0, 0)) * 1e200)
+        assert len(big) == len(unit) == 4
+        for got, want in zip(big, unit):
+            assert got.probability == math.inf
+            assert [occ for occ, _amp in got.state.items()] == [occ for occ, _amp in want.state.items()]
+            for (_occ, a), (_occ2, b) in zip(got.state.items(), want.state.items()):
+                assert a == pytest.approx(b, abs=1e-15)
 
     @pytest.mark.parametrize("scale", [1e200, 1e300])
     def test_norm_and_normalized(self, scale):
