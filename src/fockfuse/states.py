@@ -257,6 +257,7 @@ class PureState:
         return tuple(found)
 
     def squared_norm(self) -> float:
+        """Σ|a|², or ``inf`` when it passes the float range."""
         return _squared_sum(self._terms)
 
     def norm(self) -> float:
@@ -396,7 +397,6 @@ class PureState:
 
 
 def _squared_sum(terms: Mapping[Occupation, complex]) -> float:
-    """Σ|a|² onto 0.0, or ``inf`` when it passes the float range."""
     try:
         return sum((abs(a) ** 2 for a in terms.values()), 0.0)
     except OverflowError:
