@@ -30,7 +30,6 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass
 from functools import cache, lru_cache
 
 from .elements import (
@@ -54,6 +53,7 @@ from .states import (
     DetectionPattern,
     MemoRules,
     PureState,
+    Record,
     conditioned,
     superpose,
     unit_shift,
@@ -86,8 +86,7 @@ class CircuitError(ValueError):
         self.field = field
 
 
-@dataclass(frozen=True)
-class PhotonIn:
+class PhotonIn(Record):
     """A fixed single-photon injection."""
 
     mode: str
@@ -95,16 +94,14 @@ class PhotonIn:
     tag: str = ""
 
 
-@dataclass(frozen=True)
-class QubitSlot:
+class QubitSlot(Record):
     """A polarization qubit whose two amplitudes are bound at run time."""
 
     mode: str
     name: str
 
 
-@dataclass(frozen=True)
-class QuditSlot:
+class QuditSlot(Record):
     """A single photon over two modes x polarization, bound at run time.
 
     Amplitude order: (mode1 H, mode1 V, mode2 H, mode2 V).
@@ -118,8 +115,7 @@ class QuditSlot:
 CircuitInput = PhotonIn | QubitSlot | QuditSlot
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(Record):
     """A linear-optical circuit, checked by ``validate`` when it is built."""
 
     modes: tuple[str, ...]
@@ -132,8 +128,7 @@ class Circuit:
 
     def __hash__(self) -> int:  # hashed once: each run looks its map up by the circuit
         if "_hash" not in vars(self):
-            fields = (self.modes, self.inputs, self.elements, self.patterns)
-            object.__setattr__(self, "_hash", hash(fields))
+            object.__setattr__(self, "_hash", super().__hash__())
         return self._hash
 
     def __getstate__(self) -> dict:  # a str hash differs between processes: copies hash afresh
@@ -311,6 +306,9 @@ def build_fusion_circuit() -> Circuit:
     return load_named_circuit("fusion")
 
 
+#: the keys of the fusion apparatus's four tested input bases (``distinguishability.BASES``)
+BASIS_KEYS = ("i", "ii", "iii", "iv")
+
 #: ket order of the fused photon: t1H, t1V, t2H, t2V
 FUSED_KETS = tuple(((m, p),) for m in ("t1", "t2") for p in (H, V))
 
@@ -361,12 +359,16 @@ def apply_feed_forward(outcome: ConditionalOutcome) -> PureState:
     A V detection on ``a`` flips H/V on ``t1``; a V detection on ``c`` flips
     them on ``t2``.  Returns the corrected output-photon state on t1/t2.
     """
-    pa = outcome.pattern.requirement_for("a")
-    pc = outcome.pattern.requirement_for("c")
-    if pa not in (H, V) or pc not in (H, V):
+    req = outcome.pattern.requirement_for
+    flips = _FUSION_FLIPS.get((req("a"), req("c")))
+    if flips is None:
         raise ValueError("outcome does not carry a fusion detection pattern")
-    flips = tuple(SigmaX(mode) for mode, pol in (("t1", pa), ("t2", pc)) if pol == V)
     return apply_elements(outcome.state, flips).factor_on_modes(("t1", "t2"))
+
+
+#: the fusion feed-forward's flips by the detections on (a, c)
+_T1, _T2 = SigmaX("t1"), SigmaX("t2")
+_FUSION_FLIPS = {(H, H): (), (H, V): (_T2,), (V, H): (_T1,), (V, V): (_T1, _T2)}
 
 
 # -- fission apparatus ------------------------------------------------------
@@ -410,8 +412,10 @@ def fission_feed_forward(outcome: ConditionalOutcome) -> PureState:
     """
     if outcome.pattern not in build_fission_circuit().patterns:
         raise ValueError("outcome does not carry a fission detection pattern")
-    pa = outcome.pattern.requirement_for("a")
-    corrections: tuple[OpticalElement, ...] = (SignFlipV("t"),) if pa == V else ()
-    if outcome.pattern.requirement_for("c'") == "any":
-        corrections += (SigmaX("t"), Relabel("c'", "c"))
+    req = outcome.pattern.requirement_for
+    corrections = _FISSION_FLIP * (req("a") == V) + _FISSION_SWAP * (req("c'") == "any")
     return apply_elements(outcome.state, corrections).factor_on_modes(("t", "c"))
+
+
+#: the fission feed-forward's corrections, applied in this order
+_FISSION_FLIP, _FISSION_SWAP = (SignFlipV("t"),), (SigmaX("t"), Relabel("c'", "c"))

@@ -7,6 +7,11 @@ Subcommands reproduce the model predictions and verification suites:
 ``--format json`` emits machine-readable reports with 12 significant
 digits.  ``verify`` runs every check of ``fockfuse.verify.CHECKS`` at one
 seed, comparing at a fixed tolerance of 1e-10.
+
+A subcommand imports only the modules it runs.  The rail protocols, the
+source model and the verification suite are imported on first use, through
+the package, by the module ``__getattr__``; handlers read those names as
+attributes of this module (``_cli.fit_p``), so a name rebound here is called.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import sys
 from pathlib import Path
 
 from .circuits import (
+    BASIS_KEYS,
     FUSED_KETS,
     SPLIT_KETS,
     apply_feed_forward,
@@ -30,25 +36,24 @@ from .circuits import (
     run_fission,
     run_fusion,
 )
-from .distinguishability import (
-    BASIS_KEYS,
-    CLOSED_FORM_NOTE,
-    ProbabilityMatrix,
-    average_fidelity,
-    closed_form_matrix,
-    coincidence_weighted_fidelity,
-    fit_p,
-    get_basis,
-    similarity,
-    simulate_basis_matrix,
-    simulated_average_fidelity,
-    simulated_basis_mean_fidelity,
-)
 from .dsl import load_named_circuit, parse_circuit
-from .rails import SPLIT_RAIL_KETS, fission as rail_fission, fuse as rail_fuse
 from .reports import REFERENCE, ExperimentReport
 from .states import PureState, fidelity
-from .verify import run_verification
+
+#: the package's names that handlers import on first use
+_LAZY = frozenset((
+    "ProbabilityMatrix average_fidelity closed_form_matrix coincidence_weighted_fidelity fit_p "
+    "get_basis rail_fission rail_fuse run_verification similarity simulate_basis_matrix "
+    "simulated_average_fidelity simulated_basis_mean_fidelity"
+).split())
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
 
 
 def _complex(text: str) -> complex:
@@ -101,11 +106,7 @@ def _emit(args, report: ExperimentReport, csv_text: str | None = None) -> None:
 
 
 def _branch_label(pattern) -> str:
-    parts = []
-    for group, req in pattern.requirements:
-        modes = "+".join(sorted(group))
-        parts.append(f"{modes}:{req}")
-    return " ".join(parts)
+    return " ".join(f"{'+'.join(sorted(group))}:{req}" for group, req in pattern.requirements)
 
 
 def _heralded_rows(outcomes, feed_forward, target) -> tuple[list[dict], list[PureState]]:
@@ -167,7 +168,7 @@ def cmd_fission(args) -> int:
 
 
 def cmd_abstract_fuse(args) -> int:
-    branches = rail_fuse(args.psi, args.phi, vacuum_amp=args.vacuum_amp)
+    branches = _cli.rail_fuse(args.psi, args.phi, vacuum_amp=args.vacuum_amp)
     report = ExperimentReport(
         "abstract-fuse",
         {
@@ -192,7 +193,9 @@ def cmd_abstract_fuse(args) -> int:
 
 
 def cmd_abstract_fission(args) -> int:
-    state, probability = rail_fission(args.amps, vacuum_amp=args.vacuum_amp)
+    from .rails import SPLIT_RAIL_KETS
+
+    state, probability = _cli.rail_fission(args.amps, vacuum_amp=args.vacuum_amp)
     report = ExperimentReport(
         "abstract-fission",
         {"amps": list(args.amps), "vacuum_amp": args.vacuum_amp},
@@ -208,10 +211,12 @@ def cmd_abstract_fission(args) -> int:
 
 
 def cmd_basis_scan(args) -> int:
-    basis = get_basis(args.basis)
-    simulated = simulate_basis_matrix(basis, args.p)
-    closed = closed_form_matrix(basis, args.p)
-    agreement = similarity(simulated, closed)
+    from .distinguishability import CLOSED_FORM_NOTE
+
+    basis = _cli.get_basis(args.basis)
+    simulated = _cli.simulate_basis_matrix(basis, args.p)
+    closed = _cli.closed_form_matrix(basis, args.p)
+    agreement = _cli.similarity(simulated, closed)
     report = ExperimentReport(
         "basis-scan",
         {"basis": basis.key, "p": args.p},
@@ -220,7 +225,7 @@ def cmd_basis_scan(args) -> int:
             "closed form": closed,
             "summary": {
                 "similarity(simulated, closed form)": agreement,
-                "basis mean fidelity": simulated_basis_mean_fidelity(basis, args.p),
+                "basis mean fidelity": _cli.simulated_basis_mean_fidelity(basis, args.p),
             },
         },
         references={"fitted_indistinguishability": REFERENCE.fitted_indistinguishability},
@@ -244,12 +249,12 @@ def cmd_fidelity_curve(args) -> int:
     for p in [args.p_min + i * step for i in range(args.steps - 1)] + [args.p_max]:
         row = {
             "p": p,
-            "law": average_fidelity(p),
-            "simulated": simulated_average_fidelity(p),
-            "all16_weighted": coincidence_weighted_fidelity(p),
+            "law": _cli.average_fidelity(p),
+            "simulated": _cli.simulated_average_fidelity(p),
+            "all16_weighted": _cli.coincidence_weighted_fidelity(p),
         }
         for key in BASIS_KEYS:
-            row[f"basis_{key}"] = simulated_basis_mean_fidelity(key, p)
+            row[f"basis_{key}"] = _cli.simulated_basis_mean_fidelity(key, p)
         rows.append(row)
     report = ExperimentReport(
         "fidelity-curve",
@@ -276,7 +281,7 @@ def cmd_fit_p(args) -> int:
             payload = json.loads(text)
             if not isinstance(payload, dict) or "entries" not in payload:
                 raise ValueError("expected a JSON object with an 'entries' matrix")
-            observed = ProbabilityMatrix(
+            observed = _cli.ProbabilityMatrix(
                 payload.get("basis", args.basis),
                 payload["entries"],
                 payload.get("row_labels"),
@@ -285,19 +290,19 @@ def cmd_fit_p(args) -> int:
             if observed.basis.lower() in BASIS_KEYS and observed.basis.lower() != args.basis:
                 raise ValueError(f"file basis {observed.basis!r} differs from --basis {args.basis}")
         else:
-            observed = ProbabilityMatrix.from_csv(text, basis=args.basis)
+            observed = _cli.ProbabilityMatrix.from_csv(text, basis=args.basis)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    estimate = fit_p(observed, args.basis)
-    model = closed_form_matrix(args.basis, estimate)
+    estimate = _cli.fit_p(observed, args.basis)
+    model = _cli.closed_form_matrix(args.basis, estimate)
     report = ExperimentReport(
         "fit-p",
         {"basis": args.basis, "input": str(path)},
         {
             "fit": {
                 "p": estimate,
-                "similarity at fit": similarity(observed, model),
-                "mean fidelity at fit": average_fidelity(estimate),
+                "similarity at fit": _cli.similarity(observed, model),
+                "mean fidelity at fit": _cli.average_fidelity(estimate),
             }
         },
         references={
@@ -352,7 +357,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    return 1 if run_verification(seed=args.seed) else 0
+    return 1 if _cli.run_verification(seed=args.seed) else 0
 
 
 def _add_output_flags(parser: argparse.ArgumentParser, formats=("text", "json")) -> None:

@@ -25,10 +25,10 @@ simulation and by hand expansion of the tagged three-photon amplitudes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .circuits import (
+    BASIS_KEYS,
     FUSED_KETS,
     build_fusion_circuit,
     fused_target,
@@ -36,7 +36,7 @@ from .circuits import (
     product_qudit,
     run_circuit,
 )
-from .states import INV_SQRT2, projector_probability
+from .states import INV_SQRT2, Record, projector_probability
 
 CLOSED_FORM_NOTE = (
     "bases i/ii off-diagonal closed-form numerators are 3(1-p), the unique "
@@ -60,8 +60,7 @@ def indistinguishable_fraction(p: float) -> float:
 KETS = {"H": (1.0, 0.0), "V": (0.0, 1.0), "+": (INV_SQRT2, INV_SQRT2), "-": (INV_SQRT2, -INV_SQRT2)}
 
 
-@dataclass(frozen=True)
-class Basis:
+class Basis(Record):
     """One tested input basis with its four output analysis projectors."""
 
     key: str
@@ -99,12 +98,9 @@ class Basis:
 
 
 BASES = {
-    key: Basis.of(key, target, control)
-    for key, target, control in (
-        ("i", "HV", "HV"), ("ii", "HV", "+-"), ("iii", "+-", "HV"), ("iv", "+-", "+-")
-    )
+    key: Basis.of(key, *pair)
+    for key, pair in zip(BASIS_KEYS, (("HV", "HV"), ("HV", "+-"), ("+-", "HV"), ("+-", "+-")))
 }
-BASIS_KEYS = tuple(BASES)
 
 
 def get_basis(basis: str | Basis) -> Basis:
@@ -120,8 +116,7 @@ def get_basis(basis: str | Basis) -> Basis:
 # -- probability matrices ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProbabilityMatrix:
+class ProbabilityMatrix(Record):
     """4x4 input/output distribution with labels, by default the basis's;
     construction refuses entries that are not a 4x4 matrix of finite reals."""
 

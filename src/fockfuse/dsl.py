@@ -15,7 +15,7 @@ One directive per line, ``#`` starts a comment.  Directives:
     relabel <from> <to>
     detect <modespec> <H|V|any|none> ...
 
-An input or element directive is its dataclass (``photon``, ``qubit`` and
+An input or element directive is its record (``photon``, ``qubit`` and
 ``qudit`` are ``PhotonIn``, ``QubitSlot`` and ``QuditSlot``; an element is
 its class name in lower case) with the fields as arguments in order, a
 defaulted last field being optional; the serializer writes them back, floats
@@ -30,9 +30,8 @@ line and column of the offending token.
 
 from __future__ import annotations
 
+import pkgutil
 import re
-from dataclasses import MISSING, fields
-from importlib import resources
 from typing import get_args, get_type_hints
 
 from .circuits import Circuit, CircuitError, PhotonIn, QubitSlot, QuditSlot
@@ -41,13 +40,13 @@ from .states import H, V, DetectionPattern, PatternError
 
 _TOKEN = re.compile(r"\S+")
 
-#: input and element directive -> (its dataclass, its (field, type) pairs in order)
+#: input and element directive -> (its record, its (field, type) pairs in order)
 _DIRECTIVES = {
-    head: (cls, tuple((f, get_type_hints(cls)[f.name]) for f in fields(cls)))
+    head: (cls, tuple((name, get_type_hints(cls)[name]) for name in cls.__match_args__))
     for head, cls in {"photon": PhotonIn, "qubit": QubitSlot, "qudit": QuditSlot,
                       **{cls.__name__.lower(): cls for cls in get_args(OpticalElement)}}.items()
 }
-#: dataclass -> its directive
+#: record -> its directive
 _HEADS = {cls: head for head, (cls, _) in _DIRECTIVES.items()}
 
 
@@ -103,11 +102,11 @@ def parse_circuit(text: str) -> Circuit:
 
         elif head in _DIRECTIVES:
             cls, spec = _DIRECTIVES[head]
-            words = arity(line, sum(f.default is MISSING for f, _ in spec), len(spec))
+            words = arity(line, len(spec) - len(cls._defaults), len(spec))
             args: list = []
-            for i, (word, (f, kind)) in enumerate(zip(words[1:], spec), start=1):
+            for i, (word, (name, kind)) in enumerate(zip(words[1:], spec), start=1):
                 try:
-                    args.append(kind(_pol(word) if f.name == "pol" else word))
+                    args.append(kind(_pol(word) if name == "pol" else word))
                 except ValueError:
                     raise line.fail(f"angle must be a number, got {word!r}", i) from None
             section = "elements" if cls in get_args(OpticalElement) else "inputs"
@@ -136,7 +135,7 @@ def parse_circuit(text: str) -> Circuit:
         entry, line = sections[section][index]
         words = line.words
         if exc.field:  # an input's or element's arguments follow its fields in order
-            at = 1 + [f.name for f in fields(entry)].index(exc.field)
+            at = 1 + entry.__match_args__.index(exc.field)
         elif section == "patterns":  # a detect line names modes in its odd, `+`-joined tokens
             at = next(i for i in range(1, len(words), 2) if exc.mode in words[i].split("+"))
         else:
@@ -149,8 +148,8 @@ def _directive(entry) -> str:
     last one equal to its default (str() of a float is its repr)."""
     head = _HEADS[type(entry)]
     spec = _DIRECTIVES[head][1]
-    values = [getattr(entry, f.name) for f, _ in spec]
-    if spec[-1][0].default == values[-1]:
+    values = list(entry._values(entry))
+    if spec[-1][0] in entry._defaults and entry._defaults[spec[-1][0]] == values[-1]:
         values.pop()
     return " ".join([head, *(str(kind(v)) for v, (_, kind) in zip(values, spec))])
 
@@ -167,5 +166,5 @@ def serialize_circuit(circuit: Circuit) -> str:
 
 def load_named_circuit(name: str) -> Circuit:
     """Parse one of the circuits shipped with the package (e.g. 'fusion')."""
-    text = resources.files("fockfuse.data").joinpath(f"{name}.lop").read_text()
+    text = pkgutil.get_data(__package__, f"data/{name}.lop").decode()
     return parse_circuit(text)

@@ -25,23 +25,20 @@ recent input supports; ``compile_elements`` keeps the 256 most recent maps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .states import H, PRUNE_TOL, V, MemoRules, PureState
+from .states import H, PRUNE_TOL, V, MemoRules, PureState, Record
 
 
-@dataclass(frozen=True)
-class Hwp:
+class Hwp(Record):
     """Half-wave plate on one mode; ``theta`` in degrees."""
 
     mode: str
     theta: float
 
 
-@dataclass(frozen=True)
-class Pbs:
+class Pbs(Record):
     """Polarizing beam splitter between two spatial modes."""
 
     in1: str
@@ -50,8 +47,7 @@ class Pbs:
     out2: str
 
 
-@dataclass(frozen=True)
-class Unfold:
+class Unfold(Record):
     """Split a mode by polarization: H goes to ``out_h``, V to ``out_v``."""
 
     src: str
@@ -59,8 +55,7 @@ class Unfold:
     out_v: str
 
 
-@dataclass(frozen=True)
-class Merge:
+class Merge(Record):
     """Inverse of Unfold: recombine an H-only and a V-only mode."""
 
     in_h: str
@@ -68,21 +63,18 @@ class Merge:
     out: str
 
 
-@dataclass(frozen=True)
-class Relabel:
+class Relabel(Record):
     src: str
     dst: str
 
 
-@dataclass(frozen=True)
-class SigmaX:
+class SigmaX(Record):
     """Swap H and V on one mode (a NOT in the polarization basis)."""
 
     mode: str
 
 
-@dataclass(frozen=True)
-class SignFlipV:
+class SignFlipV(Record):
     """Negate the V amplitude on one mode."""
 
     mode: str

@@ -24,10 +24,8 @@ qubit most significant, are read in bit-reversed rail order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .circuits import normalized_amplitudes, product_qudit, rescaled_amplitudes
-from .states import INV_SQRT2, PureState, conditioned, make_key, moved, planned, superpose
+from .states import INV_SQRT2, PureState, Record, conditioned, make_key, moved, planned, superpose
 
 RailPair = tuple[str, str]
 
@@ -145,8 +143,7 @@ _CONTROL: RailPair = ("cx0", "cx1")
 MINUS_BRANCH_CORRECTION = (1.0, -1.0, 1.0, -1.0)
 
 
-@dataclass(frozen=True)
-class FusionBranches:
+class FusionBranches(Record):
     """Both erasure outcomes of the rail-level fusion."""
 
     plus_amps: tuple[complex, ...]

@@ -10,14 +10,18 @@ used as pass/fail oracles.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import sys
 
 from . import __version__
-from .distinguishability import ProbabilityMatrix
+from .states import Record
 
 
-@dataclass(frozen=True)
-class ReferenceConstants:
+def _is_matrix(value) -> bool:  # none exists before its module is imported
+    module = sys.modules.get(f"{__package__}.distinguishability")
+    return module is not None and isinstance(value, module.ProbabilityMatrix)
+
+
+class ReferenceConstants(Record):
     """Documented experimental reference values (comparison only)."""
 
     measured_mean_fidelity: float = 0.750
@@ -41,7 +45,7 @@ def _round12(value):
         return {k: _round12(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_round12(v) for v in value]
-    if isinstance(value, ProbabilityMatrix):
+    if _is_matrix(value):
         return _round12(value.to_json_obj())
     return value
 
@@ -55,13 +59,17 @@ def _fmt6(value) -> str:
     return str(value)
 
 
-@dataclass
-class ExperimentReport:
+class ExperimentReport(Record):
+    """A report, which may be changed after it is built and so has no hash."""
+
     name: str
     parameters: dict
-    tables: dict = field(default_factory=dict)
-    references: dict = field(default_factory=dict)
+    tables: dict = {}
+    references: dict = {}
     notes: tuple = ()
+
+    __hash__ = None
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
 
     def to_json(self) -> str:
         payload = {
@@ -95,7 +103,7 @@ class ExperimentReport:
 
 
 def _render_table(table) -> list[str]:
-    if isinstance(table, ProbabilityMatrix):
+    if _is_matrix(table):
         width = max(len(lbl) for lbl in table.row_labels + table.col_labels) + 2
         head = " " * width + "".join(f"{lbl:>{width}}" for lbl in table.col_labels)
         lines = [head]

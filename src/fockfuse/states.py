@@ -45,8 +45,8 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
 H = "H"
@@ -60,11 +60,62 @@ PLAN_LIMIT = 256
 #: it, and it sorts before every valid mode name
 BRANCH_MODE = "#"
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_set = object.__setattr__  # sets a field of a record, which refuses assignment
 
 #: (mode, channel, tag)
 Key = tuple[str, str, str]
 #: sorted tuple of (key, count) pairs with count > 0
 Occupation = tuple[tuple[Key, int], ...]
+
+
+class Record:
+    """A value with the fields its class annotates, in order (``__match_args__``),
+    each defaulting to its class attribute if it has one (a dict default is
+    copied per record).  Records are equal only within a class; a record hashes
+    as its fields' tuple, shows as a frozen dataclass does and refuses
+    assignment.  ``__post_init__``, if defined, checks each new record."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = names = tuple(cls.__annotations__)
+        get = attrgetter(*names)
+        cls._values = staticmethod(get if len(names) > 1 else lambda record: (get(record),))
+        cls._defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
+        cls._checked = hasattr(cls, "__post_init__")
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        if kwargs or len(args) != len(names):  # a field named, or left to its default
+            given = {**dict(zip(names, args)), **kwargs}
+            values = {k: v.copy() if isinstance(v, dict) else v for k, v in self._defaults.items()} | given
+            if len(given) < len(args) + len(kwargs) or values.keys() != set(names):
+                raise TypeError(f"{type(self).__name__}() takes each of {names} once, or its default")
+            args = [values[name] for name in names]
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        if self._checked:
+            self.__post_init__()
+
+    def replace(self, **changes):
+        """A copy with ``changes`` to its fields, checked as a new record."""
+        return type(self)(**{**dict(zip(self.__match_args__, self._values(self))), **changes})
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values(self) == other._values(other) if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={value!r}" for name, value in zip(self.__match_args__, self._values(self)))
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class PhotonCapExceeded(ValueError):
@@ -268,9 +319,6 @@ class PureState:
             return math.sqrt(squared)
         shift = unit_shift(self._terms.values())
         return math.ldexp((self * 2.0**shift).norm(), -shift)
-
-    def modes(self) -> list[str]:
-        return sorted({k[0] for occ in self._terms for k, _ in occ})
 
     def max_photons(self) -> int:
         return max((total_photons(occ) for occ in self._terms), default=0)
@@ -560,8 +608,7 @@ class PatternError(ValueError):
         self.part = part
 
 
-@dataclass(frozen=True)
-class DetectionPattern:
+class DetectionPattern(Record):
     """Photon-count requirements on groups of output modes.
 
     Each entry constrains a mode group to the (H, V) photon counts, summed
@@ -618,8 +665,7 @@ class DetectionPattern:
         return None
 
 
-@dataclass(frozen=True)
-class ConditionalOutcome:
+class ConditionalOutcome(Record):
     """A detection pattern's probability and conditional state, as
     ``conditioned`` gives them; for a mixed input the state is the
     purification of the conditional mixture, each term keeping its label."""

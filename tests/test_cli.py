@@ -407,18 +407,71 @@ class TestRunCommand:
 
 
 
-@pytest.mark.parametrize("argv", [
-    ["-c", "import fockfuse"],
-    ["-m", "fockfuse.cli", "fuse", "--psi", "1,0", "--phi", "0,1"],
-], ids=["import", "fuse"])
-def test_runs_without_numpy(argv):
-    """The package runs on the standard library: a child never imports numpy."""
+def imported_by_child(*argv):
+    """The modules a child interpreter run with ``argv`` imports, in order."""
     src = str(Path(fockfuse.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     child = subprocess.run(
         [sys.executable, "-X", "importtime", *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
     )
-    imported = [line.rsplit("|", 1)[-1].strip() for line in child.stderr.splitlines()]
+    return [line.rsplit("|", 1)[-1].strip() for line in child.stderr.splitlines()]
+
+
+@pytest.mark.parametrize("argv", [
+    ["-c", "import fockfuse"],
+    ["-m", "fockfuse.cli", "fuse", "--psi", "1,0", "--phi", "0,1"],
+], ids=["import", "fuse"])
+def test_runs_without_numpy(argv):
+    """The package runs on the standard library: a child never imports numpy."""
+    imported = imported_by_child(*argv)
     assert "fockfuse" in imported
     assert not [name for name in imported if name.split(".")[0] == "numpy"]
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["fuse", "--psi", "1,0", "--phi", "0,1"],
+     ["fockfuse.rails", "fockfuse.distinguishability", "fockfuse.verify", "dataclasses", "inspect"]),
+    (["abstract-fuse", "--psi", "1,0", "--phi", "0,1"], ["fockfuse.distinguishability", "fockfuse.verify"]),
+    (["basis-scan", "--basis", "ii", "--p", "0.5"], ["fockfuse.rails", "fockfuse.verify"]),
+], ids=["fuse", "abstract-fuse", "basis-scan"])
+def test_a_subcommand_imports_only_what_it_runs(argv, unused):
+    """A CLI child leaves out every module its subcommand does not run, of
+    those that a bare interpreter does not import anyway."""
+    bare = set(imported_by_child("-c", "pass"))
+    imported = imported_by_child("-m", "fockfuse.cli", *argv)
+    assert "fockfuse.circuits" in imported
+    assert [name for name in unused if name not in bare and name in imported] == []
+
+
+def test_every_export_resolves():
+    """Each name of ``__all__`` resolves, ``import *`` binds them all, and
+    ``dir`` lists them, although the package imports its modules lazily."""
+    for name in fockfuse.__all__:
+        assert getattr(fockfuse, name) is not None, name
+    namespace = {}
+    exec("from fockfuse import *", namespace)
+    assert set(fockfuse.__all__) <= namespace.keys()
+    assert set(fockfuse.__all__) <= set(dir(fockfuse))
+    assert fockfuse.rail_fuse is fockfuse.rails.fuse and fockfuse.BASIS_KEYS == ("i", "ii", "iii", "iv")
+    with pytest.raises(AttributeError, match="has no attribute 'missing'"):
+        fockfuse.missing
+
+
+def test_cli_resolves_what_its_handlers_import_lazily():
+    """The names a handler imports on first use are attributes of ``cli``,
+    and a handler calls the one bound there."""
+    import fockfuse.cli as cli
+
+    assert cli.run_verification is fockfuse.verify.run_verification
+    assert cli.rail_fuse is fockfuse.rails.fuse and cli.fit_p is fockfuse.distinguishability.fit_p
+    with pytest.raises(AttributeError, match="has no attribute 'missing'"):
+        cli.missing
+    calls = []
+    original = cli.run_verification
+    cli.run_verification = lambda seed: calls.append(seed) or 0
+    try:
+        assert main(["verify", "--seed", "7"]) == 0
+    finally:
+        cli.run_verification = original
+    assert calls == [7]

@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import get_args
@@ -140,7 +139,7 @@ def valid_circuits(draw, min_inputs=0, max_inputs=3):
             pair = st.lists(live, min_size=2, max_size=2, unique=True)
             element = Pbs(*draw(pair), *draw(pair))
         else:
-            element = kind(*(draw(live) for _ in fields(kind)))
+            element = kind(*(draw(live) for _ in kind.__match_args__))
         elements.append(element)
         if isinstance(element, Unfold):
             retired.add(element.src)
@@ -175,7 +174,7 @@ def named_circuits(draw):
     kinds = [kind for kind in get_args(OpticalElement) if kind is not Hwp]
     elements = draw(st.lists(st.one_of(
         st.builds(Hwp, mode, st.floats()),
-        *(st.builds(kind, *[mode] * len(fields(kind))) for kind in kinds),
+        *(st.builds(kind, *[mode] * len(kind.__match_args__)) for kind in kinds),
     ), max_size=3))
     group = mostly(st.frozensets(mode, min_size=1, max_size=2),
                    st.frozensets(mostly(mode), max_size=2))
@@ -216,7 +215,7 @@ class TestGenerated:
         bindings = {} if isinstance(inp, PhotonIn) else {inp.name: amps}
         state = initial_state(circuit, bindings).normalized()
         try:
-            outcomes = run_circuit(replace(circuit, patterns=patterns), state)
+            outcomes = run_circuit(circuit.replace(patterns=patterns), state)
         except ValueError as exc:  # an element wrote onto a target that is not empty
             assert "already carries photons" in str(exc) or "merge undefined" in str(exc)
             assume(False)

@@ -30,6 +30,11 @@ def ket(*photons):
     return state
 
 
+def occupied_modes(state):
+    """The sorted modes that some term of ``state`` holds a photon on."""
+    return sorted({mode for occ, _amp in state.items() for (mode, _ch, _tag), _n in occ})
+
+
 def random_two_photon_state(rng):
     kets = [ket(("a", pa), ("c", pc)) for pa in (H, V) for pc in (H, V)]
     coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -109,7 +114,7 @@ class TestPbs:
         state = (ket(("x", H)) + ket(("z", H))).normalized()
         with pytest.raises(ValueError, match="pbs target 'z' already carries photons"):
             apply_element(state, Pbs("x", "y", "z", "y"))
-        assert apply_element(ket(("x", H)), Pbs("x", "y", "z", "y")).modes() == ["z"]
+        assert occupied_modes(apply_element(ket(("x", H)), Pbs("x", "y", "z", "y"))) == ["z"]
 
 
 class TestUnfoldMerge:
@@ -167,7 +172,7 @@ class TestSmallElements:
         rail = PureState.vacuum().create("r0", "")
         out = apply_element(rail, Relabel("r0", "r1"))
         assert abs(out.inner(PureState.vacuum().create("r1", "")) - 1.0) < 1e-12
-        assert out.modes() == ["r1"]
+        assert occupied_modes(out) == ["r1"]
 
     @pytest.mark.parametrize("element", [
         Unfold("a", "b", "c"), Merge("a", "b", "c"), Merge("b", "a", "c"), Pbs("a", "b", "c", "d"),
@@ -182,7 +187,7 @@ class TestSmallElements:
     ], ids=["pbs-output", "merge-output", "hwp", "sigmax", "signflipv"])
     def test_rail_photon_stays_on_a_mode_that_is_refilled(self, element):
         rail = PureState.vacuum().create("a", "")
-        assert apply_element(rail, element).modes() == ["a"]
+        assert occupied_modes(apply_element(rail, element)) == ["a"]
 
     def test_dispatch_matches_direct_calls(self):
         state = (ket(("a", H)) + ket(("c", V))).normalized()

@@ -7,10 +7,14 @@ Usage (from the root of a checkout):
 
 For ``apparatus``, ``mesh`` and ``source_model``, over seeds 1, 2 and 3,
 every op of one round of ``perfbench/workloads.py`` runs twice: first with
-every ``functools`` cache of the library cleared, then warm.  Each output is encoded with every real and imaginary part as
-``float.hex`` and every state's terms in their stored order, and the line
-``<workload> <sha256>`` is printed per workload.  Two trees whose lines are
-equal computed the same bits.  The benchmark files are imported, not edited.
+every ``functools`` cache of the library cleared, then warm.  A ``mesh_n*``
+op returns only each pattern's probability, so for it the mesh is also
+rebuilt from ``workloads.mesh_text`` and the op's parameters and run on its
+n-photon input, and every conditional state of that run is hashed too.
+Each output is encoded with every real and imaginary part as ``float.hex``
+and every state's terms in their stored order, and the line ``<workload>
+<sha256>`` is printed per workload.  Two trees whose lines are equal
+computed the same bits.  The benchmark files are imported, not edited.
 """
 
 from __future__ import annotations
@@ -53,6 +57,19 @@ def clear_caches() -> None:
                     clear()
 
 
+def mesh_states(n: int, steps) -> list:
+    """The conditional states of the mesh a ``mesh_n*`` op with parameters
+    ``(n, steps)`` runs, on its input of one H photon on each mode m0..m{n-1}."""
+    import workloads
+    from fockfuse import circuits, dsl, states
+
+    text, _patterns = workloads.mesh_text(n, list(steps))
+    state = states.PureState.vacuum()
+    for m in range(n):
+        state = state.create(f"m{m}", states.H, cap=None)
+    return [outcome.state for outcome in circuits.run_circuit(dsl.parse_circuit(text), input_state=state)]
+
+
 def workload_hash(name: str) -> str:
     import workloads
 
@@ -62,6 +79,8 @@ def workload_hash(name: str) -> str:
             clear_caches()
             for _ in range(2):  # cold, then warm
                 digest.update(f"{op.kind} {encode(op.run())}\n".encode())
+                if op.kind.startswith("mesh_n"):
+                    digest.update(f"{op.kind} states {encode(mesh_states(*op.params))}\n".encode())
     return digest.hexdigest()
 
 
