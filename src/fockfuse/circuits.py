@@ -16,13 +16,11 @@ creation.  A circuit's elements compile once (``elements.compile_elements``,
 cached) into one ``MemoRules`` map: a linear substitution of the creation
 operators that carries the elements' checks.  A circuit is validated once,
 when it is built; ``run_circuit`` pushes its input, a mixture included,
-through one ``substituted`` call of its heralded map: the same map and checks
-with every output occupation that none of the circuit's patterns admits
-dropped, so it computes only the terms a detector can herald, and routes each,
-in one pass, to the patterns that admit it.  ``apply_elements`` gives the full
-output state, as the feed-forward corrections use it.  Each map memoizes its
-images, check verdicts and routes, and a plan for each of its 256 most recent
-input supports; the 256 most recent heralded maps are kept.
+through one replay of its heralded map: the same map and checks with every
+output occupation that none of the circuit's patterns admits dropped, so it
+computes only the terms a detector can herald, each with the patterns that
+admit it.  ``apply_elements`` gives the full output state, as the
+feed-forward corrections use it.
 """
 
 from __future__ import annotations
@@ -48,6 +46,7 @@ from .elements import (
 from .elements import apply_element, apply_relabel, apply_sigma_x, apply_sign_flip_v  # noqa: F401
 from .states import (
     H,
+    PLAN_LIMIT,
     V,
     ConditionalOutcome,
     DetectionPattern,
@@ -223,10 +222,10 @@ def normalized_amplitudes(amps, n: int) -> tuple[complex, ...]:
     return tuple(z / norm for z in vec)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=PLAN_LIMIT)
 def _heralded_map(circuit: Circuit) -> MemoRules:
     """The circuit's compiled map, with its elements' checks and patterns: it
-    keeps, and routes, only the output occupations one of them admits."""
+    keeps only the output occupations one of them admits, each with its route."""
     compiled = compile_elements(circuit.elements)
     return MemoRules(compiled, compiled.checks, circuit.patterns)
 
@@ -275,8 +274,8 @@ def run_circuit(
     input_state: PureState | None = None,
     bindings: dict[str, tuple[complex, ...]] | None = None,
 ) -> list[ConditionalOutcome]:
-    """Apply the circuit's heralded map to ``input_state``, or to the state
-    ``bindings`` build, and route each term to every pattern that admits it;
+    """Replay the circuit's heralded map on ``input_state``, or on the state
+    ``bindings`` build, giving each term to every pattern that admits it;
     equal, bit for bit, to projecting the full ``apply_elements`` output.
     A ``MixedState`` input gives each pattern its branches' weighted
     probability and a conditional state whose terms keep their labels."""
@@ -286,8 +285,8 @@ def run_circuit(
     if input_state is None:
         input_state = initial_state(circuit, bindings)
     kept: list[dict] = [{} for _ in circuit.patterns]
-    for occ, amp in input_state.substituted(heralded).items():
-        for i in heralded.route(occ):
+    for occ, route, amp in heralded.replay(input_state):
+        for i in route:
             kept[i][occ] = amp
     return [ConditionalOutcome(*conditioned(terms), p) for terms, p in zip(kept, circuit.patterns)]
 

@@ -81,13 +81,16 @@ def _qudit_arg(text: str) -> tuple[complex, ...]:
     return _parse_amplitudes(text, 4)
 
 
-def _complex_arg(text: str) -> complex:
+def _passthrough_arg(text: str) -> complex:
+    """A CNOT's vacuum passthrough amplitude: a complex number of modulus at most 1."""
     try:
         z = _complex(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}") from None
     if not cmath.isfinite(z):
         raise argparse.ArgumentTypeError(f"complex number must be finite, got {text!r}")
+    if abs(z) > 1.0:
+        raise argparse.ArgumentTypeError(f"passthrough amplitude must have modulus at most 1, got {text!r}")
     return z
 
 
@@ -391,13 +394,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("abstract-fuse", help="rail-level fusion (protocol oracle)")
     p.add_argument("--psi", type=_qubit_arg, required=True)
     p.add_argument("--phi", type=_qubit_arg, required=True)
-    p.add_argument("--vacuum-amp", type=_complex_arg, default=1.0 + 0j)
+    p.add_argument("--vacuum-amp", type=_passthrough_arg, default=1.0 + 0j)
     _add_output_flags(p)
     p.set_defaults(func=cmd_abstract_fuse)
 
     p = sub.add_parser("abstract-fission", help="rail-level fission (protocol oracle)")
     p.add_argument("--amps", type=_qudit_arg, required=True)
-    p.add_argument("--vacuum-amp", type=_complex_arg, default=1.0 + 0j)
+    p.add_argument("--vacuum-amp", type=_passthrough_arg, default=1.0 + 0j)
     _add_output_flags(p)
     p.set_defaults(func=cmd_abstract_fission)
 

@@ -17,9 +17,7 @@ such check becomes structural: the set of input operators reaching the
 forbidden operator at that step with a coefficient above ``PRUNE_TOL``.  A
 state fails when one of its terms holds an operator of that set, so the
 check also fires when interference leaves the target exactly empty.  The
-map decides each input occupation's verdict once, with its image, and
-keeps both for as long as it lives, with a plan for each of its 256 most
-recent input supports; ``compile_elements`` keeps the 256 most recent maps.
+map decides each input occupation's verdict once, with its image.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ import math
 from functools import lru_cache
 from typing import Iterable
 
-from .states import H, PRUNE_TOL, V, MemoRules, PureState, Record
+from .states import H, PLAN_LIMIT, PRUNE_TOL, V, MemoRules, PureState, Record
 
 
 class Hwp(Record):
@@ -153,7 +151,7 @@ def block(element: OpticalElement) -> tuple[Rules, tuple]:
     raise TypeError(f"unknown optical element {element!r}")
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=PLAN_LIMIT)
 def compile_elements(elements: tuple[OpticalElement, ...]) -> MemoRules:
     """Compose the elements' blocks, in order, into one sparse linear map.
 

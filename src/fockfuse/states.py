@@ -14,22 +14,26 @@ input builder call it.  All values are immutable after construction and
 every operation is a pure function of its inputs.
 
 A linear optical network is one ``MemoRules`` map: its creation-operator
-substitution and its occupancy checks.  ``substituted`` is the one step that
-pushes a state through such a map, which decides each input occupation's
-image and check verdict once and keeps both in its own memo, with a plan
-replaying them for each of its ``PLAN_LIMIT`` most recent input supports.
+substitution and its occupancy checks.  ``MemoRules.replay`` is the one step
+that pushes a state through it, and ``substituted`` builds a state from it;
+the map decides each input occupation's image, check verdict and, for a
+heralded map, each image term's route (the patterns that admit it) once.
+
+Memo policy: a memo keyed by occupations, supports, element sequences or
+circuits holds at most ``PLAN_LIMIT`` entries.  A map's images and plans are
+emptied when full; ``planned`` and the compiled and heralded map caches keep
+their most recently used entries.
 
 Every other step that goes term by term but ``factor_on_modes`` (whose
 one pass costs less than a plan's lookup) keeps one rule: where each term
 goes is decided once per input support (its ordered occupations) and the
-step's arguments, by a builder whose plan ``planned`` keeps in one memo of
-the ``PLAN_LIMIT`` most recently used plans.  A builder's refusal is not
-kept, so it is raised on every call.  A plan decides only where terms go;
-each call redoes every float operation on its own amplitudes, in the order
-the plain loop would.  ``moved`` replays the plans that send each term to
-one occupation, with at most one factor (the rail steps of
-``fockfuse.rails``); ``superpose`` and ``projector_probability`` replay
-their own, which hold each photon's √n and each projector slot.
+step's arguments, by a builder whose plan ``planned`` keeps.  A builder's
+refusal is not kept, so it is raised on every call.  A plan decides only
+where terms go; each call redoes every float operation on its own
+amplitudes, in the order the plain loop would.  ``moved`` replays the plans
+that send each term to one occupation, with at most one factor (the rail
+steps of ``fockfuse.rails``); ``superpose`` and ``projector_probability``
+replay their own, which hold each photon's √n and each projector slot.
 
 A heralded outcome (a detection pattern, a rail erasure, rail fission's
 zero ports) is conditioned by one rule, ``conditioned``: its probability
@@ -54,7 +58,7 @@ V = "V"
 UNTAGGED = ""
 
 PRUNE_TOL = 1e-12
-#: the most plans one map, or ``planned``, keeps
+#: the most entries a memo keeps (the module docstring's memo policy)
 PLAN_LIMIT = 256
 #: the mode holding a mixture's branch labels: no circuit can name or detect
 #: it, and it sorts before every valid mode name
@@ -162,19 +166,22 @@ def _mode_channel_counts(occ: Occupation, modes: frozenset[str]) -> tuple[int, i
     return n_h, n_v
 
 
+def _kept(memo: dict, key, value):
+    """``memo.setdefault(key, value)``, emptying a full ``memo`` first; racing threads get the stored value."""
+    if len(memo) >= PLAN_LIMIT:
+        memo.clear()
+    return memo.setdefault(key, value)
+
+
 class MemoRules(dict):
     """A compiled map: ``(mode, channel)`` -> image as ``((mode, channel),
     coefficient)`` pairs, each coefficient above ``PRUNE_TOL`` (absent
     operators are left alone), and, in step order, ``(operators, message)``
     checks that refuse an input occupation holding any of the operators.
 
-    The map memoizes each occupation's image and verdict, keyed by the
-    occupation (tags included), for as long as it lives, and the ``plan`` of
-    each of its ``PLAN_LIMIT`` most recent input supports; it must not change
-    afterwards.  With ``patterns``, each image holds only the output
-    occupations that ``route`` admits to one of them, with the same
-    additions, in the same order, as without them.
-    Threads racing on a miss may compute an entry twice but all get the first.
+    It memoizes each occupation's image and verdict (tags included) and each
+    support's ``plan`` under the memo policy, and must not change afterwards.
+    With ``patterns``, an image keeps the terms one admits, with the same additions.
     """
 
     def __init__(self, rules, checks: tuple, patterns: tuple | None = None):
@@ -183,13 +190,13 @@ class MemoRules(dict):
         self.patterns = patterns
         self._images: dict = {}
         self._plans: dict = {}
-        self._routes: dict = {}
 
     def image(self, occ: Occupation):
         """``occ``'s creation-operator monomial expanded under the map, as
-        ``(√Π n_in!, ((out_occ, coeff, √Π n_out!), ...), refused)``, the
-        terms those a pattern admits and ``refused`` the index of the first
-        check that refuses ``occ``, or ``len(self.checks)``."""
+        ``(√Π n_in!, ((out_occ, coeff, √Π n_out!, route), ...), refused)``:
+        ``route`` the indices of the patterns that admit ``out_occ`` (empty
+        without patterns) and ``refused`` the index of the first check that
+        refuses ``occ``, or ``len(self.checks)``."""
         found = self._images.get(occ)
         if found is not None:
             return found
@@ -207,21 +214,20 @@ class MemoRules(dict):
                         bumped, _n = _occ_bump(mono, (m2, c2, tag))
                         nxt[bumped] = nxt.get(bumped, 0.0) + coeff * u
                 poly = nxt
-        terms = tuple(
-            (mono, coeff, math.sqrt(math.prod(math.factorial(n) for _, n in mono)))
-            for mono, coeff in poly.items()
-            if self.patterns is None or self.route(mono)
-        )
+        terms, keep = [], self.patterns
+        for mono, coeff in poly.items():
+            route = () if keep is None else tuple(i for i, p in enumerate(keep) if p.matches(mono))
+            if route or keep is None:
+                terms.append((mono, coeff, math.sqrt(math.prod(math.factorial(n) for _, n in mono)), route))
         held = {(mode, channel) for (mode, channel, _tag), _n in occ}
         refusals = (i for i, (ops, _) in enumerate(self.checks) if not ops.isdisjoint(held))
-        found = (math.sqrt(fact_in), terms, next(refusals, len(self.checks)))
-        return self._images.setdefault(occ, found)
+        return _kept(self._images, occ, (math.sqrt(fact_in), tuple(terms), next(refusals, len(self.checks))))
 
     def plan(self, support: tuple[Occupation, ...]):
         """The images of the input occupations ``support`` merged as ``(roots,
         rows, refused)``: each input's √Π n_in!, each output occupation in
-        first-touch order with its ``(input index, coeff, √Π n_out!)``
-        additions in order, and the earliest refusing check, as in ``image``."""
+        first-touch order as ``(occupation, route, [(input index, coeff,
+        √Π n_out!), ...])``, and the earliest refusing check, as in ``image``."""
         found = self._plans.get(support)
         if found is not None:
             return found
@@ -230,23 +236,31 @@ class MemoRules(dict):
             root, terms, check = self.image(occ)
             roots.append(root)
             refused = min(refused, check)
-            for mono, coeff, root_out in terms:
-                rows.setdefault(mono, []).append((i, coeff, root_out))
-        found = (tuple(roots), tuple(rows.items()), refused)
-        if len(self._plans) >= PLAN_LIMIT:
-            self._plans.clear()
-        return self._plans.setdefault(support, found)
+            for mono, coeff, root_out, route in terms:
+                rows.setdefault(mono, (mono, route, []))[2].append((i, coeff, root_out))
+        return _kept(self._plans, support, (tuple(roots), tuple(rows.values()), refused))
 
-    def route(self, occ: Occupation) -> tuple[int, ...]:
-        """The indices of the patterns that admit the output occupation
-        ``occ``; only a nonempty route is memoized, so the memo holds no
-        more occupations than the images keep."""
-        found = self._routes.get(occ)
-        if found is None:
-            found = tuple(i for i, p in enumerate(self.patterns) if p.matches(occ))
-            if found:
-                found = self._routes.setdefault(occ, found)
-        return found
+    def replay(self, state: "PureState") -> Iterator[tuple[Occupation, tuple[int, ...], complex]]:
+        """``(occupation, route, amplitude)`` per output occupation of
+        ``state``'s plan, summed onto 0.0 in its order, less sums at or below
+        ``PRUNE_TOL`` (NaN is kept for the caller to refuse); the identity map
+        yields each term as it is.  Raises ``ValueError`` with the message of
+        the earliest check, in step order, that refuses any term."""
+        roots, rows, refused = self.plan(tuple(state._terms))
+        if refused < len(self.checks):
+            raise ValueError(self.checks[refused][1])
+        amps = list(state._terms.values())
+        if not self:
+            for occ, route, ((i, _coeff, _root),) in rows:
+                yield occ, route, amps[i]
+            return
+        scales = [amp / root for amp, root in zip(amps, roots)]
+        for occ, route, row in rows:
+            total = 0.0
+            for i, coeff, root in row:
+                total += scales[i] * coeff * root
+            if not abs(total) <= PRUNE_TOL:
+                yield occ, route, total
 
 
 class PureState:
@@ -378,26 +392,11 @@ class PureState:
         return acc
 
     def substituted(self, rules: MemoRules) -> "PureState":
-        """The state pushed through a compiled map; tags ride along, so every
-        tag sector transforms identically, and an empty map is the identity.
-
-        Raises ``ValueError`` with the message of the earliest check, in step
-        order, that refuses any term.
-        """
+        """The state ``MemoRules.replay`` pushes through a compiled map: every tag
+        sector transforms identically, and an empty map is the identity."""
         if not rules:
             return self
-        roots, rows, refused = rules.plan(tuple(self._terms))
-        if refused < len(rules.checks):
-            raise ValueError(rules.checks[refused][1])
-        scales = [amp / root for amp, root in zip(self._terms.values(), roots)]
-        out: dict[Occupation, complex] = {}
-        for occ, row in rows:
-            total = 0.0
-            for i, coeff, root in row:
-                total += scales[i] * coeff * root
-            if not abs(total) <= PRUNE_TOL:  # NaN is kept for ``_of`` to refuse
-                out[occ] = total
-        return PureState._of(out)
+        return PureState._of({occ: amp for occ, _route, amp in rules.replay(self)})
 
     def project(self, pattern: "DetectionPattern") -> "ConditionalOutcome":
         """The terms the pattern admits, ``conditioned``."""

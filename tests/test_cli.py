@@ -130,6 +130,22 @@ class TestAbstractCommands:
         branch = payload["tables"]["success branch"]
         assert branch["probability"] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("argv", [
+        ["abstract-fuse", "--psi", "1,1", "--phi", "1,0"],
+        ["abstract-fission", "--amps", "1,1,1,1"],
+    ], ids=["abstract-fuse", "abstract-fission"])
+    @pytest.mark.parametrize("amp", ["1e300", "1.0000001", "-0.8+0.8j"])
+    def test_a_passthrough_modulus_above_one_is_refused(self, capsys, argv, amp):
+        """A modulus above 1 would report an infinite or above-one probability."""
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--vacuum-amp", amp])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        message = f"error: argument --vacuum-amp: passthrough amplitude must have modulus at most 1, got {amp!r}"
+        assert [line for line in err.splitlines() if "error:" in line] == [f"fockfuse {argv[0]}: {message}"]
+        code, out, err = run_cli(capsys, *argv, "--vacuum-amp", "-0.6-0.8j")
+        assert (code, err) == (0, "") and "inf" not in out
+
 
 class TestNegativeAmplitudes:
     """A value that starts with a minus sign may follow its option as a
@@ -143,9 +159,9 @@ class TestNegativeAmplitudes:
             ("fission", [("--amps", "-1.3-1.8j,0.4,0.2,1")]),
             (
                 "abstract-fuse",
-                [("--psi", "-0.6,0.8"), ("--phi", "-.5,1"), ("--vacuum-amp", "-0.5+1j")],
+                [("--psi", "-0.6,0.8"), ("--phi", "-.5,1"), ("--vacuum-amp", "-0.5+0.8j")],
             ),
-            ("abstract-fission", [("--amps", "-1,2j,0,1"), ("--vacuum-amp", "-2-1j")]),
+            ("abstract-fission", [("--amps", "-1,2j,0,1"), ("--vacuum-amp", "-0.6-0.3j")]),
         ],
     )
     def test_separate_value_gives_the_equals_report(self, capsys, command, options):
@@ -408,11 +424,12 @@ class TestRunCommand:
 
 
 def imported_by_child(*argv):
-    """The modules a child interpreter run with ``argv`` imports, in order."""
+    """The modules a child interpreter run with ``argv`` imports, in order;
+    ``-S`` keeps out what a ``.pth`` file of this environment's ``site`` imports."""
     src = str(Path(fockfuse.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     child = subprocess.run(
-        [sys.executable, "-X", "importtime", *argv],
+        [sys.executable, "-S", "-X", "importtime", *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
     )
     return [line.rsplit("|", 1)[-1].strip() for line in child.stderr.splitlines()]
@@ -434,7 +451,8 @@ def test_runs_without_numpy(argv):
      ["fockfuse.rails", "fockfuse.distinguishability", "fockfuse.verify", "dataclasses", "inspect"]),
     (["abstract-fuse", "--psi", "1,0", "--phi", "0,1"], ["fockfuse.distinguishability", "fockfuse.verify"]),
     (["basis-scan", "--basis", "ii", "--p", "0.5"], ["fockfuse.rails", "fockfuse.verify"]),
-], ids=["fuse", "abstract-fuse", "basis-scan"])
+    (["verify"], ["importlib.resources", "inspect"]),
+], ids=["fuse", "abstract-fuse", "basis-scan", "verify"])
 def test_a_subcommand_imports_only_what_it_runs(argv, unused):
     """A CLI child leaves out every module its subcommand does not run, of
     those that a bare interpreter does not import anyway."""

@@ -31,7 +31,7 @@ from fockfuse.elements import (
     apply_elements,
     compile_elements,
 )
-from fockfuse.circuits import _heralded_map, build_fusion_circuit, initial_state, run_fusion
+from fockfuse.circuits import _heralded_map, build_fusion_circuit, initial_state, run_circuit, run_fusion
 from fockfuse.states import H, INV_SQRT2, PLAN_LIMIT, V, MemoRules, PureState
 
 # the benchmark's numpy oracles are the one copy of the transfer-matrix/permanent calculation
@@ -256,7 +256,7 @@ def accumulated(state, rules):
         root_fact_in, terms, check = fresh.image(occ)
         refused = min(refused, check)
         scale = amp / root_fact_in
-        for mono, coeff, root_fact_out in terms:
+        for mono, coeff, root_fact_out, _route in terms:
             out[mono] = out.get(mono, 0.0) + scale * coeff * root_fact_out
     if refused < len(rules.checks):
         raise ValueError(rules.checks[refused][1])
@@ -294,6 +294,23 @@ def test_memoized_application_equals_fresh_expansion(data):
     for occ, _amp in state.items():
         assert rules.image(occ) is rules.image(occ)
         assert rules.image(occ)[:2] == MemoRules(dict(rules), ()).image(occ)[:2]
+
+
+def test_a_heralded_map_keeps_at_most_plan_limit_images_and_plans():
+    """A loop over distinct tags makes a new input occupation on every run;
+    the heralded map's two memos stay bounded and its results unchanged."""
+    circuit = build_fusion_circuit()
+    bindings = {"psi": (1, 0), "phi": (0, 1)}  # one input term per run
+    _heralded_map.cache_clear()
+    heralded = _heralded_map(circuit)
+    for i in range(1000):
+        warm = run_circuit(circuit, initial_state(circuit, bindings, tags={"t": f"t{i}"}))
+        assert len(heralded._images) <= PLAN_LIMIT and len(heralded._plans) <= PLAN_LIMIT
+    _heralded_map.cache_clear()
+    cold = run_circuit(circuit, initial_state(circuit, bindings, tags={"t": f"t{i}"}))
+    assert [(o.probability, list(o.state.items())) for o in warm] == [
+        (o.probability, list(o.state.items())) for o in cold
+    ]
 
 
 def test_plan_memo_is_bounded():

@@ -216,9 +216,9 @@ class TestRouting:
         got = run_circuit(circuit, state)
         assert outcome_bits(got) == outcome_bits(self.projected(circuit, state))
         assert got[0].probability == pytest.approx(1.0) and got[1].probability == pytest.approx(0.5)
-        heralded = circuits._heralded_map(circuit)
+        routes = {occ: route for occ, route, _amp in circuits._heralded_map(circuit).replay(state)}
         (h_term, _amp), = got[1].state.items()
-        assert heralded.route(h_term) == (0, 1) and h_term in dict(got[0].state.items())
+        assert routes[h_term] == (0, 1) and h_term in dict(got[0].state.items())
 
     def test_a_pattern_that_admits_no_term_is_empty(self):
         patterns = (DetectionPattern.of({"a": "any"}), DetectionPattern.of({"a": "none"}))
@@ -255,14 +255,33 @@ class TestRouting:
         assert labels == {(BRANCH_MODE, "", "0"), (BRANCH_MODE, "", "1")}
 
     def test_an_occupation_no_pattern_admits_is_not_memoized(self):
-        # an element-free circuit leaves each input term unfiltered for ``route``
+        # an element-free circuit's map sends each input term to itself
         circuit = Circuit(("a", "b"), (PhotonIn("a", H),), (), (DetectionPattern.of({"a": H}),))
+        heralded = circuits._heralded_map(circuit)
         state = PureState.vacuum()
         for _ in range(5):
             state = state.create("b", V)
             (outcome,) = run_circuit(circuit, state)
             assert outcome.probability == 0.0
-        assert circuits._heralded_map(circuit)._routes == {}
+            assert list(heralded.replay(state)) == []
+        assert heralded._images and all(terms == () for _root, terms, _check in heralded._images.values())
+
+    def test_an_element_free_circuit_keeps_each_amplitude(self):
+        """The identity map routes each admitted term with its own bits."""
+        double, single = ((("a", H, ""), 2),), ((("a", H, ""), 1), (("b", V, ""), 1))
+        state = PureState({double: complex(-0.0, 0.6), single: complex(0.8, -0.0)})
+        patterns = (DetectionPattern.of({"b": "none"}), DetectionPattern.of({"b": V}))
+        circuit = Circuit(("a", "b"), (PhotonIn("a", H),), (), patterns)
+        got = run_circuit(circuit, state)
+        assert outcome_bits(got) == outcome_bits(self.projected(circuit, state))
+
+    def test_an_overflowing_output_is_refused(self):
+        """Two finite terms that add past the float range give an infinite
+        heralded amplitude, which the conditioned outcome refuses."""
+        circuit = Circuit(("a",), (PhotonIn("a", H),), (Hwp("a", 22.5),), (DetectionPattern.of({"a": H}),))
+        state = PureState({((("a", H, ""), 1),): 1.5e308, ((("a", V, ""), 1),): 1.5e308})
+        with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+            run_circuit(circuit, state)
 
 
 def field_values(circuit):

@@ -26,7 +26,7 @@ CASES = {
         "fuse", "--entangled=0.5,-0.1+0.3j,0.2,0.7j", "--dump-state", "--format", "json",
     ],
     "fission.txt": ["fission", "--amps=-1.3-1.8j,0.4,0.2,1", "--dump-state"],
-    "abstract-fuse.txt": ["abstract-fuse", "--psi=0.6,0.8", "--phi=1j,-1", "--vacuum-amp=-0.5+1j"],
+    "abstract-fuse.txt": ["abstract-fuse", "--psi=0.6,0.8", "--phi=1j,-1", "--vacuum-amp=-0.5+0.8j"],
     "abstract-fission.json": ["abstract-fission", "--amps=0.1,0.2j,-0.3,0.4", "--format", "json"],
     "run-fusion.txt": [
         "run", "fusion.lop", "--bind", "psi=0.6,0.8", "--bind", "phi=1,1j", "--dump-state",
