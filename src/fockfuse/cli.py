@@ -394,13 +394,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("abstract-fuse", help="rail-level fusion (protocol oracle)")
     p.add_argument("--psi", type=_qubit_arg, required=True)
     p.add_argument("--phi", type=_qubit_arg, required=True)
-    p.add_argument("--vacuum-amp", type=_passthrough_arg, default=1.0 + 0j)
+    p.add_argument("--vacuum-amp", type=_passthrough_arg, default=1.0 + 0j, help="modulus at most 1, compared exactly")
     _add_output_flags(p)
     p.set_defaults(func=cmd_abstract_fuse)
 
     p = sub.add_parser("abstract-fission", help="rail-level fission (protocol oracle)")
     p.add_argument("--amps", type=_qudit_arg, required=True)
-    p.add_argument("--vacuum-amp", type=_passthrough_arg, default=1.0 + 0j)
+    p.add_argument("--vacuum-amp", type=_passthrough_arg, default=1.0 + 0j, help="modulus at most 1, compared exactly")
     _add_output_flags(p)
     p.set_defaults(func=cmd_abstract_fission)
 

@@ -394,8 +394,6 @@ class PureState:
     def substituted(self, rules: MemoRules) -> "PureState":
         """The state ``MemoRules.replay`` pushes through a compiled map: every tag
         sector transforms identically, and an empty map is the identity."""
-        if not rules:
-            return self
         return PureState._of({occ: amp for occ, _route, amp in rules.replay(self)})
 
     def project(self, pattern: "DetectionPattern") -> "ConditionalOutcome":

@@ -1,3 +1,4 @@
+import cmath
 import json
 import os
 import subprocess
@@ -145,6 +146,19 @@ class TestAbstractCommands:
         assert [line for line in err.splitlines() if "error:" in line] == [f"fockfuse {argv[0]}: {message}"]
         code, out, err = run_cli(capsys, *argv, "--vacuum-amp", "-0.6-0.8j")
         assert (code, err) == (0, "") and "inf" not in out
+
+    @pytest.mark.parametrize("argv", [
+        ["abstract-fuse", "--psi", "1,1", "--phi", "1,0"],
+        ["abstract-fission", "--amps", "1,1,1,1"],
+    ], ids=["abstract-fuse", "abstract-fission"])
+    def test_the_modulus_bound_is_exact(self, capsys, argv):
+        """A unit phase typed at full repr precision passes; one ulp above 1 is refused."""
+        for phase in (cmath.rect(1, 0.7), complex(0.5 ** 0.5, 0.5 ** 0.5)):
+            code, out, err = run_cli(capsys, *argv, f"--vacuum-amp={phase!r}")
+            assert (code, err) == (0, "") and "inf" not in out
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--vacuum-amp", repr(1.0000000000000002)])
+        assert exc.value.code == 2 and "modulus at most 1" in capsys.readouterr().err
 
 
 class TestNegativeAmplitudes:
@@ -424,12 +438,11 @@ class TestRunCommand:
 
 
 def imported_by_child(*argv):
-    """The modules a child interpreter run with ``argv`` imports, in order;
-    ``-S`` keeps out what a ``.pth`` file of this environment's ``site`` imports."""
+    """The modules a child interpreter run with ``argv`` imports, in order."""
     src = str(Path(fockfuse.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     child = subprocess.run(
-        [sys.executable, "-S", "-X", "importtime", *argv],
+        [sys.executable, "-X", "importtime", *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
     )
     return [line.rsplit("|", 1)[-1].strip() for line in child.stderr.splitlines()]
@@ -455,9 +468,10 @@ def test_runs_without_numpy(argv):
 ], ids=["fuse", "abstract-fuse", "basis-scan", "verify"])
 def test_a_subcommand_imports_only_what_it_runs(argv, unused):
     """A CLI child leaves out every module its subcommand does not run, of
-    those that a bare interpreter does not import anyway."""
-    bare = set(imported_by_child("-c", "pass"))
-    imported = imported_by_child("-m", "fockfuse.cli", *argv)
+    those that a bare interpreter does not import anyway; ``-S`` keeps out
+    what a ``.pth`` file of the environment's ``site`` imports."""
+    bare = set(imported_by_child("-S", "-c", "pass"))
+    imported = imported_by_child("-S", "-m", "fockfuse.cli", *argv)
     assert "fockfuse.circuits" in imported
     assert [name for name in unused if name not in bare and name in imported] == []
 
