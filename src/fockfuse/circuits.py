@@ -4,11 +4,12 @@ The fusion apparatus merges two polarization qubits (spatial modes ``t`` and
 ``c``, plus an H-polarized ancilla on ``a``) into one photon spanning modes
 ``t1``/``t2`` and polarization.  The fission apparatus splits such a
 four-dimensional photon (entering on ``c1``/``c2``) back onto two photons
-exiting on ``t`` and on one of the two channels ``c``/``c'``.  Each is
-defined once, by the ``fusion.lop`` or ``fission.lop`` file shipped in
-``fockfuse.data``; ``build_fusion_circuit`` and ``build_fission_circuit``
-parse it once per process.  Detection heralds success; pattern-dependent
-unitary corrections (feed-forward) fold all heralded branches onto the
+exiting on ``t`` and on one of the two channels ``c``/``c'``.  Each one's
+optics and patterns are defined by the ``fusion.lop`` or ``fission.lop``
+file shipped in ``fockfuse.data``; ``build_fusion_circuit`` and
+``build_fission_circuit`` parse it once per process.  Detection heralds
+success; pattern-dependent unitary corrections (feed-forward), kept here
+in each circuit's pattern order, fold all heralded branches onto the
 canonical output.
 
 Inputs and targets are built by ``states.superpose``, which owns photon
@@ -352,22 +353,31 @@ def run_fusion(psi=None, phi=None, *, entangled=None) -> list[ConditionalOutcome
     return run_circuit(circuit, bindings={"psi": tuple(psi), "phi": tuple(phi)})
 
 
+def _corrected(outcome: ConditionalOutcome, apparatus: str, circuit: Circuit, corrections, modes) -> PureState:
+    """``outcome``'s state with its pattern's entry of ``corrections`` (one
+    element tuple per pattern of ``circuit``, in its order) applied, factored
+    onto ``modes``; an outcome of a pattern ``circuit`` lacks is refused.
+    Patterns are told apart by their requirements, which compare without a
+    call to ``Record.__eq__``."""
+    try:
+        i = [p.requirements for p in circuit.patterns].index(outcome.pattern.requirements)
+    except ValueError:
+        raise ValueError(f"outcome does not carry a {apparatus} detection pattern") from None
+    return apply_elements(outcome.state, corrections[i]).factor_on_modes(modes)
+
+
 def apply_feed_forward(outcome: ConditionalOutcome) -> PureState:
     """Correct a heralded fusion branch onto the canonical merged state.
 
     A V detection on ``a`` flips H/V on ``t1``; a V detection on ``c`` flips
-    them on ``t2``.  Returns the corrected output-photon state on t1/t2.
+    them on ``t2``.  Returns the corrected output-photon state on t1/t2.  An
+    outcome of any other pattern is refused.
     """
-    req = outcome.pattern.requirement_for
-    flips = _FUSION_FLIPS.get((req("a"), req("c")))
-    if flips is None:
-        raise ValueError("outcome does not carry a fusion detection pattern")
-    return apply_elements(outcome.state, flips).factor_on_modes(("t1", "t2"))
+    return _corrected(outcome, "fusion", build_fusion_circuit(), _FUSION_FLIPS, ("t1", "t2"))
 
 
-#: the fusion feed-forward's flips by the detections on (a, c)
-_T1, _T2 = SigmaX("t1"), SigmaX("t2")
-_FUSION_FLIPS = {(H, H): (), (H, V): (_T2,), (V, H): (_T1,), (V, V): (_T1, _T2)}
+#: the fusion feed-forward's flips, by pattern: (a, c) = HH, HV, VH, VV
+_FUSION_FLIPS = ((), (SigmaX("t2"),), (SigmaX("t1"),), (SigmaX("t1"), SigmaX("t2")))
 
 
 # -- fission apparatus ------------------------------------------------------
@@ -409,12 +419,10 @@ def fission_feed_forward(outcome: ConditionalOutcome) -> PureState:
     the output is relabeled onto ``c``.  Returns the two-photon state on
     (t, c).  An outcome of any other pattern is refused.
     """
-    if outcome.pattern not in build_fission_circuit().patterns:
-        raise ValueError("outcome does not carry a fission detection pattern")
-    req = outcome.pattern.requirement_for
-    corrections = _FISSION_FLIP * (req("a") == V) + _FISSION_SWAP * (req("c'") == "any")
-    return apply_elements(outcome.state, corrections).factor_on_modes(("t", "c"))
+    return _corrected(outcome, "fission", build_fission_circuit(), _FISSION_CORRECTIONS, ("t", "c"))
 
 
-#: the fission feed-forward's corrections, applied in this order
-_FISSION_FLIP, _FISSION_SWAP = (SignFlipV("t"),), (SigmaX("t"), Relabel("c'", "c"))
+#: the fission feed-forward's corrections, by pattern: (a, exit) = (H, c),
+#: (V, c), (H, c'), (V, c'); the flip comes first, then the swap and relabel
+_FLIP, _SWAP = (SignFlipV("t"),), (SigmaX("t"), Relabel("c'", "c"))
+_FISSION_CORRECTIONS = ((), _FLIP, _SWAP, _FLIP + _SWAP)

@@ -36,7 +36,7 @@ from .circuits import (
     product_qudit,
     run_circuit,
 )
-from .states import INV_SQRT2, Record, projector_probability
+from .states import INV_SQRT2, PLAN_LIMIT, Record, projector_probability
 
 CLOSED_FORM_NOTE = (
     "bases i/ii off-diagonal closed-form numerators are 3(1-p), the unique "
@@ -186,7 +186,7 @@ def _total(rows) -> float:
     return sum(x for row in rows for x in row)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PLAN_LIMIT)
 def _branch_raw_rows(basis_key: str) -> tuple[tuple[tuple[float, ...], ...], ...]:
     """Raw (unnormalized) detection-and-projection probabilities.
 

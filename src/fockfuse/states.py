@@ -19,10 +19,11 @@ that pushes a state through it, and ``substituted`` builds a state from it;
 the map decides each input occupation's image, check verdict and, for a
 heralded map, each image term's route (the patterns that admit it) once.
 
-Memo policy: a memo keyed by occupations, supports, element sequences or
-circuits holds at most ``PLAN_LIMIT`` entries.  A map's images and plans are
-emptied when full; ``planned`` and the compiled and heralded map caches keep
-their most recently used entries.
+Memo policy: every memo is a ``functools.lru_cache`` of at most
+``PLAN_LIMIT`` entries (an argument-free builder's holds its one), and its
+``cache_info()`` gives its hits, misses and size.  ``MemoRules.image`` and
+``MemoRules.plan`` key theirs by (map, occupation) and (map, support), so
+all maps share those two bounds.
 
 Every other step that goes term by term but ``factor_on_modes`` (whose
 one pass costs less than a plan's lookup) keeps one rule: where each term
@@ -166,40 +167,33 @@ def _mode_channel_counts(occ: Occupation, modes: frozenset[str]) -> tuple[int, i
     return n_h, n_v
 
 
-def _kept(memo: dict, key, value):
-    """``memo.setdefault(key, value)``, emptying a full ``memo`` first; racing threads get the stored value."""
-    if len(memo) >= PLAN_LIMIT:
-        memo.clear()
-    return memo.setdefault(key, value)
-
-
 class MemoRules(dict):
     """A compiled map: ``(mode, channel)`` -> image as ``((mode, channel),
     coefficient)`` pairs, each coefficient above ``PRUNE_TOL`` (absent
     operators are left alone), and, in step order, ``(operators, message)``
     checks that refuse an input occupation holding any of the operators.
 
-    It memoizes each occupation's image and verdict (tags included) and each
-    support's ``plan`` under the memo policy, and must not change afterwards.
-    With ``patterns``, an image keeps the terms one admits, with the same additions.
+    Each occupation's image and verdict (tags included) and each support's
+    ``plan`` are memoized under the memo policy, so a map must not change
+    afterwards; it hashes and compares by identity, so no two maps share an
+    entry.  With ``patterns``, an image keeps the terms one admits, with the
+    same additions.
     """
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     def __init__(self, rules, checks: tuple, patterns: tuple | None = None):
         super().__init__(rules)
         self.checks = checks
         self.patterns = patterns
-        self._images: dict = {}
-        self._plans: dict = {}
 
+    @lru_cache(maxsize=PLAN_LIMIT)
     def image(self, occ: Occupation):
         """``occ``'s creation-operator monomial expanded under the map, as
         ``(√Π n_in!, ((out_occ, coeff, √Π n_out!, route), ...), refused)``:
         ``route`` the indices of the patterns that admit ``out_occ`` (empty
         without patterns) and ``refused`` the index of the first check that
         refuses ``occ``, or ``len(self.checks)``."""
-        found = self._images.get(occ)
-        if found is not None:
-            return found
         poly: dict[Occupation, complex] = {(): 1.0 + 0.0j}
         fact_in = 1.0
         for (mode, channel, tag), n in occ:
@@ -221,16 +215,14 @@ class MemoRules(dict):
                 terms.append((mono, coeff, math.sqrt(math.prod(math.factorial(n) for _, n in mono)), route))
         held = {(mode, channel) for (mode, channel, _tag), _n in occ}
         refusals = (i for i, (ops, _) in enumerate(self.checks) if not ops.isdisjoint(held))
-        return _kept(self._images, occ, (math.sqrt(fact_in), tuple(terms), next(refusals, len(self.checks))))
+        return math.sqrt(fact_in), tuple(terms), next(refusals, len(self.checks))
 
+    @lru_cache(maxsize=PLAN_LIMIT)
     def plan(self, support: tuple[Occupation, ...]):
         """The images of the input occupations ``support`` merged as ``(roots,
         rows, refused)``: each input's √Π n_in!, each output occupation in
         first-touch order as ``(occupation, route, [(input index, coeff,
         √Π n_out!), ...])``, and the earliest refusing check, as in ``image``."""
-        found = self._plans.get(support)
-        if found is not None:
-            return found
         roots, rows, refused = [], {}, len(self.checks)
         for i, occ in enumerate(support):
             root, terms, check = self.image(occ)
@@ -238,7 +230,7 @@ class MemoRules(dict):
             refused = min(refused, check)
             for mono, coeff, root_out, route in terms:
                 rows.setdefault(mono, (mono, route, []))[2].append((i, coeff, root_out))
-        return _kept(self._plans, support, (tuple(roots), tuple(rows.values()), refused))
+        return tuple(roots), tuple(rows.values()), refused
 
     def replay(self, state: "PureState") -> Iterator[tuple[Occupation, tuple[int, ...], complex]]:
         """``(occupation, route, amplitude)`` per output occupation of
@@ -654,12 +646,6 @@ class DetectionPattern(Record):
 
     def constrained_modes(self) -> set[str]:
         return {m for group, _ in self.requirements for m in group}
-
-    def requirement_for(self, mode: str) -> str | None:
-        for group, req in self.requirements:
-            if mode in group:
-                return req
-        return None
 
 
 class ConditionalOutcome(Record):

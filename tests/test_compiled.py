@@ -2,13 +2,17 @@
 
 A whole element sequence is applied as one composed substitution; these
 tests hold it to element-by-element application and to an independent
-transfer-matrix/permanent calculation.  Each compiled map memoizes its
-monomial images, and a plan per input support, in a memo of its own; the
-memo must never change a result or skip a check.
+transfer-matrix/permanent calculation.  Compiled maps memoize their
+monomial images, and a plan per input support, in two memos that all maps
+share, each entry keyed by its map; a memo must never change a result or
+skip a check.
 """
 
+import importlib
+import inspect
 import itertools
 import math
+import pkgutil
 import sys
 import threading
 import weakref
@@ -19,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fockfuse
 from fockfuse.elements import (
     Hwp,
     Merge,
@@ -31,8 +36,16 @@ from fockfuse.elements import (
     apply_elements,
     compile_elements,
 )
-from fockfuse.circuits import _heralded_map, build_fusion_circuit, initial_state, run_circuit, run_fusion
-from fockfuse.states import H, INV_SQRT2, PLAN_LIMIT, V, MemoRules, PureState
+from fockfuse.circuits import (
+    Circuit,
+    PhotonIn,
+    _heralded_map,
+    build_fusion_circuit,
+    initial_state,
+    run_circuit,
+    run_fusion,
+)
+from fockfuse.states import H, INV_SQRT2, PLAN_LIMIT, V, DetectionPattern, MemoRules, PureState
 
 # the benchmark's numpy oracles are the one copy of the transfer-matrix/permanent calculation
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -296,21 +309,57 @@ def test_memoized_application_equals_fresh_expansion(data):
         assert rules.image(occ)[:2] == MemoRules(dict(rules), ()).image(occ)[:2]
 
 
+def memo_sizes():
+    """The entries the image and plan memos of every map hold."""
+    return MemoRules.image.cache_info().currsize, MemoRules.plan.cache_info().currsize
+
+
 def test_a_heralded_map_keeps_at_most_plan_limit_images_and_plans():
     """A loop over distinct tags makes a new input occupation on every run;
-    the heralded map's two memos stay bounded and its results unchanged."""
+    the two map memos stay bounded and the results unchanged."""
     circuit = build_fusion_circuit()
     bindings = {"psi": (1, 0), "phi": (0, 1)}  # one input term per run
     _heralded_map.cache_clear()
-    heralded = _heralded_map(circuit)
     for i in range(1000):
         warm = run_circuit(circuit, initial_state(circuit, bindings, tags={"t": f"t{i}"}))
-        assert len(heralded._images) <= PLAN_LIMIT and len(heralded._plans) <= PLAN_LIMIT
+        assert max(memo_sizes()) <= PLAN_LIMIT
     _heralded_map.cache_clear()
     cold = run_circuit(circuit, initial_state(circuit, bindings, tags={"t": f"t{i}"}))
     assert [(o.probability, list(o.state.items())) for o in warm] == [
         (o.probability, list(o.state.items())) for o in cold
     ]
+
+
+def test_many_circuits_keep_at_most_plan_limit_images_and_plans_in_all():
+    """Distinct circuits make distinct maps, each run on its own tag: the
+    bound holds over all maps together, not per map."""
+    mesh = (Pbs("a", "b", "a", "b"), Hwp("b", 30.0), Pbs("b", "c", "b", "c"), Hwp("c", 22.5))
+    pattern = DetectionPattern.of({"a": "any", ("b", "c"): "any"})
+    for i in range(300):
+        elements = (Hwp("a", 10.0 + i / 8),) + mesh
+        circuit = Circuit(("a", "b", "c"), (PhotonIn("a", H), PhotonIn("b", V)), elements, (pattern,))
+        (outcome,) = run_circuit(circuit, initial_state(circuit, tags={"a": f"t{i}"}))
+        assert outcome.probability > 0.0
+        assert max(memo_sizes()) <= PLAN_LIMIT
+    assert memo_sizes() == (PLAN_LIMIT, PLAN_LIMIT)
+
+
+def test_every_memo_with_an_argument_keeps_plan_limit_entries():
+    """Each ``functools`` cache on a ``fockfuse`` module or on a class one
+    defines, but those of argument-free builders, is an LRU cache of
+    ``PLAN_LIMIT`` entries."""
+    memos = {}
+    for info in pkgutil.iter_modules(fockfuse.__path__, "fockfuse."):
+        module = importlib.import_module(info.name)
+        owners = [module] + [v for v in vars(module).values() if isinstance(v, type) and v.__module__ == info.name]
+        for owner in owners:
+            for name, value in vars(owner).items():
+                if hasattr(value, "cache_parameters"):
+                    memos[f"{owner.__name__}.{name}"] = value
+    assert {"MemoRules.image", "MemoRules.plan", "fockfuse.states.planned"} <= memos.keys()
+    for name, memo in memos.items():
+        if inspect.signature(memo.__wrapped__).parameters:
+            assert memo.cache_parameters()["maxsize"] == PLAN_LIMIT, name
 
 
 def test_plan_memo_is_bounded():
@@ -321,8 +370,10 @@ def test_plan_memo_is_bounded():
         for i in range(300):  # 300 distinct supports, each tag its own sector
             state = 0.6 * ket(("a", H, f"t{i}")) + 0.8j * ket(("a", V), ("b", H, f"t{i}"))
             assert result(lambda: state.substituted(rules)) == result(lambda: accumulated(state, rules))
-            assert len(rules._plans) <= PLAN_LIMIT
-    assert rules._plans
+            assert memo_sizes()[1] <= PLAN_LIMIT
+    hits = MemoRules.plan.cache_info().hits
+    rules.plan(tuple(occ for occ, _amp in state.items()))  # the last support's plan is kept
+    assert MemoRules.plan.cache_info().hits == hits + 1
 
 
 @pytest.mark.parametrize(
@@ -357,13 +408,23 @@ def test_each_map_owns_its_images():
                 out = apply_elements(state, elements)
                 assert list(out.items()) == list(state.substituted(MemoRules(rules, ())).items())
             applied.update(occ for occ, _amp in state.items())
-            assert set(rules._images) == applied
-        assert MemoRules(dict(rules), rules.checks)._images == {}
+            before = MemoRules.image.cache_info()
+            for occ in applied:  # each applied occupation's image is kept for this map
+                rules.image(occ)
+            assert MemoRules.image.cache_info().hits == before.hits + len(applied)
+        # an equal map shares no entry
+        before = MemoRules.image.cache_info()
+        equal = MemoRules(dict(rules), rules.checks)
+        for occ in applied:
+            equal.image(occ)
+        assert MemoRules.image.cache_info().misses == before.misses + len(applied)
     (big, _amp), = inputs[-1].items()
     assert len(rules.image(big)[1]) == 66
     dropped = weakref.ref(rules)
-    del rules
-    compile_elements.cache_clear()
+    del rules, equal
+    # a dropped map is released once the caches that hold it are cleared
+    for memo in (compile_elements, MemoRules.image, MemoRules.plan):
+        memo.cache_clear()
     assert dropped() is None
 
 
@@ -399,11 +460,11 @@ def test_threads_racing_on_a_fresh_map_agree():
     heralded = _heralded_map(circuit)
     for occ, _amp in initial_state(circuit, {"psi": psi, "phi": phi}).items():
         assert heralded.image(occ) is heralded.image(occ)
-    # a miss raced by many threads stores one image, and every thread gets it
+    # a miss raced by many threads may be computed more than once; every thread gets an equal image
     (occ, _amp), = ket(("a", H), ("a", H), ("b", V), ("c", H)).items()
     mesh = (Hwp("a", 22.5), Pbs("a", "b", "a", "b"), Hwp("b", 30.0), Pbs("b", "c", "b", "c"))
     rules = compile_elements(mesh)
     for _ in range(5):
         fresh = MemoRules(dict(rules), rules.checks)
         images = race(8, lambda i: fresh.image(occ))
-        assert all(image is fresh.image(occ) for image in images)
+        assert all(image == fresh.image(occ) for image in images)

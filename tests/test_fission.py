@@ -4,7 +4,8 @@ The branch oracle below spells out the expected heralded output for all
 four detection branches (ancilla polarization x exit channel), including
 the sign structure that the feed-forward rules must undo.  The
 fusion-then-fission round trip is the ``optical-roundtrip`` check of
-``fockfuse.verify``, run by ``test_acceptance.py``.
+``fockfuse.verify``, run by ``test_acceptance.py``; ``TestBridge`` runs it
+through the library on all sixteen branch pairs.
 """
 
 import random
@@ -17,11 +18,14 @@ from fockfuse.circuits import (
     build_fission_circuit,
     fission_feed_forward,
     fission_success_target,
+    product_qudit,
+    run_circuit,
     run_fission,
     run_fusion,
 )
-from fockfuse.states import H, V, PureState, fidelity
-from fockfuse.verify import random_qudit
+from fockfuse.elements import Relabel, apply_elements
+from fockfuse.states import H, V, DetectionPattern, PureState, fidelity
+from fockfuse.verify import random_qubit, random_qudit
 
 
 def branch_oracle(amps, a_pol, channel):
@@ -95,6 +99,31 @@ class TestFeedForward:
         fission_outcome = run_fission((1, 0, 0, 0))[branch]
         with pytest.raises(ValueError, match="^outcome does not carry a fusion detection pattern$"):
             apply_feed_forward(fission_outcome)
+        # the branch's own detections on a and c, without the coincidence on t1+t2
+        partial = DetectionPattern(tuple(r for r in fusion_outcome.pattern.requirements if len(r[0]) == 1))
+        with pytest.raises(ValueError, match="^outcome does not carry a fusion detection pattern$"):
+            apply_feed_forward(fusion_outcome.replace(pattern=partial))
+
+
+class TestBridge:
+    """The paper's iterated use: two qubits fused into one ququart photon,
+    which fission splits back onto two qubits, through the library."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fusion_then_fission_returns_the_input_on_every_branch_pair(self, seed):
+        rng = random.Random(seed)
+        psi, phi = random_qubit(rng), random_qubit(rng)
+        target = fission_success_target(product_qudit(psi, phi))
+        onto_fission = (Relabel("t1", "c1"), Relabel("t2", "c2"))
+        total = 0.0
+        for fused in run_fusion(psi, phi):
+            photon = apply_elements(apply_feed_forward(fused), onto_fission)
+            state = photon.create("t", H).create("a", H)
+            for split in run_circuit(build_fission_circuit(), input_state=state):
+                # the same state, global phase included
+                assert abs(target.inner(fission_feed_forward(split)) - 1.0) < 1e-10
+                total += fused.probability * split.probability
+        assert total == pytest.approx(1 / 64, abs=1e-12)
 
 
 class TestStructure:
@@ -105,7 +134,6 @@ class TestStructure:
         circuit = build_fission_circuit()
         labels = []
         for pattern in circuit.patterns:
-            a_req = pattern.requirement_for("a")
-            channel = "c" if pattern.requirement_for("c") == "any" else "c'"
-            labels.append((a_req, channel))
+            reqs = {mode: req for group, req in pattern.requirements for mode in group}
+            labels.append((reqs["a"], "c" if reqs["c"] == "any" else "c'"))
         assert labels == BRANCHES

@@ -41,6 +41,7 @@ from fockfuse.states import (
     INV_SQRT2,
     V,
     DetectionPattern,
+    MemoRules,
     MixedState,
     PureState,
     fidelity,
@@ -264,7 +265,10 @@ class TestRouting:
             (outcome,) = run_circuit(circuit, state)
             assert outcome.probability == 0.0
             assert list(heralded.replay(state)) == []
-        assert heralded._images and all(terms == () for _root, terms, _check in heralded._images.values())
+            (occ, _amp), = state.items()
+            hits = MemoRules.image.cache_info().hits
+            assert heralded.image(occ)[1] == ()  # kept, with no term
+            assert MemoRules.image.cache_info().hits == hits + 1
 
     def test_an_element_free_circuit_keeps_each_amplitude(self):
         """The identity map routes each admitted term with its own bits."""

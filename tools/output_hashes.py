@@ -7,10 +7,11 @@ Usage (from the root of a checkout):
 
 For ``apparatus``, ``mesh`` and ``source_model``, over seeds 1, 2 and 3,
 every op of one round of ``perfbench/workloads.py`` runs twice: first with
-every ``functools`` cache of the library cleared, then warm.  A ``mesh_n*``
-op returns only each pattern's probability, so for it the mesh is also
-rebuilt from ``workloads.mesh_text`` and the op's parameters and run on its
-n-photon input, and every conditional state of that run is hashed too.
+every ``functools`` cache of the library, class-held ones included, cleared,
+then warm.  A ``mesh_n*`` op returns only each pattern's probability, so for
+it the mesh is also rebuilt from ``workloads.mesh_text`` and the op's
+parameters and run on its n-photon input, and every conditional state of
+that run is hashed too.
 Each output is encoded with every real and imaginary part as ``float.hex``
 and every state's terms in their stored order, and the line ``<workload>
 <sha256>`` is printed per workload.  Two trees whose lines are equal
@@ -48,13 +49,16 @@ def encode(value) -> str:
 
 
 def clear_caches() -> None:
-    """Clear every ``functools`` cache that a ``fockfuse`` module holds."""
+    """Clear every ``functools`` cache that a ``fockfuse`` module, or a class
+    it defines (``MemoRules.image``, say), holds."""
     for name, module in list(sys.modules.items()):
         if name == "fockfuse" or name.startswith("fockfuse."):
-            for value in vars(module).values():
-                clear = getattr(value, "cache_clear", None)
-                if callable(clear):
-                    clear()
+            classes = [v for v in vars(module).values() if isinstance(v, type) and v.__module__ == name]
+            for owner in [module, *classes]:
+                for value in vars(owner).values():
+                    clear = getattr(value, "cache_clear", None)
+                    if callable(clear):
+                        clear()
 
 
 def mesh_states(n: int, steps) -> list:
