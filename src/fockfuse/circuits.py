@@ -61,6 +61,8 @@ from .states import (
 
 #: a mode or slot name: one token that ``--bind name=...`` and a ``+`` group can hold
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+#: the one record field that holds a number, an ``Hwp``'s angle in degrees
+ANGLE = "theta"
 #: input fields that do not name a mode -> (test, message for a failing value)
 _FIELD_RULES = {
     "pol": (lambda pol: pol in (H, V), "polarization must be H or V, got {!r}"),
@@ -177,7 +179,7 @@ class Circuit(Record):
                             if value in slots:
                                 raise CircuitError(f"slot {value!r} declared twice", at, field=name)
                             slots.add(value)
-                    elif name != "theta":  # every other field but an angle names a mode
+                    elif name != ANGLE:  # every other field but the angle names a mode
                         check(value, at)
                         if value in retired:
                             message = f"mode {value!r} reused after being unfolded away"

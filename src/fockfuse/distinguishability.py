@@ -156,6 +156,14 @@ class ProbabilityMatrix(Record):
             "entries": [list(row) for row in self.entries],
         }
 
+    def table_lines(self) -> list[str]:
+        """The text grid of a report's table: labels, then entries to 6 decimals."""
+        width = max(len(lbl) for lbl in self.row_labels + self.col_labels) + 2
+        lines = [" " * width + "".join(f"{lbl:>{width}}" for lbl in self.col_labels)]
+        for lbl, row in zip(self.row_labels, self.entries):
+            lines.append(f"{lbl:>{width}}" + "".join(f"{x:>{width}.6f}" for x in row))
+        return lines
+
     def to_csv(self) -> str:
         lines = ["input/output," + ",".join(self.col_labels)]
         for label, row in zip(self.row_labels, self.entries):

@@ -18,9 +18,11 @@ One directive per line, ``#`` starts a comment.  Directives:
 An input or element directive is its record (``photon``, ``qubit`` and
 ``qudit`` are ``PhotonIn``, ``QubitSlot`` and ``QuditSlot``; an element is
 its class name in lower case) with the fields as arguments in order, a
-defaulted last field being optional; the serializer writes them back, floats
+defaulted last field being optional.  Fields parse by name, the angle
+(``circuits.ANGLE``) being the one number, which the serializer writes back
 with ``repr``.  A ``detect`` line is one detection pattern; a ``modespec`` is
-a mode or a ``+``-joined group (``t1+t2``) constrained as a whole.
+a mode or a ``+``-joined group (``t1+t2``) constrained as a whole.  The
+circuits shipped with the package live in ``SHIPPED``.
 
 The parser checks syntax only; each ``DetectionPattern`` and the ``Circuit``
 judge their own content when they are built, as in Python.
@@ -30,24 +32,22 @@ line and column of the offending token.
 
 from __future__ import annotations
 
-import pkgutil
 import re
-from typing import get_args, get_type_hints
+from pathlib import Path
 
-from .circuits import Circuit, CircuitError, PhotonIn, QubitSlot, QuditSlot
+from .circuits import ANGLE, Circuit, CircuitError, PhotonIn, QubitSlot, QuditSlot
 from .elements import OpticalElement
 from .states import H, V, DetectionPattern, PatternError
 
 _TOKEN = re.compile(r"\S+")
 
-#: input and element directive -> (its record, its (field, type) pairs in order)
-_DIRECTIVES = {
-    head: (cls, tuple((name, get_type_hints(cls)[name]) for name in cls.__match_args__))
-    for head, cls in {"photon": PhotonIn, "qubit": QubitSlot, "qudit": QuditSlot,
-                      **{cls.__name__.lower(): cls for cls in get_args(OpticalElement)}}.items()
-}
+#: the directory of the circuits shipped with the package, one ``<name>.lop`` each
+SHIPPED = Path(__file__).with_name("data")
+#: input and element directive -> its record
+_DIRECTIVES = {"photon": PhotonIn, "qubit": QubitSlot, "qudit": QuditSlot,
+               **{cls.__name__.lower(): cls for cls in OpticalElement.__args__}}
 #: record -> its directive
-_HEADS = {cls: head for head, (cls, _) in _DIRECTIVES.items()}
+_HEADS = {cls: head for head, cls in _DIRECTIVES.items()}
 
 
 class ParseError(ValueError):
@@ -101,15 +101,16 @@ def parse_circuit(text: str) -> Circuit:
             sections["modes"].append((arity(line, 1, 1)[1], line))
 
         elif head in _DIRECTIVES:
-            cls, spec = _DIRECTIVES[head]
-            words = arity(line, len(spec) - len(cls._defaults), len(spec))
+            cls = _DIRECTIVES[head]
+            fields = cls.__match_args__
+            words = arity(line, len(fields) - len(cls._defaults), len(fields))
             args: list = []
-            for i, (word, (name, kind)) in enumerate(zip(words[1:], spec), start=1):
+            for i, (word, name) in enumerate(zip(words[1:], fields), start=1):
                 try:
-                    args.append(kind(_pol(word) if name == "pol" else word))
+                    args.append(float(word) if name == ANGLE else _pol(word) if name == "pol" else word)
                 except ValueError:
                     raise line.fail(f"angle must be a number, got {word!r}", i) from None
-            section = "elements" if cls in get_args(OpticalElement) else "inputs"
+            section = "elements" if cls in OpticalElement.__args__ else "inputs"
             sections[section].append((cls(*args), line))
 
         elif head == "detect":
@@ -145,13 +146,13 @@ def parse_circuit(text: str) -> Circuit:
 
 def _directive(entry) -> str:
     """An input's or element's line: its directive, then its fields, less a
-    last one equal to its default (str() of a float is its repr)."""
-    head = _HEADS[type(entry)]
-    spec = _DIRECTIVES[head][1]
+    last one equal to its default (str() of the float angle is its repr)."""
+    fields = entry.__match_args__
     values = list(entry._values(entry))
-    if spec[-1][0] in entry._defaults and entry._defaults[spec[-1][0]] == values[-1]:
+    if fields[-1] in entry._defaults and entry._defaults[fields[-1]] == values[-1]:
         values.pop()
-    return " ".join([head, *(str(kind(v)) for v, (_, kind) in zip(values, spec))])
+    words = (str(float(v) if name == ANGLE else v) for name, v in zip(fields, values))
+    return " ".join([_HEADS[type(entry)], *words])
 
 
 def serialize_circuit(circuit: Circuit) -> str:
@@ -166,5 +167,4 @@ def serialize_circuit(circuit: Circuit) -> str:
 
 def load_named_circuit(name: str) -> Circuit:
     """Parse one of the circuits shipped with the package (e.g. 'fusion')."""
-    text = pkgutil.get_data(__package__, f"data/{name}.lop").decode()
-    return parse_circuit(text)
+    return parse_circuit((SHIPPED / f"{name}.lop").read_text(encoding="utf-8"))

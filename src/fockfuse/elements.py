@@ -23,8 +23,8 @@ map decides each input occupation's verdict once, with its image.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable
 
 from .states import H, PLAN_LIMIT, PRUNE_TOL, V, MemoRules, PureState, Record
 

@@ -11,10 +11,11 @@ plus-branch amplitudes here must match the optical H/H-heralded branch, and
 fission inverts fusion exactly.
 
 Each rail step is a table, in ``_STEPS``, from the photon counts on its
-rails to the counts it leaves there and the sign ``moved`` reads.  One
+rails to the counts it leaves there and the sign ``_step`` reads.  One
 builder, ``_rail_plan``, applies a table to every term of a support,
-and refuses a term whose counts the table lacks; the plan is kept and
-replayed by the rule stated in ``fockfuse.states``.
+and refuses a term whose counts the table lacks; the plan is kept by the
+rule stated in ``fockfuse.states``, and ``_step``, the one replay, runs it
+for ``cnot``, ``measure_plus_minus`` and ``erase_to_zero_port``.
 
 A fusion round on a register of width w (rails r0..r{w-1}) CNOTs the
 control onto each pair (r_k, r_{k+w}): the control's bit becomes the top
@@ -25,7 +26,7 @@ qubit most significant, are read in bit-reversed rail order.
 from __future__ import annotations
 
 from .circuits import normalized_amplitudes, product_qudit, rescaled_amplitudes
-from .states import INV_SQRT2, PureState, Record, conditioned, make_key, moved, planned, superpose
+from .states import INV_SQRT2, PRUNE_TOL, PureState, Record, conditioned, make_key, planned, superpose
 
 RailPair = tuple[str, str]
 
@@ -97,6 +98,22 @@ def _rail_plan(support, step: str, rails: tuple[str, ...]):
     return tuple(plan)
 
 
+def _step(state: PureState, step: str, rails: tuple[str, ...], factor: complex) -> PureState:
+    """``state`` with each term sent to its ``_rail_plan`` occupation and
+    summed onto 0.0: as it is at sign 0, plus ``amp * factor`` at 1 and minus
+    it at -1; sums at or below ``PRUNE_TOL`` are dropped, as the checking
+    constructor drops them, and NaN is kept for ``_of`` to refuse."""
+    out = {}
+    for (occ, sign), amp in zip(planned(_rail_plan, tuple(state._terms), step, rails), state._terms.values()):
+        if not sign:
+            out[occ] = out.get(occ, 0.0) + amp
+        elif sign > 0:
+            out[occ] = out.get(occ, 0.0) + amp * factor
+        else:
+            out[occ] = out.get(occ, 0.0) - amp * factor
+    return PureState._of({occ: z for occ, z in out.items() if not abs(z) <= PRUNE_TOL})
+
+
 def cnot(
     joint: PureState,
     control: RailPair,
@@ -110,7 +127,7 @@ def cnot(
     """
     if set(control) & set(target):
         raise ValueError("control and target rails overlap")
-    return moved(joint, planned(_rail_plan, tuple(joint._terms), "cnot", (*control, *target)), vacuum_amp)
+    return _step(joint, "cnot", (*control, *target), vacuum_amp)
 
 
 def measure_plus_minus(state: PureState, pair: RailPair):
@@ -119,10 +136,7 @@ def measure_plus_minus(state: PureState, pair: RailPair):
     The measured photon is consumed.  Returns the (plus, minus) branches,
     each ``conditioned`` as ``(probability, state)``.
     """
-    return tuple(
-        conditioned(moved(state, planned(_rail_plan, tuple(state._terms), step, tuple(pair)), INV_SQRT2)._terms)
-        for step in ("plus", "minus")
-    )
+    return tuple(conditioned(_step(state, step, tuple(pair), INV_SQRT2)._terms) for step in ("plus", "minus"))
 
 
 def erase_to_zero_port(state: PureState, pair: RailPair) -> PureState:
@@ -132,7 +146,7 @@ def erase_to_zero_port(state: PureState, pair: RailPair) -> PureState:
     amplitude 1/sqrt(2); an empty pair passes unchanged.  The result is the
     unnormalized success branch.
     """
-    return moved(state, planned(_rail_plan, tuple(state._terms), "erase", tuple(pair)), INV_SQRT2)
+    return _step(state, "erase", tuple(pair), INV_SQRT2)
 
 
 # -- fusion -----------------------------------------------------------------

@@ -4,21 +4,16 @@ Reports embed the exact parameters and the library version so a run can be
 reproduced from its own output.  JSON output carries 12 significant digits
 with sorted keys; human tables use 6.  Measured reference constants from
 the demonstration experiment are included for comparison only and are never
-used as pass/fail oracles.
+used as pass/fail oracles.  A table with a ``table_lines`` method, a
+probability matrix, renders itself: as those lines, and as its JSON object.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 
 from . import __version__
 from .states import Record
-
-
-def _is_matrix(value) -> bool:  # none exists before its module is imported
-    module = sys.modules.get(f"{__package__}.distinguishability")
-    return module is not None and isinstance(value, module.ProbabilityMatrix)
 
 
 class ReferenceConstants(Record):
@@ -45,7 +40,7 @@ def _round12(value):
         return {k: _round12(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_round12(v) for v in value]
-    if _is_matrix(value):
+    if hasattr(value, "table_lines"):
         return _round12(value.to_json_obj())
     return value
 
@@ -103,13 +98,8 @@ class ExperimentReport(Record):
 
 
 def _render_table(table) -> list[str]:
-    if _is_matrix(table):
-        width = max(len(lbl) for lbl in table.row_labels + table.col_labels) + 2
-        head = " " * width + "".join(f"{lbl:>{width}}" for lbl in table.col_labels)
-        lines = [head]
-        for lbl, row in zip(table.row_labels, table.entries):
-            lines.append(f"{lbl:>{width}}" + "".join(f"{x:>{width}.6f}" for x in row))
-        return lines
+    if hasattr(table, "table_lines"):
+        return table.table_lines()
     if isinstance(table, dict):
         return [f"  {k} = {_fmt6(v)}" for k, v in table.items()]
     if isinstance(table, (list, tuple)):

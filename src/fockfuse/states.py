@@ -31,10 +31,10 @@ goes is decided once per input support (its ordered occupations) and the
 step's arguments, by a builder whose plan ``planned`` keeps.  A builder's
 refusal is not kept, so it is raised on every call.  A plan decides only
 where terms go; each call redoes every float operation on its own
-amplitudes, in the order the plain loop would.  ``moved`` replays the plans
-that send each term to one occupation, with at most one factor (the rail
-steps of ``fockfuse.rails``); ``superpose`` and ``projector_probability``
-replay their own, which hold each photon's √n and each projector slot.
+amplitudes, in the order the plain loop would.  Each step's builder sits
+beside its one replay: ``superpose`` and ``projector_probability`` here,
+whose plans hold each photon's √n and each projector slot, and the rail
+steps' ``_rail_plan`` and ``_step`` in ``fockfuse.rails``.
 
 A heralded outcome (a detection pattern, a rail erasure, rail fission's
 zero ports) is conditioned by one rule, ``conditioned``: its probability
@@ -50,9 +50,9 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping
 
 H = "H"
 V = "V"
@@ -411,7 +411,7 @@ class PureState:
                 rest_ref = outside
             elif outside != rest_ref:
                 raise ValueError(f"state does not factor on modes {sorted(keep)}")
-            # the common outside part keeps the inside parts distinct; 0.0 + as in ``moved``
+            # the common outside part keeps the inside parts distinct; 0.0 + turns a -0.0 part into 0.0
             out[tuple(inside)] = 0.0 + amp
         return PureState._of(out)
 
@@ -457,22 +457,6 @@ def planned(build, support: tuple[Occupation, ...], *args):
     """``build(support, *args)``, kept for the ``PLAN_LIMIT`` most recently
     used calls."""
     return build(support, *args)
-
-
-def moved(state: PureState, plan, factor: complex = 1.0) -> PureState:
-    """``state`` with each term sent to its plan's ``(occupation, sign)``
-    and summed onto 0.0: as it is at sign 0, plus ``amp * factor`` at 1 and
-    minus it at -1; sums at or below ``PRUNE_TOL`` are dropped, as the
-    checking constructor drops them, and NaN is kept for ``_of`` to refuse."""
-    out: dict[Occupation, complex] = {}
-    for (occ, sign), amp in zip(plan, state._terms.values()):
-        if not sign:
-            out[occ] = out.get(occ, 0.0) + amp
-        elif sign > 0:
-            out[occ] = out.get(occ, 0.0) + amp * factor
-        else:
-            out[occ] = out.get(occ, 0.0) - amp * factor
-    return PureState._of({occ: z for occ, z in out.items() if not abs(z) <= PRUNE_TOL})
 
 
 def _superpose_plan(support: tuple[Occupation, ...], kets: tuple, tags: tuple):

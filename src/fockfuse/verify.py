@@ -13,7 +13,6 @@ import cmath
 import math
 import random
 import time
-from pathlib import Path
 
 from .circuits import (
     FUSED_KETS,
@@ -40,7 +39,7 @@ from .distinguishability import (
     simulate_basis_matrix,
     simulated_average_fidelity,
 )
-from .dsl import ParseError, parse_circuit, serialize_circuit
+from .dsl import SHIPPED, ParseError, parse_circuit, serialize_circuit
 from .elements import Hwp, Pbs, SigmaX, apply_element
 from .rails import (
     FusionBranches,
@@ -399,11 +398,10 @@ def check_mixture_linearity(seed: int) -> str | None:
 
 
 def check_dsl(seed: int) -> str | None:
-    for path in sorted(Path(__file__).with_name("data").iterdir()):  # the shipped circuits
-        if path.suffix == ".lop":
-            circuit = parse_circuit(path.read_text())
-            if parse_circuit(serialize_circuit(circuit)) != circuit:
-                return f"{path.name}: serializer round trip failed"
+    for path in sorted(SHIPPED.glob("*.lop")):
+        circuit = parse_circuit(path.read_text(encoding="utf-8"))
+        if parse_circuit(serialize_circuit(circuit)) != circuit:
+            return f"{path.name}: serializer round trip failed"
     try:
         parse_circuit("mode a\npbs a a a\n")
     except ParseError:

@@ -10,8 +10,9 @@ import time
 
 import pytest
 
-from fockfuse import elements, rails
+from fockfuse import elements, rails, verify
 from fockfuse.circuits import run_fusion
+from fockfuse.cli import main
 from fockfuse.distinguishability import ProbabilityMatrix, fit_p, indistinguishable_fraction
 from fockfuse.verify import CHECKS, check_fusion_correctness, run_verification
 
@@ -35,6 +36,18 @@ def test_criterion_10_verify_runtime():
     started = time.monotonic()
     assert run_verification(seed=2026, out=lambda line: None) == 0
     assert time.monotonic() - started < 60.0
+
+
+def test_a_failing_check_fails_the_run(monkeypatch, capsys):
+    """A check's failure detail is printed, counted, and makes ``fockfuse
+    verify`` exit 1."""
+    monkeypatch.setattr(verify, "CHECKS", (("holds", lambda seed: None), ("breaks", lambda seed: "boom")))
+    lines = []
+    assert run_verification(seed=1, out=lines.append) == 1
+    assert "FAIL breaks: boom" in lines
+    assert lines[-1].startswith("1/2 checks passed ")
+    assert main(["verify"]) == 1
+    assert "FAIL breaks: boom\n1/2 checks passed " in capsys.readouterr().out
 
 
 TWO_PHOTONS = rails.rail_ket(("c0", "c1"))

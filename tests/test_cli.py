@@ -461,9 +461,10 @@ def test_runs_without_numpy(argv):
 
 @pytest.mark.parametrize("argv, unused", [
     (["fuse", "--psi", "1,0", "--phi", "0,1"],
-     ["fockfuse.rails", "fockfuse.distinguishability", "fockfuse.verify", "dataclasses", "inspect"]),
+     ["fockfuse.rails", "fockfuse.distinguishability", "fockfuse.verify", "dataclasses", "inspect", "pkgutil",
+      "typing"]),
     (["abstract-fuse", "--psi", "1,0", "--phi", "0,1"], ["fockfuse.distinguishability", "fockfuse.verify"]),
-    (["basis-scan", "--basis", "ii", "--p", "0.5"], ["fockfuse.rails", "fockfuse.verify"]),
+    (["basis-scan", "--basis", "ii", "--p", "0.5"], ["fockfuse.rails", "fockfuse.verify", "pkgutil", "typing"]),
     (["verify"], ["importlib.resources", "inspect"]),
 ], ids=["fuse", "abstract-fuse", "basis-scan", "verify"])
 def test_a_subcommand_imports_only_what_it_runs(argv, unused):

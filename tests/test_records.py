@@ -161,6 +161,15 @@ def test_a_report_owns_its_default_tables():
     assert ExperimentReport.__hash__ is None
 
 
+def test_a_report_renders_rows_and_scalars():
+    """A table that is a list of rows prints one line per row, its values
+    space-separated to 6 decimals; a scalar table prints one line."""
+    report = ExperimentReport("r", {}, {"rows": [[0.5, 0.25j], (1.0, -2.0)], "scalar": 0.125})
+    assert report.to_text().splitlines()[1:] == [
+        "", "== rows ==", "  0.500000 0.000000+0.250000j", "  1.000000 -2.000000", "", "== scalar ==", "  0.125000",
+    ]
+
+
 def test_replace_checks_the_new_record():
     circuit = build_fusion_circuit()
     fewer = circuit.replace(patterns=circuit.patterns[:2])

@@ -403,6 +403,16 @@ class TestScale:
         assert list(state.normalized().items()) == list((state * (1.0 / math.sqrt(squared))).items())
 
 
+class TestZeroState:
+    def test_normalizing_it_is_refused(self):
+        with pytest.raises(ValueError, match="^cannot normalize the zero state$"):
+            PureState.zero().normalized()
+
+    def test_its_fidelity_with_any_state_is_zero(self):
+        for x, y in ((PureState.zero(), ket(("a", H))), (ket(("a", H)), PureState.zero())):
+            assert exact(fidelity(x, y)) == "0x0.0p+0"
+
+
 class TestSerialization:
     def test_canonical_text_is_sorted_and_stable(self):
         fwd = ket(("c", V)) + 2.0 * ket(("a", H))
