@@ -12,16 +12,17 @@ success; pattern-dependent unitary corrections (feed-forward), kept here
 in each circuit's pattern order, fold all heralded branches onto the
 canonical output.
 
-Inputs and targets are built by ``states.superpose``, which owns photon
-creation.  A circuit's elements compile once (``elements.compile_elements``,
-cached) into one ``MemoRules`` map: a linear substitution of the creation
-operators that carries the elements' checks.  A circuit is validated once,
-when it is built; ``run_circuit`` pushes its input, a mixture included,
-through one replay of its heralded map: the same map and checks with every
-output occupation that none of the circuit's patterns admits dropped, so it
+A circuit's input replays one ``states.product_plan`` over its inputs,
+kept per circuit and tags; targets are built by ``states.superpose``.  A
+circuit's elements compile once (``elements.compile_elements``, cached)
+into one ``MemoRules`` map: a linear substitution of the creation operators
+that carries the elements' checks.  A circuit is validated once, when it is
+built; ``run_circuit`` pushes its input, a mixture included, through one
+replay of its heralded map: the same map and checks with every output
+occupation that none of the circuit's patterns admits dropped, so it
 computes only the terms a detector can herald, each with the patterns that
-admit it.  ``apply_elements`` gives the full output state, as the
-feed-forward corrections use it.
+admit it.  Each branch's feed-forward is one replay of a map too: its
+corrections, factoring onto the output modes as it goes.
 """
 
 from __future__ import annotations
@@ -31,17 +32,7 @@ import math
 import re
 from functools import cache, lru_cache
 
-from .elements import (
-    ElementError,
-    OpticalElement,
-    Relabel,
-    SigmaX,
-    SignFlipV,
-    Unfold,
-    apply_elements,
-    block,
-    compile_elements,
-)
+from .elements import ElementError, OpticalElement, Relabel, SigmaX, SignFlipV, Unfold, block, compile_elements
 
 # one-element appliers, re-exported: perfbench/tracing.py wraps them here
 from .elements import apply_element, apply_relabel, apply_sigma_x, apply_sign_flip_v  # noqa: F401
@@ -55,7 +46,9 @@ from .states import (
     PureState,
     Record,
     conditioned,
+    product_plan,
     superpose,
+    superposed,
     unit_shift,
 )
 
@@ -233,6 +226,27 @@ def _heralded_map(circuit: Circuit) -> MemoRules:
     return MemoRules(compiled, compiled.checks, circuit.patterns)
 
 
+@lru_cache(maxsize=PLAN_LIMIT)
+def _input_plan(circuit: Circuit, tags: tuple):
+    """The ``product_plan`` from the vacuum over the circuit's inputs, each
+    slot's photon on H and V of each of its modes, on the ``tags`` of its
+    modes; refuses a tag on a mode that no input occupies."""
+    tags, slots, occupied = dict(tags), [], set()
+    for inp in circuit.inputs:
+        if isinstance(inp, PhotonIn):
+            kets, tag = (((inp.mode, inp.pol),),), inp.tag
+        else:
+            modes = (inp.mode1, inp.mode2) if isinstance(inp, QuditSlot) else (inp.mode,)
+            kets, tag = tuple(((m, p),) for m in modes for p in (H, V)), tags.get(modes[0], "")
+        mode_tags = {m: tags.get(m, tag) for ket in kets for m, _ in ket}
+        occupied.update(mode_tags)
+        slots.append((kets, tuple(mode_tags.items())))
+    stray = [m for m in tags if m not in occupied]
+    if stray:
+        raise ValueError(f"no input on mode {', '.join(map(repr, stray))}")
+    return product_plan(((),), *slots)
+
+
 def initial_state(
     circuit: Circuit,
     bindings: dict[str, tuple[complex, ...]] | None = None,
@@ -240,7 +254,8 @@ def initial_state(
     tags: dict[str, str] | None = None,
 ) -> PureState:
     """Build the input state, binding each slot's amplitudes by name; ``tags``
-    optionally assigns a distinguishability tag per mode an input occupies."""
+    optionally assigns a distinguishability tag per mode an input occupies.
+    The product over the inputs replays one plan per circuit and tags."""
     bindings = bindings or {}
     tags = tags or {}
     slots = circuit.slot_names()
@@ -250,26 +265,17 @@ def initial_state(
     unknown = [n for n in bindings if n not in slots]
     if unknown:
         raise ValueError(f"no input slot named {', '.join(map(repr, unknown))}")
-    state = PureState.vacuum()
-    occupied = set()
+    amps = []
     for inp in circuit.inputs:
         if isinstance(inp, PhotonIn):
-            amps, kets, tag = (1.0,), (((inp.mode, inp.pol),),), inp.tag
-        else:
-            modes = (inp.mode1, inp.mode2) if isinstance(inp, QuditSlot) else (inp.mode,)
-            kets = tuple(((m, p),) for m in modes for p in (H, V))
-            tag = tags.get(modes[0], "")
-            try:
-                amps = normalized_amplitudes(bindings[inp.name], len(kets))
-            except ValueError as exc:
-                raise ValueError(f"slot {inp.name!r}: {exc}") from None
-        mode_tags = {m: tags.get(m, tag) for ket in kets for m, _ in ket}
-        occupied.update(mode_tags)
-        state = superpose(state, amps, kets, mode_tags)
-    stray = [m for m in tags if m not in occupied]
-    if stray:
-        raise ValueError(f"no input on mode {', '.join(map(repr, stray))}")
-    return state
+            amps.append((1.0,))
+            continue
+        try:  # a slot's photon on H and V of each of its modes
+            amps.append(normalized_amplitudes(bindings[inp.name], 4 if isinstance(inp, QuditSlot) else 2))
+        except ValueError as exc:
+            raise ValueError(f"slot {inp.name!r}: {exc}") from None
+    plan = _input_plan(circuit, tuple(tags.items()))
+    return superposed(plan, amps) if plan else PureState.vacuum()
 
 
 def run_circuit(
@@ -355,17 +361,29 @@ def run_fusion(psi=None, phi=None, *, entangled=None) -> list[ConditionalOutcome
     return run_circuit(circuit, bindings={"psi": tuple(psi), "phi": tuple(phi)})
 
 
-def _corrected(outcome: ConditionalOutcome, apparatus: str, circuit: Circuit, corrections, modes) -> PureState:
-    """``outcome``'s state with its pattern's entry of ``corrections`` (one
-    element tuple per pattern of ``circuit``, in its order) applied, factored
-    onto ``modes``; an outcome of a pattern ``circuit`` lacks is refused.
-    Patterns are told apart by their requirements, which compare without a
-    call to ``Record.__eq__``."""
-    try:
-        i = [p.requirements for p in circuit.patterns].index(outcome.pattern.requirements)
-    except ValueError:
-        raise ValueError(f"outcome does not carry a {apparatus} detection pattern") from None
-    return apply_elements(outcome.state, corrections[i]).factor_on_modes(modes)
+def _corrected(outcome: ConditionalOutcome, apparatus: str) -> PureState:
+    """``outcome``'s state through its pattern's map in ``_feed_forward``; an
+    outcome of a pattern the apparatus's circuit lacks is refused."""
+    correction = _feed_forward(apparatus).get(outcome.pattern.requirements)
+    if correction is None:
+        raise ValueError(f"outcome does not carry a {apparatus} detection pattern")
+    return outcome.state.substituted(correction)
+
+
+@lru_cache(maxsize=PLAN_LIMIT)
+def _feed_forward(apparatus: str) -> dict:
+    """The apparatus's feed-forward by pattern requirements (which compare
+    without a call to ``Record.__eq__``): the pattern's entry of its
+    corrections compiled into one map that factors onto its output modes."""
+    build, corrections, modes = {
+        "fusion": (build_fusion_circuit, _FUSION_FLIPS, ("t1", "t2")),
+        "fission": (build_fission_circuit, _FISSION_CORRECTIONS, ("t", "c")),
+    }[apparatus]
+    maps = {}
+    for pattern, elements in zip(build().patterns, corrections):
+        compiled = compile_elements(elements)
+        maps[pattern.requirements] = MemoRules(compiled, compiled.checks, modes=modes)
+    return maps
 
 
 def apply_feed_forward(outcome: ConditionalOutcome) -> PureState:
@@ -375,7 +393,7 @@ def apply_feed_forward(outcome: ConditionalOutcome) -> PureState:
     them on ``t2``.  Returns the corrected output-photon state on t1/t2.  An
     outcome of any other pattern is refused.
     """
-    return _corrected(outcome, "fusion", build_fusion_circuit(), _FUSION_FLIPS, ("t1", "t2"))
+    return _corrected(outcome, "fusion")
 
 
 #: the fusion feed-forward's flips, by pattern: (a, c) = HH, HV, VH, VV
@@ -421,7 +439,7 @@ def fission_feed_forward(outcome: ConditionalOutcome) -> PureState:
     the output is relabeled onto ``c``.  Returns the two-photon state on
     (t, c).  An outcome of any other pattern is refused.
     """
-    return _corrected(outcome, "fission", build_fission_circuit(), _FISSION_CORRECTIONS, ("t", "c"))
+    return _corrected(outcome, "fission")
 
 
 #: the fission feed-forward's corrections, by pattern: (a, exit) = (H, c),

@@ -166,7 +166,7 @@ class FusionBranches(Record):
     minus_probability: float
 
     def minus_corrected(self) -> tuple[complex, ...]:
-        return tuple(a * c for a, c in zip(self.minus_amps, MINUS_BRANCH_CORRECTION))
+        return tuple(0.0 + a * c for a, c in zip(self.minus_amps, MINUS_BRANCH_CORRECTION))  # no -0.0 part
 
 
 def _register_kets(width: int):

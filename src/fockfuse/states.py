@@ -8,16 +8,19 @@ if all three key components agree.
 
 Amplitudes are stored against *normalized* kets, but transformations follow
 the creation-operator convention: applying the same creation operator twice
-to vacuum yields sqrt(2) times the normalized two-photon ket.  ``superpose``
-is the one routine that creates photons; ``PureState.create`` and every
-input builder call it.  All values are immutable after construction and
-every operation is a pure function of its inputs.
+to vacuum yields sqrt(2) times the normalized two-photon ket.
+``superposed`` is the one routine that creates photons: ``superpose``,
+``PureState.create`` and every input builder replay a ``product_plan`` with
+it.  All values are immutable after construction and every operation is a
+pure function of its inputs.
 
 A linear optical network is one ``MemoRules`` map: its creation-operator
 substitution and its occupancy checks.  ``MemoRules.replay`` is the one step
 that pushes a state through it, and ``substituted`` builds a state from it;
 the map decides each input occupation's image, check verdict and, for a
-heralded map, each image term's route (the patterns that admit it) once.
+heralded map, each image term's route (the patterns that admit it) once;
+a map given ``modes`` splits each image term into its part on them and its
+spectator part instead, so a feed-forward corrects and factors in one pass.
 
 Memo policy: every memo is a ``functools.lru_cache`` of at most
 ``PLAN_LIMIT`` entries (an argument-free builder's holds its one), and its
@@ -25,16 +28,17 @@ Memo policy: every memo is a ``functools.lru_cache`` of at most
 ``MemoRules.plan`` key theirs by (map, occupation) and (map, support), so
 all maps share those two bounds.
 
-Every other step that goes term by term but ``factor_on_modes`` (whose
-one pass costs less than a plan's lookup) keeps one rule: where each term
+Every other step that goes term by term keeps one rule: where each term
 goes is decided once per input support (its ordered occupations) and the
-step's arguments, by a builder whose plan ``planned`` keeps.  A builder's
-refusal is not kept, so it is raised on every call.  A plan decides only
-where terms go; each call redoes every float operation on its own
-amplitudes, in the order the plain loop would.  Each step's builder sits
-beside its one replay: ``superpose`` and ``projector_probability`` here,
-whose plans hold each photon's √n and each projector slot, and the rail
-steps' ``_rail_plan`` and ``_step`` in ``fockfuse.rails``.
+step's arguments, by a builder whose plan ``planned`` keeps; a circuit's
+input, a product over its inputs, keeps one plan per circuit and tags.  A
+builder's refusal is not kept, so it is raised on every call.  A plan
+decides only where terms go; each call redoes every float operation on its
+own amplitudes, in the order the plain loop would.  Each step's builder
+sits beside its one replay: ``product_plan`` and ``superposed``, whose plan
+holds each photon's √n and each term's position, and ``_projector_plan``
+and ``projector_probability`` here, and the rail steps' ``_rail_plan`` and
+``_step`` in ``fockfuse.rails``.
 
 A heralded outcome (a detection pattern, a rail erasure, rail fission's
 zero ports) is conditioned by one rule, ``conditioned``: its probability
@@ -177,15 +181,16 @@ class MemoRules(dict):
     ``plan`` are memoized under the memo policy, so a map must not change
     afterwards; it hashes and compares by identity, so no two maps share an
     entry.  With ``patterns``, an image keeps the terms one admits, with the
-    same additions.
+    same additions.  With ``modes``, its replay factors the output onto them.
     """
 
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __init__(self, rules, checks: tuple, patterns: tuple | None = None):
+    def __init__(self, rules, checks: tuple, patterns: tuple | None = None, *, modes=None):
         super().__init__(rules)
         self.checks = checks
         self.patterns = patterns
+        self.modes = None if modes is None else frozenset(modes)
 
     @lru_cache(maxsize=PLAN_LIMIT)
     def image(self, occ: Occupation):
@@ -193,7 +198,9 @@ class MemoRules(dict):
         ``(√Π n_in!, ((out_occ, coeff, √Π n_out!, route), ...), refused)``:
         ``route`` the indices of the patterns that admit ``out_occ`` (empty
         without patterns) and ``refused`` the index of the first check that
-        refuses ``occ``, or ``len(self.checks)``."""
+        refuses ``occ``, or ``len(self.checks)``.  With ``modes``, ``out_occ``
+        is the output occupation's part on them and ``route`` the rest, its
+        spectator part."""
         poly: dict[Occupation, complex] = {(): 1.0 + 0.0j}
         fact_in = 1.0
         for (mode, channel, tag), n in occ:
@@ -208,11 +215,15 @@ class MemoRules(dict):
                         bumped, _n = _occ_bump(mono, (m2, c2, tag))
                         nxt[bumped] = nxt.get(bumped, 0.0) + coeff * u
                 poly = nxt
-        terms, keep = [], self.patterns
+        terms, keep, split = [], self.patterns, self.modes
         for mono, coeff in poly.items():
             route = () if keep is None else tuple(i for i, p in enumerate(keep) if p.matches(mono))
             if route or keep is None:
-                terms.append((mono, coeff, math.sqrt(math.prod(math.factorial(n) for _, n in mono)), route))
+                root = math.sqrt(math.prod(math.factorial(n) for _, n in mono))
+                if split is not None:
+                    route = tuple(pair for pair in mono if pair[0][0] not in split)
+                    mono = tuple(pair for pair in mono if pair[0][0] in split)
+                terms.append((mono, coeff, root, route))
         held = {(mode, channel) for (mode, channel, _tag), _n in occ}
         refusals = (i for i, (ops, _) in enumerate(self.checks) if not ops.isdisjoint(held))
         return math.sqrt(fact_in), tuple(terms), next(refusals, len(self.checks))
@@ -229,30 +240,47 @@ class MemoRules(dict):
             roots.append(root)
             refused = min(refused, check)
             for mono, coeff, root_out, route in terms:
-                rows.setdefault(mono, (mono, route, []))[2].append((i, coeff, root_out))
+                rows.setdefault((mono, route), (mono, route, []))[2].append((i, coeff, root_out))
         return tuple(roots), tuple(rows.values()), refused
 
-    def replay(self, state: "PureState") -> Iterator[tuple[Occupation, tuple[int, ...], complex]]:
+    def replay(self, state: "PureState") -> Iterator[tuple[Occupation, tuple, complex]]:
         """``(occupation, route, amplitude)`` per output occupation of
         ``state``'s plan, summed onto 0.0 in its order, less sums at or below
         ``PRUNE_TOL`` (NaN is kept for the caller to refuse); the identity map
         yields each term as it is.  Raises ``ValueError`` with the message of
-        the earliest check, in step order, that refuses any term."""
+        the earliest check, in step order, that refuses any term.  With
+        ``modes``, each route is a spectator part, which every term must
+        share with the first (else ``ValueError``: the state does not
+        factor), and each amplitude is summed onto 0.0 once more."""
         roots, rows, refused = self.plan(tuple(state._terms))
         if refused < len(self.checks):
             raise ValueError(self.checks[refused][1])
         amps = list(state._terms.values())
-        if not self:
-            for occ, route, ((i, _coeff, _root),) in rows:
-                yield occ, route, amps[i]
-            return
-        scales = [amp / root for amp, root in zip(amps, roots)]
-        for occ, route, row in rows:
-            total = 0.0
-            for i, coeff, root in row:
-                total += scales[i] * coeff * root
-            if not abs(total) <= PRUNE_TOL:
-                yield occ, route, total
+        if self:
+            terms = _sums(rows, [amp / root for amp, root in zip(amps, roots)])
+        else:
+            terms = ((occ, route, amps[i]) for occ, route, ((i, _coeff, _root),) in rows)
+        return terms if self.modes is None else _factored(terms, self.modes)
+
+
+def _sums(rows, scales):
+    for occ, route, row in rows:
+        total = 0.0
+        for i, coeff, root in row:
+            total += scales[i] * coeff * root
+        if not abs(total) <= PRUNE_TOL:
+            yield occ, route, total
+
+
+def _factored(terms, modes: frozenset[str]):
+    first = None
+    for occ, rest, amp in terms:
+        if first is None:
+            first = rest
+        elif rest != first:
+            raise ValueError(f"state does not factor on modes {sorted(modes)}")
+        # the common spectator part keeps the parts on the modes distinct; 0.0 + turns a -0.0 part into 0.0
+        yield occ, rest, 0.0 + amp
 
 
 class PureState:
@@ -364,13 +392,14 @@ class PureState:
         tag: str | None = None,
         cap: int | None = None,
     ) -> "PureState":
-        """Apply a creation operator, as ``superpose`` does: count n gains
-        factor sqrt(n+1); a term may hold at most ``cap`` photons if one is
-        given."""
+        """Apply a creation operator, as a one-ket ``superpose`` does: count n
+        gains factor sqrt(n+1); a term may hold at most ``cap`` photons if one
+        is given."""
         if cap is not None and self.max_photons() + 1 > cap:
             key = make_key(mode, channel, tag)
             raise PhotonCapExceeded(f"creating a photon on {key} exceeds the cap of {cap}")
-        return superpose(self, (1.0,), (((mode, channel),),), {mode: tag})
+        slot = ((((mode, channel),),), ((mode, tag),))
+        return superposed(planned(product_plan, tuple(self._terms), slot), ((1.0,),), self._terms.values())
 
     def inner(self, other: "PureState") -> complex:
         """<self|other>, conjugate-linear in ``self``."""
@@ -398,22 +427,10 @@ class PureState:
 
         Every term must carry one common occupation outside ``modes``;
         otherwise the state is entangled with the remainder and a
-        ``ValueError`` is raised.
+        ``ValueError`` is raised.  This is the identity map's replay, given
+        ``modes``.
         """
-        keep = frozenset(modes)
-        rest_ref = None
-        out = {}
-        for occ, amp in self._terms.items():
-            inside, outside = [], []
-            for pair in occ:
-                (inside if pair[0][0] in keep else outside).append(pair)
-            if rest_ref is None:
-                rest_ref = outside
-            elif outside != rest_ref:
-                raise ValueError(f"state does not factor on modes {sorted(keep)}")
-            # the common outside part keeps the inside parts distinct; 0.0 + turns a -0.0 part into 0.0
-            out[tuple(inside)] = 0.0 + amp
-        return PureState._of(out)
+        return self.substituted(_factoring(frozenset(modes)))
 
     def to_json_obj(self) -> list[dict]:
         """Canonical serialization: sorted list of occupation/amplitude rows."""
@@ -431,6 +448,11 @@ class PureState:
 
     def to_canonical_text(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True)
+
+
+@lru_cache(maxsize=PLAN_LIMIT)
+def _factoring(modes: frozenset[str]) -> MemoRules:
+    return MemoRules({}, (), modes=modes)
 
 
 def _squared_sum(terms: Mapping[Occupation, complex]) -> float:
@@ -459,53 +481,70 @@ def planned(build, support: tuple[Occupation, ...], *args):
     return build(support, *args)
 
 
-def _superpose_plan(support: tuple[Occupation, ...], kets: tuple, tags: tuple):
-    """For each ket, for each occupation of ``support``: that occupation with
-    the ket's photons created on the ``tags`` of their modes, and the √n each
-    photon in turn gains."""
-    tags = dict(tags)
+def product_plan(support: tuple[Occupation, ...], *slots):
+    """For each slot ``(kets, tags)``, for each ket, for each position of the
+    previous slot's occupations (``support`` first): the position of that
+    occupation with the ket's photons created on the ``tags`` of their modes
+    (the occupation itself in the last slot), and the √n each photon gains."""
     plan = []
-    for ket in kets:
-        keys = [make_key(mode, pol, tags.get(mode)) for mode, pol in ket]
-        rows = []
-        for occ in support:
-            roots = []
-            for key in keys:
-                occ, n = _occ_bump(occ, key)
-                roots.append(math.sqrt(n))
-            rows.append((occ, tuple(roots)))
-        plan.append(tuple(rows))
+    for kets, tags in slots:
+        tags, positions, steps = dict(tags), {}, []
+        for ket in kets:
+            keys = [make_key(mode, pol, tags.get(mode)) for mode, pol in ket]
+            rows = []
+            for occ in support:
+                roots = []
+                for key in keys:
+                    occ, n = _occ_bump(occ, key)
+                    roots.append(math.sqrt(n))
+                rows.append((positions.setdefault(occ, len(positions)), tuple(roots)))
+            steps.append(tuple(rows))
+        plan.append(tuple(steps))
+        support = tuple(positions)
+    if plan:
+        plan[-1] = tuple(tuple((support[q], roots) for q, roots in rows) for rows in plan[-1])
     return tuple(plan)
+
+
+def superposed(plan, amps_by_slot, base=(1.0 + 0.0j,)) -> "PureState":
+    """A ``product_plan`` of at least one slot replayed on its support's
+    amplitudes ``base`` (the vacuum's by default) with each slot's ``a``s, as
+    chained ``superpose`` calls do it: for each nonzero ``a``, √n per photon,
+    each summed onto 0.0, then ``a``; a product or a running sum at or below
+    ``PRUNE_TOL`` is dropped.  Terms are keyed by position, so a dropped sum
+    that gains again is added last."""
+    terms = None
+    for rows_by_ket, amps in zip(plan, amps_by_slot):
+        out: dict = {}
+        for a, rows in zip(amps, rows_by_ket):
+            if a != 0:
+                a = complex(a)
+                steps = zip(rows, base) if terms is None else zip(map(rows.__getitem__, terms), terms.values())
+                for (q, roots), amp in steps:
+                    for root in roots:
+                        amp = 0.0 + amp * root
+                    amp = amp * a
+                    if abs(amp) <= PRUNE_TOL:
+                        continue
+                    out[q] = total = out.get(q, 0.0) + amp
+                    if abs(total) <= PRUNE_TOL:
+                        del out[q]
+        terms = out
+    return PureState._of(terms)
 
 
 def superpose(base: PureState, amps, kets, tags=None) -> PureState:
     """Sum of ``a * (base with the ket's photons created)`` over nonzero ``a``:
-    the one routine that puts photons on occupations.
+    a product of one slot, as ``superposed`` replays it.
 
     A ket is a sequence of ``(mode, pol)`` photons; ``tags`` maps a mode to
     its distinguishability tag.  One pass forms each amplitude as ``create``,
-    ``*`` and ``+`` chained would, -0.0 parts included: √(n+1) per photon,
-    then ``a``; a product or a running sum at or below ``PRUNE_TOL`` is
-    dropped.
+    ``*`` and ``+`` chained would, -0.0 parts included.
     """
     if len(amps) != len(kets):
         raise ValueError(f"expected {len(kets)} amplitudes, got {len(amps)}")
-    tags = tuple(tags.items()) if tags else ()
-    plan = planned(_superpose_plan, tuple(base._terms), tuple(map(tuple, kets)), tags)
-    out: dict[Occupation, complex] = {}
-    for a, rows in zip(amps, plan):
-        if a != 0:
-            a = complex(a)
-            for (occ, roots), amp in zip(rows, base._terms.values()):
-                for root in roots:
-                    amp = 0.0 + amp * root
-                amp = amp * a
-                if abs(amp) <= PRUNE_TOL:
-                    continue
-                out[occ] = total = out.get(occ, 0.0) + amp
-                if abs(total) <= PRUNE_TOL:
-                    del out[occ]
-    return PureState._of(out)
+    slot = (tuple(map(tuple, kets)), tuple(tags.items()) if tags else ())
+    return superposed(planned(product_plan, tuple(base._terms), slot), (amps,), base._terms.values())
 
 
 def fidelity(x: PureState, y: PureState) -> float:

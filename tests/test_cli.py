@@ -117,6 +117,16 @@ class TestAbstractCommands:
         values = [complex(a["re"], a["im"]) for a in minus]
         assert np.allclose(values, [0.5, 0.5, 0.5, 0.5])
 
+    def test_a_zero_minus_branch_is_corrected_without_negative_zeros(self, capsys):
+        argv = ("abstract-fuse", "--psi=1,0", "--phi=1,0", "--vacuum-amp=0")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert "  amplitudes = [0j, 0j, 0j, 0j]\n  corrected = [0j, 0j, 0j, 0j]\n" in out
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        corrected = json.loads(out)["tables"]["minus branch"]["corrected"]
+        assert [(a["re"].hex(), a["im"].hex()) for a in corrected] == [("0x0.0p+0", "0x0.0p+0")] * 4
+
     @pytest.mark.parametrize("psi", ["1e200,0", "1e-200,0"])
     def test_amplitude_scale_is_irrelevant(self, capsys, psi):
         want = run_cli(capsys, "abstract-fuse", "--psi=1,0", "--phi=1,0")

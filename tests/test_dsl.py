@@ -7,6 +7,7 @@ from typing import get_args
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from fockfuse import circuits
 from fockfuse.circuits import (
     Circuit,
     CircuitError,
@@ -14,12 +15,14 @@ from fockfuse.circuits import (
     QubitSlot,
     QuditSlot,
     initial_state,
+    normalized_amplitudes,
     run_circuit,
 )
 from fockfuse.distinguishability import ProbabilityMatrix, closed_form_matrix, similarity
 from fockfuse.dsl import ParseError, parse_circuit, serialize_circuit
 from fockfuse.elements import Hwp, OpticalElement, Pbs, Unfold, apply_elements
-from fockfuse.states import H, V, DetectionPattern, PatternError, PureState
+from fockfuse.states import H, V, DetectionPattern, PatternError, PureState, planned
+from test_states import bits, superpose_reference
 
 DATA = Path(__file__).parent / "data"
 SHIPPED = sorted(
@@ -184,6 +187,27 @@ def named_circuits(draw):
     return tuple(modes), tuple(inputs), tuple(elements), tuple(patterns)
 
 
+def initial_state_reference(circuit, bindings, tags):
+    """The input as one ``superpose_reference`` call per input, in order, each
+    slot's photon on H and V of each of its modes."""
+    state = PureState.vacuum()
+    for inp in circuit.inputs:
+        if isinstance(inp, PhotonIn):
+            amps, kets, tag = (1.0,), (((inp.mode, inp.pol),),), inp.tag
+        else:
+            modes = (inp.mode1, inp.mode2) if isinstance(inp, QuditSlot) else (inp.mode,)
+            kets, tag = tuple(((m, p),) for m in modes for p in (H, V)), tags.get(modes[0], "")
+            amps = normalized_amplitudes(bindings[inp.name], len(kets))
+        state = superpose_reference(state, amps, kets, {m: tags.get(m, tag) for ket in kets for m, _ in ket})
+    return state
+
+
+#: zeros, equal magnitudes that cancel, and, half the time, parts so small
+#: beside a unit one that their products fall under PRUNE_TOL at the second
+#: slot or at the first
+SLOT_AMPLITUDES = st.one_of(st.sampled_from((0, 1, -1, 1j, -1j, 0.5)), st.sampled_from((1e-6, -1e-7j, 1e-13)))
+
+
 class TestGenerated:
     @settings(deadline=None)
     @given(named_circuits())
@@ -220,6 +244,41 @@ class TestGenerated:
             assert "already carries photons" in str(exc) or "merge undefined" in str(exc)
             assume(False)
         assert abs(sum(outcome.probability for outcome in outcomes) - 1.0) < 1e-12
+
+    @settings(deadline=None)
+    @given(valid_circuits(), st.data())
+    def test_input_equals_one_superpose_per_slot(self, circuit, data):
+        """``initial_state`` replays one plan, yet gives the terms, in order,
+        and the bits of one ``superpose_reference`` call per input, over
+        zero amplitudes, products pruned partway through, tags and inputs
+        sharing a mode, whose sums may cancel.  A warm call with other
+        amplitudes makes no plan miss."""
+        def amplitudes(slot):
+            n = 4 if isinstance(slot, QuditSlot) else 2
+            return tuple(data.draw(st.lists(SLOT_AMPLITUDES, min_size=n, max_size=n).filter(any)))
+
+        tag = st.sampled_from(("", "A"))
+        occupied = sorted(
+            {m for i in circuit.inputs for m in ((i.mode1, i.mode2) if isinstance(i, QuditSlot) else (i.mode,))}
+        )
+        tags = data.draw(st.dictionaries(st.sampled_from(occupied), tag, max_size=2)) if occupied else {}
+        for warm in (False, True):
+            bindings = {i.name: amplitudes(i) for i in circuit.inputs if not isinstance(i, PhotonIn)}
+            misses = circuits._input_plan.cache_info().misses, planned.cache_info().misses
+            got = initial_state(circuit, bindings, tags=tags)
+            assert bits(got) == bits(initial_state_reference(circuit, bindings, tags))
+            if warm:
+                assert (circuits._input_plan.cache_info().misses, planned.cache_info().misses) == misses
+
+    def test_a_product_pruned_partway_is_built_on_what_is_left(self):
+        """``a`` V with ``b`` H falls under ``PRUNE_TOL`` at the second slot;
+        the third slot extends the three terms left, in the chain's order."""
+        inputs = (QubitSlot("a", "psi"), QubitSlot("b", "phi"), QubitSlot("c", "chi"))
+        circuit = Circuit(("a", "b", "c"), inputs, (), ())
+        bindings = {"psi": (1, 1e-7), "phi": (1e-6, 1), "chi": (1, -1)}
+        got = initial_state(circuit, bindings)
+        assert bits(got) == bits(initial_state_reference(circuit, bindings, {}))
+        assert len(got) == 6
 
     @settings(deadline=None)
     @given(valid_circuits(), st.data())

@@ -45,6 +45,7 @@ from fockfuse.states import (
     MixedState,
     PureState,
     fidelity,
+    planned,
     superpose,
 )
 from fockfuse.verify import random_qubit
@@ -191,6 +192,31 @@ class TestGenericRunner:
     def test_a_tag_on_a_mode_no_input_occupies_raises(self, tags, message):
         with pytest.raises(ValueError, match=message):
             initial_state(build_fusion_circuit(), {"psi": (1, 0), "phi": (0, 1)}, tags=tags)
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("bindings, message", [
+        ({"phi": (0, 0), "ghost": (1,)}, "^unbound input slots: psi$"),
+        ({"psi": (1, 0, 0), "phi": (0, 0), "ghost": (1,)}, "^no input slot named 'ghost'$"),
+        ({"psi": (1, 0, 0), "phi": (0, 0)}, "^slot 'psi': expected 2 amplitudes, got 3$"),
+        ({"psi": (1, 0), "phi": (0, 0)}, "^slot 'phi': amplitudes are all zero$"),
+        ({"psi": (1, 0), "phi": (0, 1)}, "^no input on mode 't1'$"),
+    ], ids=["missing", "unknown", "first-bad-slot", "second-bad-slot", "stray-tag"])
+    def test_each_error_is_raised_before_the_later_ones(self, bindings, message):
+        """Missing slots, then unknown ones, then each bad slot in input order,
+        then a stray tag: each row also breaks every later rule, and the
+        refusal is raised on every call."""
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                initial_state(build_fusion_circuit(), bindings, tags={"t1": "A"})
+
+    def test_a_warm_call_makes_no_plan_miss(self):
+        circuit = build_fusion_circuit()
+        initial_state(circuit, {"psi": (1, 0), "phi": (0.6, 0.8)}, tags={"a": "A"})
+        misses = circuits._input_plan.cache_info().misses, planned.cache_info().misses
+        state = initial_state(circuit, {"psi": (0.6, 0.8j), "phi": (0, 1)}, tags={"a": "A"})
+        assert (circuits._input_plan.cache_info().misses, planned.cache_info().misses) == misses
+        assert len(state) == 2
 
 
 def outcome_bits(outcomes):

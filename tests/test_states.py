@@ -7,18 +7,23 @@ from hypothesis import strategies as st
 
 from fockfuse.circuits import (
     FUSED_KETS,
+    apply_feed_forward,
+    build_fission_circuit,
     build_fusion_circuit,
+    fission_feed_forward,
     fusion_input,
     normalized_amplitudes,
     run_circuit,
 )
-from fockfuse.elements import Hwp, apply_elements
+from fockfuse.elements import Hwp, Relabel, SigmaX, SignFlipV, apply_elements
 from fockfuse.states import (
     H,
     INV_SQRT2,
     PRUNE_TOL,
     V,
+    ConditionalOutcome,
     DetectionPattern,
+    MemoRules,
     MixedState,
     PhotonCapExceeded,
     PureState,
@@ -482,6 +487,86 @@ class TestFactorOnModes:
             with pytest.raises(ValueError, match=r"^state does not factor on modes \['t1'\]$"):
                 entangled.factor_on_modes(("t1",))
         assert planned.cache_info().currsize == 0
+
+
+#: each apparatus's feed-forward and, as its docstring states them, its
+#: corrections by pattern in circuit order and the modes its output is factored onto
+FEED_FORWARDS = {
+    "fusion": (
+        apply_feed_forward, FUSION, ((), (SigmaX("t2"),), (SigmaX("t1"),), (SigmaX("t1"), SigmaX("t2"))), ("t1", "t2"),
+    ),
+    "fission": (
+        fission_feed_forward,
+        build_fission_circuit(),
+        ((), (SignFlipV("t"),), (SigmaX("t"), Relabel("c'", "c")), (SignFlipV("t"), SigmaX("t"), Relabel("c'", "c"))),
+        ("t", "c"),
+    ),
+}
+
+
+def feed_forward_reference(outcome, apparatus):
+    """The feed-forward as two steps: the pattern's corrections applied to the
+    full state by ``apply_elements``, then factored by the plain loop."""
+    _step, circuit, corrections, modes = FEED_FORWARDS[apparatus]
+    requirements = [p.requirements for p in circuit.patterns]
+    if outcome.pattern.requirements not in requirements:
+        raise ValueError(f"outcome does not carry a {apparatus} detection pattern")
+    elements = corrections[requirements.index(outcome.pattern.requirements)]
+    return factor_on_modes_reference(apply_elements(outcome.state, elements), modes)
+
+
+def occupation(photons):
+    """The occupation holding ``(mode, channel, tag)`` photons, a repeat two on one key."""
+    counts = {}
+    for mode, channel, tag in photons:
+        key = make_key(mode, channel, tag)
+        counts[key] = counts.get(key, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+@st.composite
+def apparatus_outcomes(draw):
+    """An outcome of one of the apparatus's patterns, or one time in four of
+    the other's, whose state shares one drawn spectator part, but a term in
+    three also holds a photon anywhere (so the state may not factor).  Photons may
+    repeat a key or sit on a rail, amplitudes may be signed zeros or within
+    a decade of ``PRUNE_TOL``, and no term is pruned when the state is made.
+    In a fission branch through ``c'`` a photon on ``c`` is refused."""
+    apparatus = draw(st.sampled_from(sorted(FEED_FORWARDS)))
+    _step, circuit, _corrections, modes = FEED_FORWARDS[apparatus]
+    outputs = sorted(circuit.output_modes())
+    photon = lambda pool: st.tuples(st.sampled_from(pool), st.sampled_from((H, V, "")), st.sampled_from(("", "A")))
+    common = draw(st.lists(photon([m for m in outputs if m not in modes]), max_size=2))
+    stray = st.one_of(st.just([]), st.just([]), st.lists(photon(outputs), min_size=1, max_size=1))
+    terms = draw(st.lists(st.tuples(st.lists(photon(list(modes)), max_size=3), stray, AMPLITUDES), min_size=1, max_size=6))
+    state = PureState._of({occupation(common + inside + extra): complex(a) for inside, extra, a in terms})
+    foreign = FEED_FORWARDS["fission" if apparatus == "fusion" else "fusion"][1].patterns
+    pattern = draw(st.sampled_from(foreign if draw(st.integers(0, 3)) == 3 else circuit.patterns))
+    return apparatus, ConditionalOutcome(1.0, state, pattern)
+
+
+class TestFeedForward:
+    @settings(deadline=None)
+    @given(apparatus_outcomes(), AMPLITUDE_SETS)
+    def test_one_replay_equals_correcting_then_factoring(self, drawn, amps):
+        """The same bits, or the same refusal, as the two-step reference:
+        cold, warm, and with other amplitudes, signed zero parts first, on
+        the same support, which the element-free branches sum onto 0.0."""
+        apparatus, drawn_outcome = drawn
+        step = FEED_FORWARDS[apparatus][0]
+        other = drawn_outcome.replace(state=on_support(drawn_outcome.state, SIGNED_ZEROS + amps))
+        MemoRules.image.cache_clear()
+        MemoRules.plan.cache_clear()
+        for given_outcome in (drawn_outcome, drawn_outcome, other):
+            assert outcome(step, given_outcome) == outcome(feed_forward_reference, given_outcome, apparatus)
+
+    def test_a_mixed_input_outcome_is_refused_as_before(self):
+        """Each branch label is a spectator, so a heralded mixture does not factor."""
+        plain, tagged = fusion_input((0.6, 0.8j, 0.0, 0.0)), fusion_input((0.6, 0.8j, 0.0, 0.0), "A", "B")
+        for mixed_outcome in run_circuit(FUSION, MixedState(((0.3, plain), (0.7, tagged)))):
+            message = outcome(apply_feed_forward, mixed_outcome)
+            assert message == outcome(feed_forward_reference, mixed_outcome, "fusion")
+            assert message == "state does not factor on modes ['t1', 't2']"
 
 
 def projector_probability_reference(state, amplitudes):
