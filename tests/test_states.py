@@ -476,17 +476,19 @@ class TestFactorOnModes:
         with other amplitudes, signed zero parts first, on the same support."""
         state = bracket_state(base_terms, base_tags, terms, tags).create("s", H, tag)
         other = on_support(state, SIGNED_ZEROS + amps)
-        planned.cache_clear()
+        MemoRules.image.cache_clear()
+        MemoRules.plan.cache_clear()
         for drawn in (state, state, other):
             assert outcome(drawn.factor_on_modes, modes) == outcome(factor_on_modes_reference, drawn, modes)
 
     def test_a_refusal_is_raised_on_every_call(self):
+        """The identity map's plan is kept; its replay refuses each time."""
         entangled = ket(("a", H), ("t1", H)) + ket(("a", V), ("t1", V))
-        planned.cache_clear()
+        MemoRules.plan.cache_clear()
         for _ in range(2):
             with pytest.raises(ValueError, match=r"^state does not factor on modes \['t1'\]$"):
                 entangled.factor_on_modes(("t1",))
-        assert planned.cache_info().currsize == 0
+        assert MemoRules.plan.cache_info().misses == 1
 
 
 #: each apparatus's feed-forward and, as its docstring states them, its
