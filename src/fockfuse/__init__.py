@@ -10,11 +10,11 @@ __version__ = "0.1.0"
 #: module -> the names exported from it, ``alias=name`` where they differ
 _MODULES = {
     "states": "H V ConditionalOutcome DetectionPattern MixedState PhotonCapExceeded PureState "
-    "fidelity projector_probability",
+    "fidelity product_qudit projector_probability",
     "elements": "Hwp Merge OpticalElement Pbs Relabel SigmaX SignFlipV Unfold apply_element",
     "circuits": "BASIS_KEYS Circuit CircuitError PhotonIn QubitSlot QuditSlot apply_feed_forward "
     "build_fission_circuit build_fusion_circuit fission_feed_forward fission_success_target "
-    "fused_target initial_state product_qudit run_circuit run_fission run_fusion",
+    "fused_target initial_state run_circuit run_fission run_fusion",
     "dsl": "ParseError load_named_circuit parse_circuit serialize_circuit",
     "rails": "FusionBranches cnot rail_fission=fission rail_fuse=fuse fuse_iterated fuse_joint",
     "distinguishability": "Basis ProbabilityMatrix average_fidelity basis_mean_fidelity_law "

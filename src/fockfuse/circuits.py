@@ -27,15 +27,14 @@ corrections, factoring onto the output modes as it goes.
 
 from __future__ import annotations
 
-import cmath
-import math
 import re
 from functools import cache, lru_cache
 
 from .elements import ElementError, OpticalElement, Relabel, SigmaX, SignFlipV, Unfold, block, compile_elements
 
-# one-element appliers, re-exported: perfbench/tracing.py wraps them here
+# re-exported: perfbench/tracing.py wraps these here, and perfbench/workloads.py calls product_qudit
 from .elements import apply_element, apply_relabel, apply_sigma_x, apply_sign_flip_v  # noqa: F401
+from .states import product_qudit  # noqa: F401
 from .states import (
     H,
     PLAN_LIMIT,
@@ -46,10 +45,10 @@ from .states import (
     PureState,
     Record,
     conditioned,
+    normalized_amplitudes,
     product_plan,
     superpose,
     superposed,
-    unit_shift,
 )
 
 #: a mode or slot name: one token that ``--bind name=...`` and a ``+`` group can hold
@@ -196,28 +195,6 @@ class Circuit(Record):
 # -- state preparation and running ----------------------------------------
 
 
-def rescaled_amplitudes(amps, n: int) -> tuple[tuple[complex, ...], float]:
-    """``n`` finite, not all zero amplitudes times an exact power of two that
-    keeps their sum of squares finite and nonzero, and that sum of squares."""
-    vec = [complex(a) for a in amps]
-    if len(vec) != n:
-        raise ValueError(f"expected {n} amplitudes, got {len(vec)}")
-    if not all(cmath.isfinite(z) for z in vec):
-        raise ValueError("amplitudes must be finite")
-    if not any(vec):
-        raise ValueError("amplitudes are all zero")
-    shift = unit_shift(vec)
-    vec = [complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift)) for z in vec]
-    return tuple(vec), sum(z.real * z.real for z in vec) + sum(z.imag * z.imag for z in vec)
-
-
-def normalized_amplitudes(amps, n: int) -> tuple[complex, ...]:
-    """``n`` finite, not all zero amplitudes, scaled to unit norm at any scale."""
-    vec, squared_norm = rescaled_amplitudes(amps, n)
-    norm = math.sqrt(squared_norm)
-    return tuple(z / norm for z in vec)
-
-
 @lru_cache(maxsize=PLAN_LIMIT)
 def _heralded_map(circuit: Circuit) -> MemoRules:
     """The circuit's compiled map, with its elements' checks and patterns: it
@@ -335,13 +312,6 @@ def fusion_input(amps, ancilla_tag: str = "", pair_tag: str = "") -> PureState:
     kets = [(("t", tp), ("c", cp)) for tp in (H, V) for cp in (H, V)]
     base = PureState.vacuum().create("a", H, ancilla_tag)
     return superpose(base, amps, kets, {"t": pair_tag, "c": pair_tag})
-
-
-def product_qudit(psi, phi) -> tuple[complex, ...]:
-    """Tensor-product amplitudes (a0*c0, a0*c1, a1*c0, a1*c1)."""
-    a0, a1 = (complex(x) for x in psi)
-    b0, b1 = (complex(x) for x in phi)
-    return (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
 
 
 def run_fusion(psi=None, phi=None, *, entangled=None) -> list[ConditionalOutcome]:

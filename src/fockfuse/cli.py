@@ -30,15 +30,13 @@ from .circuits import (
     fission_feed_forward,
     fission_success_target,
     fused_target,
-    normalized_amplitudes,
-    product_qudit,
     run_circuit,
     run_fission,
     run_fusion,
 )
 from .dsl import load_named_circuit, parse_circuit
 from .reports import REFERENCE, ExperimentReport
-from .states import PureState, fidelity
+from .states import PureState, fidelity, normalized_amplitudes, product_qudit
 
 #: the package's names that handlers import on first use
 _LAZY = frozenset((

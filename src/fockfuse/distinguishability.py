@@ -33,10 +33,9 @@ from .circuits import (
     build_fusion_circuit,
     fused_target,
     fusion_input,
-    product_qudit,
     run_circuit,
 )
-from .states import INV_SQRT2, PLAN_LIMIT, Record, projector_probability
+from .states import INV_SQRT2, PLAN_LIMIT, Record, product_qudit, projector_probability
 
 CLOSED_FORM_NOTE = (
     "bases i/ii off-diagonal closed-form numerators are 3(1-p), the unique "

@@ -8,7 +8,7 @@ of a protocol must share that amplitude for the output to be correct.
 
 These protocols are the oracle for the full optical apparatus: the fusion
 plus-branch amplitudes here must match the optical H/H-heralded branch, and
-fission inverts fusion exactly.
+fission inverts fusion exactly.  This module imports only ``states``.
 
 Each rail step is a table, in ``_STEPS``, from the photon counts on its
 rails to the counts it leaves there and the sign ``_step`` reads.  One
@@ -25,8 +25,8 @@ qubit most significant, are read in bit-reversed rail order.
 
 from __future__ import annotations
 
-from .circuits import normalized_amplitudes, product_qudit, rescaled_amplitudes
-from .states import INV_SQRT2, PRUNE_TOL, PureState, Record, conditioned, make_key, planned, superpose
+from .states import INV_SQRT2, PRUNE_TOL, PureState, Record, conditioned, make_key, normalized_amplitudes, planned
+from .states import product_qudit, rescaled_amplitudes, superpose
 
 RailPair = tuple[str, str]
 
@@ -179,6 +179,15 @@ def _register_kets(width: int):
 _JOINT_KETS = tuple(((f"r{t}", ""), (c, "")) for t in (0, 1) for c in _CONTROL)
 
 
+def _heralded(state: PureState, vacuum_amps) -> PureState:
+    """``state``; a protocol refuses to return a branch that a small passthrough
+    amplitude left with no term (a fusion's minus branch has its plus moduli)."""
+    if state.is_zero:
+        named = " and ".join(f"{amp:g}" for amp in dict.fromkeys(vacuum_amps))
+        raise ValueError(f"no heralded amplitude above {PRUNE_TOL:g} at passthrough amplitude {named}")
+    return state
+
+
 def _fusion_round(joint: PureState, vacuum_amps):
     """CNOT pair (r_k, r_{k+w}), w = len(vacuum_amps), from the control with
     passthrough amplitude ``vacuum_amps[k]``, then erase the control in the
@@ -224,7 +233,7 @@ def _fuse_joint_with_vacuum_amps(amps, amp1, amp2) -> FusionBranches:
     joint = superpose(PureState.vacuum(), amps, _JOINT_KETS)
     (p_plus, plus), (p_minus, minus) = _fusion_round(joint, (amp1, amp2))
     return FusionBranches(
-        plus_amps=plus.amplitudes(_register_kets(4)),
+        plus_amps=_heralded(plus, (amp1, amp2)).amplitudes(_register_kets(4)),
         minus_amps=minus.amplitudes(_register_kets(4)),
         plus_probability=p_plus / squared_norm,
         minus_probability=p_minus / squared_norm,
@@ -251,7 +260,7 @@ def fuse_iterated(qubits, vacuum_amp: complex = 1.0):
         p_plus, state = _fusion_round(state, [vacuum_amp] * width)[0]
         width *= 2
         probability *= p_plus
-    return state.amplitudes(_register_kets(width)), probability
+    return _heralded(state, (vacuum_amp,)).amplitudes(_register_kets(width)), probability
 
 
 # -- fission ----------------------------------------------------------------
@@ -280,7 +289,7 @@ def fission(qudit, vacuum_amp: complex = 1.0):
     state = erase_to_zero_port(state, _SRC1)
     state = erase_to_zero_port(state, _SRC2)
     probability, state = conditioned(state._terms)
-    return state, probability / squared_norm
+    return _heralded(state, (vacuum_amp,)), probability / squared_norm
 
 
 def two_qubit_state(c_amps, t_amps) -> PureState:

@@ -146,6 +146,35 @@ def unit_shift(amps: Iterable[complex]) -> int:
     return -math.frexp(peak)[1]
 
 
+def rescaled_amplitudes(amps, n: int) -> tuple[tuple[complex, ...], float]:
+    """``n`` finite, not all zero amplitudes times an exact power of two that
+    keeps their sum of squares finite and nonzero, and that sum of squares."""
+    vec = [complex(a) for a in amps]
+    if len(vec) != n:
+        raise ValueError(f"expected {n} amplitudes, got {len(vec)}")
+    if not all(cmath.isfinite(z) for z in vec):
+        raise ValueError("amplitudes must be finite")
+    if not any(vec):
+        raise ValueError("amplitudes are all zero")
+    shift = unit_shift(vec)
+    vec = [complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift)) for z in vec]
+    return tuple(vec), sum(z.real * z.real for z in vec) + sum(z.imag * z.imag for z in vec)
+
+
+def normalized_amplitudes(amps, n: int) -> tuple[complex, ...]:
+    """``n`` finite, not all zero amplitudes, scaled to unit norm at any scale."""
+    vec, squared_norm = rescaled_amplitudes(amps, n)
+    norm = math.sqrt(squared_norm)
+    return tuple(z / norm for z in vec)
+
+
+def product_qudit(psi, phi) -> tuple[complex, ...]:
+    """Tensor-product amplitudes (a0*c0, a0*c1, a1*c0, a1*c1)."""
+    a0, a1 = (complex(x) for x in psi)
+    b0, b1 = (complex(x) for x in phi)
+    return (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
+
+
 def _occ_bump(occ: Occupation, key: Key) -> tuple[Occupation, int]:
     """``occ`` with one more photon on ``key``, kept sorted, and the count
     ``key`` now holds."""
@@ -243,44 +272,39 @@ class MemoRules(dict):
                 rows.setdefault((mono, route), (mono, route, []))[2].append((i, coeff, root_out))
         return tuple(roots), tuple(rows.values()), refused
 
-    def replay(self, state: "PureState") -> Iterator[tuple[Occupation, tuple, complex]]:
-        """``(occupation, route, amplitude)`` per output occupation of
-        ``state``'s plan, summed onto 0.0 in its order, less sums at or below
-        ``PRUNE_TOL`` (NaN is kept for the caller to refuse); the identity map
-        yields each term as it is.  Raises ``ValueError`` with the message of
-        the earliest check, in step order, that refuses any term.  With
-        ``modes``, each route is a spectator part, which every term must
-        share with the first (else ``ValueError``: the state does not
-        factor), and each amplitude is summed onto 0.0 once more."""
+    def replay(self, state: "PureState") -> list[tuple[Occupation, tuple, complex]]:
+        """``(occupation, route, amplitude)`` per output occupation of ``state``'s
+        plan, summed onto 0.0 in its order, less sums at or below ``PRUNE_TOL``
+        (NaN is kept for the caller to refuse); the identity map gives each term
+        as it is.  Raises ``ValueError`` with the message of the earliest check,
+        in step order, that refuses any term.  With ``modes``, each route is a
+        spectator part that every term must share with the first (else
+        ``ValueError``: the state does not factor), and each amplitude is summed
+        onto 0.0 once more."""
         roots, rows, refused = self.plan(tuple(state._terms))
         if refused < len(self.checks):
             raise ValueError(self.checks[refused][1])
         amps = list(state._terms.values())
-        if self:
-            terms = _sums(rows, [amp / root for amp, root in zip(amps, roots)])
-        else:
-            terms = ((occ, route, amps[i]) for occ, route, ((i, _coeff, _root),) in rows)
-        return terms if self.modes is None else _factored(terms, self.modes)
-
-
-def _sums(rows, scales):
-    for occ, route, row in rows:
-        total = 0.0
-        for i, coeff, root in row:
-            total += scales[i] * coeff * root
-        if not abs(total) <= PRUNE_TOL:
-            yield occ, route, total
-
-
-def _factored(terms, modes: frozenset[str]):
-    first = None
-    for occ, rest, amp in terms:
-        if first is None:
-            first = rest
-        elif rest != first:
-            raise ValueError(f"state does not factor on modes {sorted(modes)}")
-        # the common spectator part keeps the parts on the modes distinct; 0.0 + turns a -0.0 part into 0.0
-        yield occ, rest, 0.0 + amp
+        summed, modes, first, out = bool(self), self.modes, None, []
+        if summed:
+            amps = [amp / root for amp, root in zip(amps, roots)]  # each over its √Π n_in!
+        for occ, route, row in rows:
+            if summed:
+                total = 0.0
+                for i, coeff, root in row:
+                    total += amps[i] * coeff * root
+                if abs(total) <= PRUNE_TOL:
+                    continue
+            else:  # the identity map: each term as it is
+                total = amps[row[0][0]]
+            if modes is not None:
+                first = route if first is None else first
+                if route != first:
+                    raise ValueError(f"state does not factor on modes {sorted(modes)}")
+                # the common spectator part keeps the parts on the modes distinct; 0.0 + turns a -0.0 part into 0.0
+                total = 0.0 + total
+            out.append((occ, route, total))
+        return out
 
 
 class PureState:

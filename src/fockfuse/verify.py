@@ -22,8 +22,6 @@ from .circuits import (
     fission_success_target,
     fused_target,
     initial_state,
-    normalized_amplitudes,
-    product_qudit,
     run_circuit,
     run_fission,
     run_fusion,
@@ -57,6 +55,8 @@ from .states import (
     MixedState,
     PureState,
     fidelity,
+    normalized_amplitudes,
+    product_qudit,
     superpose,
 )
 

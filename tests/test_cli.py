@@ -1,5 +1,8 @@
 import cmath
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fockfuse
 from fockfuse.cli import main
@@ -117,15 +122,28 @@ class TestAbstractCommands:
         values = [complex(a["re"], a["im"]) for a in minus]
         assert np.allclose(values, [0.5, 0.5, 0.5, 0.5])
 
-    def test_a_zero_minus_branch_is_corrected_without_negative_zeros(self, capsys):
-        argv = ("abstract-fuse", "--psi=1,0", "--phi=1,0", "--vacuum-amp=0")
+    def test_zero_minus_entries_are_corrected_without_negative_zeros(self, capsys):
+        """The correction's -1 factors meet zero entries at indices 1 and 3."""
+        argv = ("abstract-fuse", "--psi=1,0", "--phi=1,0")
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert "  amplitudes = [0j, 0j, 0j, 0j]\n  corrected = [0j, 0j, 0j, 0j]\n" in out
+        assert "  amplitudes = [(1+0j), 0j, 0j, 0j]\n  corrected = [(1+0j), 0j, 0j, 0j]\n" in out
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
         corrected = json.loads(out)["tables"]["minus branch"]["corrected"]
-        assert [(a["re"].hex(), a["im"].hex()) for a in corrected] == [("0x0.0p+0", "0x0.0p+0")] * 4
+        assert [(a["re"].hex(), a["im"].hex()) for a in corrected[1:]] == [("0x0.0p+0", "0x0.0p+0")] * 3
+
+    @pytest.mark.parametrize("argv", [
+        ["abstract-fuse", "--psi", "0.6,0.8", "--phi", "1,0"],
+        ["abstract-fission", "--amps", "0.5,0.5,0.5,0.5"],
+    ], ids=["abstract-fuse", "abstract-fission"])
+    @pytest.mark.parametrize("amp", ["1e-13", "0"])
+    def test_an_empty_heralded_branch_is_refused(self, capsys, argv, amp):
+        """Every heralded amplitude at or below the prune tolerance is an
+        error, not a report of zeros at probability 0."""
+        code, out, err = run_cli(capsys, *argv, "--vacuum-amp", amp)
+        assert (code, out) == (2, "")
+        assert err == f"error: no heralded amplitude above 1e-12 at passthrough amplitude {complex(amp):g}\n"
 
     @pytest.mark.parametrize("psi", ["1e200,0", "1e-200,0"])
     def test_amplitude_scale_is_irrelevant(self, capsys, psi):
@@ -169,6 +187,78 @@ class TestAbstractCommands:
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--vacuum-amp", repr(1.0000000000000002)])
         assert exc.value.code == 2 and "modulus at most 1" in capsys.readouterr().err
+
+
+#: amplitude entries: zero, NaN, inf, subnormal, huge and plain values
+AMPLITUDES = st.sampled_from(("0", "-0", "nan", "inf", "-inf", "5e-324", "1e-310", "1e308", "-1e308", "1", "-0.6", "0.8j"))
+#: finite entries, so that a list of the right length is often accepted
+FINITE = st.sampled_from(("0", "-0", "5e-324", "1e-310", "1e-13", "1e308", "-1e308", "1", "-0.6", "0.8j", "0.3-0.4j"))
+
+
+def amplitude_lists(n):
+    """``n`` finite entries, or one to five entries of any kind, comma-joined."""
+    return st.one_of(st.lists(FINITE, min_size=n, max_size=n), st.lists(AMPLITUDES, min_size=1, max_size=5)).map(
+        ",".join
+    )
+
+
+#: passthrough amplitudes of modulus 0 to 1, typed at full precision
+PASSTHROUGH = st.builds(
+    cmath.rect,
+    st.one_of(st.sampled_from((0.0, 5e-324, 1e-13, 1e-7, 0.5, 1.0)), st.floats(0.0, 1.0)),
+    st.floats(-math.pi, math.pi),
+).map(repr)
+#: each amplitude-reading command, as a strategy for its arguments
+AMPLITUDE_COMMANDS = {
+    "fuse": st.tuples(amplitude_lists(2), amplitude_lists(2)).map(lambda q: ["fuse", f"--psi={q[0]}", f"--phi={q[1]}"]),
+    "fuse-entangled": amplitude_lists(4).map(lambda amps: ["fuse", f"--entangled={amps}"]),
+    "fission": amplitude_lists(4).map(lambda amps: ["fission", f"--amps={amps}"]),
+    "abstract-fuse": st.tuples(amplitude_lists(2), amplitude_lists(2), PASSTHROUGH).map(
+        lambda q: ["abstract-fuse", f"--psi={q[0]}", f"--phi={q[1]}", f"--vacuum-amp={q[2]}"]
+    ),
+    "abstract-fission": st.tuples(amplitude_lists(4), PASSTHROUGH).map(
+        lambda q: ["abstract-fission", f"--amps={q[0]}", f"--vacuum-amp={q[1]}"]
+    ),
+}
+
+
+def reported_values(node):
+    """Every number of a JSON report, and every list of amplitudes in it."""
+    if isinstance(node, dict):
+        for value in node.values():
+            yield from reported_values(value)
+    elif isinstance(node, list):
+        if node and all(isinstance(v, dict) and v.keys() == {"re", "im"} for v in node):
+            yield [complex(v["re"], v["im"]) for v in node]
+        for value in node:
+            yield from reported_values(value)
+    elif isinstance(node, (int, float)):
+        yield node
+
+
+@pytest.mark.parametrize("command", sorted(AMPLITUDE_COMMANDS))
+@settings(deadline=None, max_examples=20)
+@given(data=st.data())
+def test_amplitude_input_keeps_the_error_contract(command, data):
+    """Any amplitude input exits 0 with a finite report that has no all-zero
+    amplitude list, or exits 2 with one ``error:`` line and no report."""
+    argv = data.draw(AMPLITUDE_COMMANDS[command])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([*argv, "--format", "json"])
+        except SystemExit as exc:
+            code = exc.code
+    if code == 2:
+        assert out.getvalue() == ""
+        assert len([line for line in err.getvalue().splitlines() if "error:" in line]) == 1
+        return
+    assert (code, err.getvalue()) == (0, "")
+    for value in reported_values(json.loads(out.getvalue())):
+        if isinstance(value, list):
+            assert any(value), value
+        else:
+            assert math.isfinite(value), value
 
 
 class TestNegativeAmplitudes:
@@ -485,6 +575,17 @@ def test_a_subcommand_imports_only_what_it_runs(argv, unused):
     imported = imported_by_child("-S", "-m", "fockfuse.cli", *argv)
     assert "fockfuse.circuits" in imported
     assert [name for name in unused if name not in bare and name in imported] == []
+
+
+@pytest.mark.parametrize("module, loaded", [
+    ("fockfuse.rails", ["fockfuse", "fockfuse.states", "fockfuse.rails"]),
+    ("fockfuse.states", ["fockfuse", "fockfuse.states"]),
+], ids=["rails", "states"])
+def test_the_rail_oracle_imports_only_the_state_algebra(module, loaded):
+    """The rail protocols, the oracle for the optical engine, share none of
+    its code but the state algebra: no circuit and no element is loaded."""
+    imported = imported_by_child("-c", f"import {module}")
+    assert [name for name in imported if name.split(".")[0] == "fockfuse"] == loaded
 
 
 def test_every_export_resolves():

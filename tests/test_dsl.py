@@ -15,13 +15,12 @@ from fockfuse.circuits import (
     QubitSlot,
     QuditSlot,
     initial_state,
-    normalized_amplitudes,
     run_circuit,
 )
 from fockfuse.distinguishability import ProbabilityMatrix, closed_form_matrix, similarity
 from fockfuse.dsl import ParseError, parse_circuit, serialize_circuit
 from fockfuse.elements import Hwp, OpticalElement, Pbs, Unfold, apply_elements
-from fockfuse.states import H, V, DetectionPattern, PatternError, PureState, planned
+from fockfuse.states import H, V, DetectionPattern, PatternError, PureState, normalized_amplitudes, planned
 from test_states import bits, superpose_reference
 
 DATA = Path(__file__).parent / "data"

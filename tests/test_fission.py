@@ -18,13 +18,12 @@ from fockfuse.circuits import (
     build_fission_circuit,
     fission_feed_forward,
     fission_success_target,
-    product_qudit,
     run_circuit,
     run_fission,
     run_fusion,
 )
 from fockfuse.elements import Relabel, apply_elements
-from fockfuse.states import H, V, DetectionPattern, PureState, fidelity
+from fockfuse.states import H, V, DetectionPattern, PureState, fidelity, product_qudit
 from fockfuse.verify import random_qubit, random_qudit
 
 

@@ -28,7 +28,6 @@ from fockfuse.circuits import (
     fused_target,
     fusion_input,
     initial_state,
-    normalized_amplitudes,
     run_circuit,
     run_fission,
     run_fusion,
@@ -45,6 +44,7 @@ from fockfuse.states import (
     MixedState,
     PureState,
     fidelity,
+    normalized_amplitudes,
     planned,
     superpose,
 )

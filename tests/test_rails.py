@@ -8,14 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockfuse.circuits import (
-    apply_feed_forward,
-    fused_target,
-    normalized_amplitudes,
-    product_qudit,
-    rescaled_amplitudes,
-    run_fusion,
-)
+from fockfuse.circuits import apply_feed_forward, fused_target, run_fusion
 from fockfuse.rails import (
     MAX_FUSED_QUBITS,
     SPLIT_RAIL_KETS,
@@ -39,8 +32,11 @@ from fockfuse.states import (
     V,
     PureState,
     fidelity,
+    normalized_amplitudes,
     planned,
+    product_qudit,
     projector_probability,
+    rescaled_amplitudes,
     superpose,
 )
 from fockfuse.verify import random_qubit
@@ -293,6 +289,11 @@ class TestRailPlans:
 FUSION_CONTROL = ("cx0", "cx1")
 
 
+def empty_branch(vacuum_amp):
+    """The refusal of a protocol whose heralded branch has no term."""
+    return f"no heralded amplitude above {PRUNE_TOL:g} at passthrough amplitude {vacuum_amp:g}"
+
+
 def fuse_iterated_reference(qubits, vacuum_amp=1.0):
     """``fuse_iterated`` without plans: each round spreads the register by a
     relabeling comprehension, then runs the CNOT and erasure references."""
@@ -312,6 +313,8 @@ def fuse_iterated_reference(qubits, vacuum_amp=1.0):
             state = cnot_reference(state, FUSION_CONTROL, (f"r{2 * k}", f"r{2 * k + 1}"), vacuum_amp)
         (p_plus, state), _minus = measure_plus_minus_reference(state, FUSION_CONTROL)
         probability *= p_plus
+    if state.is_zero:
+        raise ValueError(empty_branch(vacuum_amp))
     return state.amplitudes(tuple(((f"r{i}", ""),) for i in range(width))), probability
 
 
@@ -342,6 +345,8 @@ def fuse_joint_reference(amps, vacuum_amp=1.0):
     for k in range(2):
         joint = cnot_reference(joint, FUSION_CONTROL, (f"r{2 * k}", f"r{2 * k + 1}"), vacuum_amp)
     (p_plus, plus), (p_minus, minus) = measure_plus_minus_reference(joint, FUSION_CONTROL)
+    if plus.is_zero or minus.is_zero:
+        raise ValueError(empty_branch(vacuum_amp))
     kets = tuple(((f"r{i}", ""),) for i in range(4))
     return plus.amplitudes(kets), minus.amplitudes(kets), p_plus / squared_norm, p_minus / squared_norm
 
@@ -540,3 +545,24 @@ class TestInputScale:
     def test_nan_raises(self, call):
         with pytest.raises(ValueError, match="finite"):
             call(math.nan)
+
+
+class TestEmptyBranch:
+    """A protocol whose heralded branch keeps no term raises, naming the
+    passthrough amplitude, instead of returning zeros."""
+
+    @pytest.mark.parametrize("call, named", [
+        (lambda: fuse((0.6, 0.8), (1, 0), 1e-13), "1e-13"),
+        (lambda: fuse_joint((0.6, 0, 0.8, 0), 0.0), "0"),
+        (lambda: fuse_iterated([(1, 0)] * 3, 1e-7), "1e-07"),
+        (lambda: fission((0.5, 0.5, 0.5, 0.5), 1e-13j), "0+1e-13j"),
+        (lambda: _fuse_joint_with_vacuum_amps((1, 0, 0, 0), 1e-13, 2e-13), "1e-13 and 2e-13"),
+    ], ids=["fuse", "fuse_joint", "fuse_iterated", "fission", "mismatched"])
+    def test_refused(self, call, named):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"no heralded amplitude above 1e-12 at passthrough amplitude {named}"
+
+    def test_a_larger_passthrough_amplitude_keeps_the_branch(self):
+        amps, probability = fuse_iterated([(1, 0)] * 3, vacuum_amp=1e-3)
+        assert amps == (1, 0, 0, 0, 0, 0, 0, 0) and probability > 0.0

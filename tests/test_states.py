@@ -12,7 +12,6 @@ from fockfuse.circuits import (
     build_fusion_circuit,
     fission_feed_forward,
     fusion_input,
-    normalized_amplitudes,
     run_circuit,
 )
 from fockfuse.elements import Hwp, Relabel, SigmaX, SignFlipV, apply_elements
@@ -30,6 +29,7 @@ from fockfuse.states import (
     conditioned,
     fidelity,
     make_key,
+    normalized_amplitudes,
     planned,
     projector_probability,
     superpose,
