@@ -12,7 +12,7 @@ _MODULES = {
     "states": "H V ConditionalOutcome DetectionPattern MixedState PhotonCapExceeded PureState "
     "fidelity product_qudit projector_probability",
     "elements": "Hwp Merge OpticalElement Pbs Relabel SigmaX SignFlipV Unfold apply_element",
-    "circuits": "BASIS_KEYS Circuit CircuitError PhotonIn QubitSlot QuditSlot apply_feed_forward "
+    "circuits": "BASIS_KEYS Circuit CircuitError PhotonIn QubitSlot QuditSlot apply_feed_forward corrected "
     "build_fission_circuit build_fusion_circuit fission_feed_forward fission_success_target "
     "fused_target initial_state run_circuit run_fission run_fusion",
     "dsl": "ParseError load_named_circuit parse_circuit serialize_circuit",

@@ -8,9 +8,9 @@ exiting on ``t`` and on one of the two channels ``c``/``c'``.  Each one's
 optics and patterns are defined by the ``fusion.lop`` or ``fission.lop``
 file shipped in ``fockfuse.data``; ``build_fusion_circuit`` and
 ``build_fission_circuit`` parse it once per process.  Detection heralds
-success; pattern-dependent unitary corrections (feed-forward), kept here
-in each circuit's pattern order, fold all heralded branches onto the
-canonical output.
+success; each pattern's corrections (feed-forward) and the output modes
+are part of the circuit, declared in its ``.lop``, and fold every heralded
+branch onto the canonical output.
 
 A circuit's input replays one ``states.product_plan`` over its inputs,
 kept per circuit and tags; targets are built by ``states.superpose``.  A
@@ -21,8 +21,8 @@ built; ``run_circuit`` pushes its input, a mixture included, through one
 replay of its heralded map: the same map and checks with every output
 occupation that none of the circuit's patterns admits dropped, so it
 computes only the terms a detector can herald, each with the patterns that
-admit it.  Each branch's feed-forward is one replay of a map too: its
-corrections, factoring onto the output modes as it goes.
+admit it.  Each branch's feed-forward (``corrected``) is one replay of a map
+too: its corrections, factoring onto the output modes as it goes.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from functools import cache, lru_cache
 
-from .elements import ElementError, OpticalElement, Relabel, SigmaX, SignFlipV, Unfold, block, compile_elements
+from .elements import ElementError, OpticalElement, Unfold, block, compile_elements
 
 # re-exported: perfbench/tracing.py wraps these here, and perfbench/workloads.py calls product_qudit
 from .elements import apply_element, apply_relabel, apply_sigma_x, apply_sign_flip_v  # noqa: F401
@@ -66,9 +66,10 @@ _FIELD_RULES = {
 class CircuitError(ValueError):
     """Structural problem in a circuit definition.
 
-    ``entry`` is the failing ``(section, index)``, a section being one of
-    ``"modes"``, ``"inputs"``, ``"elements"`` and ``"patterns"``; ``mode`` is
-    the mode involved, or ``field`` the element field holding a bad value.
+    ``entry`` is the failing ``(section, index)``, a section being a field
+    of ``Circuit`` (``"feed_forward"`` indexes every pattern's corrections in
+    turn); ``mode`` is the mode involved, or ``field`` the element field
+    holding a bad value.
     """
 
     def __init__(
@@ -116,8 +117,12 @@ class Circuit(Record):
     inputs: tuple[CircuitInput, ...]
     elements: tuple[OpticalElement, ...]
     patterns: tuple[DetectionPattern, ...]
+    feed_forward: tuple[tuple[OpticalElement, ...], ...] = ()  # each pattern's corrections
+    output: tuple[str, ...] = ()  # the modes a corrected branch is factored onto
 
     def __post_init__(self):
+        if not any(self.feed_forward):  # no corrections: an empty one per pattern
+            object.__setattr__(self, "feed_forward", ((),) * len(self.patterns))
         self.validate()
 
     def __hash__(self) -> int:  # hashed once: each run looks its map up by the circuit
@@ -145,18 +150,21 @@ class Circuit(Record):
         """Raise ``CircuitError`` at the first entry that misnames or
         redeclares a mode or slot, names an undeclared mode or one unfolded
         away, breaks a ``_FIELD_RULES`` rule, is an element that ``block``
-        refuses, or is a pattern that detects on a non-output mode."""
+        refuses, or is a pattern, output or correction on a non-output mode;
+        corrections, a tuple per pattern and alike for equal ones, need output."""
         declared: set[str] = set()
         for i, mode in enumerate(self.modes):
-            if not _NAME.fullmatch(mode):
+            if not _NAME.fullmatch(mode) or mode == "then":  # `then` starts a detect line's corrections
                 raise CircuitError(f"invalid mode name {mode!r}", ("modes", i), mode)
             if mode in declared:
                 raise CircuitError(f"mode {mode!r} declared twice", ("modes", i), mode)
             declared.add(mode)
 
-        def check(mode: str, entry: tuple[str, int]) -> None:
+        def check(mode: str, entry: tuple[str, int], role: str = "") -> None:
             if mode not in declared:
                 raise CircuitError(f"undeclared mode {mode!r}", entry, mode)
+            if role and mode not in live:
+                raise CircuitError(f"{role} references non-output mode {mode!r}", entry, mode)
 
         slots: set[str] = set()
         retired: set[str] = set()
@@ -185,11 +193,26 @@ class Circuit(Record):
                     retired.add(entry.src)
         live = self.output_modes()
         for i, pattern in enumerate(self.patterns):
-            at = ("patterns", i)
             for mode in sorted(pattern.constrained_modes()):
-                check(mode, at)
-                if mode not in live:
-                    raise CircuitError(f"detection references non-output mode {mode!r}", at, mode)
+                check(mode, ("patterns", i), "detection")
+        for i, mode in enumerate(self.output):
+            check(mode, ("output", i), "output")
+        corrections = [element for tail in self.feed_forward for element in tail]
+        if len(self.feed_forward) != len(self.patterns):
+            raise CircuitError("feed_forward needs one tuple per pattern", ("feed_forward", 0))
+        if corrections and not self.output:
+            raise CircuitError("corrections need an 'output' directive", ("feed_forward", 0))
+        for i, element in enumerate(corrections):
+            for mode in [value for name, value in vars(element).items() if name != ANGLE]:
+                check(mode, ("feed_forward", i), "correction")
+            try:
+                block(element)
+            except ElementError as exc:
+                raise CircuitError(str(exc), ("feed_forward", i), field=exc.field) from None
+        tails: dict = {}
+        for i, (pattern, tail) in enumerate(zip(self.patterns, self.feed_forward)):
+            if tails.setdefault(pattern.requirements, tail) != tail:
+                raise CircuitError("pattern repeats an earlier one with other corrections", ("patterns", i))
 
 
 # -- state preparation and running ----------------------------------------
@@ -277,6 +300,26 @@ def run_circuit(
     return [ConditionalOutcome(*conditioned(terms), p) for terms, p in zip(kept, circuit.patterns)]
 
 
+@lru_cache(maxsize=PLAN_LIMIT)
+def _feed_forward(circuit: Circuit) -> dict:
+    """Each pattern's corrections compiled into one map that factors onto the
+    output modes, by its requirements (compared without ``Record.__eq__``)."""
+    maps = {}
+    for pattern, corrections in zip(circuit.patterns, circuit.feed_forward):
+        compiled = compile_elements(corrections)
+        maps[pattern.requirements] = MemoRules(compiled, compiled.checks, modes=circuit.output or None)
+    return maps
+
+
+def corrected(outcome: ConditionalOutcome, circuit: Circuit, name: str = "matching") -> PureState:
+    """``outcome``'s state through its pattern's corrections, factored onto the
+    output modes; a pattern the circuit lacks is refused, naming it ``name``."""
+    correction = _feed_forward(circuit).get(outcome.pattern.requirements)
+    if correction is None:
+        raise ValueError(f"outcome does not carry a {name} detection pattern")
+    return outcome.state.substituted(correction)
+
+
 # -- fusion apparatus -------------------------------------------------------
 
 
@@ -331,43 +374,10 @@ def run_fusion(psi=None, phi=None, *, entangled=None) -> list[ConditionalOutcome
     return run_circuit(circuit, bindings={"psi": tuple(psi), "phi": tuple(phi)})
 
 
-def _corrected(outcome: ConditionalOutcome, apparatus: str) -> PureState:
-    """``outcome``'s state through its pattern's map in ``_feed_forward``; an
-    outcome of a pattern the apparatus's circuit lacks is refused."""
-    correction = _feed_forward(apparatus).get(outcome.pattern.requirements)
-    if correction is None:
-        raise ValueError(f"outcome does not carry a {apparatus} detection pattern")
-    return outcome.state.substituted(correction)
-
-
-@lru_cache(maxsize=PLAN_LIMIT)
-def _feed_forward(apparatus: str) -> dict:
-    """The apparatus's feed-forward by pattern requirements (which compare
-    without a call to ``Record.__eq__``): the pattern's entry of its
-    corrections compiled into one map that factors onto its output modes."""
-    build, corrections, modes = {
-        "fusion": (build_fusion_circuit, _FUSION_FLIPS, ("t1", "t2")),
-        "fission": (build_fission_circuit, _FISSION_CORRECTIONS, ("t", "c")),
-    }[apparatus]
-    maps = {}
-    for pattern, elements in zip(build().patterns, corrections):
-        compiled = compile_elements(elements)
-        maps[pattern.requirements] = MemoRules(compiled, compiled.checks, modes=modes)
-    return maps
-
-
 def apply_feed_forward(outcome: ConditionalOutcome) -> PureState:
-    """Correct a heralded fusion branch onto the canonical merged state.
-
-    A V detection on ``a`` flips H/V on ``t1``; a V detection on ``c`` flips
-    them on ``t2``.  Returns the corrected output-photon state on t1/t2.  An
-    outcome of any other pattern is refused.
-    """
-    return _corrected(outcome, "fusion")
-
-
-#: the fusion feed-forward's flips, by pattern: (a, c) = HH, HV, VH, VV
-_FUSION_FLIPS = ((), (SigmaX("t2"),), (SigmaX("t1"),), (SigmaX("t1"), SigmaX("t2")))
+    """Correct a heralded fusion branch onto the merged state on t1/t2, as
+    ``fusion.lop`` declares; an outcome of any other pattern is refused."""
+    return corrected(outcome, build_fusion_circuit(), "fusion")
 
 
 # -- fission apparatus ------------------------------------------------------
@@ -402,17 +412,6 @@ def fission_success_target(amps) -> PureState:
 
 
 def fission_feed_forward(outcome: ConditionalOutcome) -> PureState:
-    """Correct a heralded fission branch onto the canonical split state.
-
-    A V-polarized ancilla needs a sign flip of the V component on ``t``; an
-    exit through ``c'`` needs an H/V swap on ``t`` (flip applied first), and
-    the output is relabeled onto ``c``.  Returns the two-photon state on
-    (t, c).  An outcome of any other pattern is refused.
-    """
-    return _corrected(outcome, "fission")
-
-
-#: the fission feed-forward's corrections, by pattern: (a, exit) = (H, c),
-#: (V, c), (H, c'), (V, c'); the flip comes first, then the swap and relabel
-_FLIP, _SWAP = (SignFlipV("t"),), (SigmaX("t"), Relabel("c'", "c"))
-_FISSION_CORRECTIONS = ((), _FLIP, _SWAP, _FLIP + _SWAP)
+    """Correct a heralded fission branch onto the split state on (t, c), as
+    ``fission.lop`` declares; an outcome of any other pattern is refused."""
+    return corrected(outcome, build_fission_circuit(), "fission")

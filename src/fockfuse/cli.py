@@ -27,6 +27,7 @@ from .circuits import (
     FUSED_KETS,
     SPLIT_KETS,
     apply_feed_forward,
+    corrected,
     fission_feed_forward,
     fission_success_target,
     fused_target,
@@ -345,6 +346,8 @@ def cmd_run(args) -> int:
         )
         if args.dump_state and not outcome.state.is_zero:
             dumps[f"outcome {idx}"] = outcome.state.to_canonical_text()
+            if circuit.output:  # the branch through its declared corrections
+                dumps[f"corrected {idx}"] = corrected(outcome, circuit).to_canonical_text()
     tables = {"detection outcomes": rows}
     if dumps:
         tables["state dump"] = dumps

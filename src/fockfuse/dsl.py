@@ -13,7 +13,8 @@ One directive per line, ``#`` starts a comment.  Directives:
     sigmax <mode>
     signflipv <mode>
     relabel <from> <to>
-    detect <modespec> <H|V|any|none> ...
+    detect <modespec> <H|V|any|none> ... [then <element directive> ...]
+    output <mode> ...
 
 An input or element directive is its record (``photon``, ``qubit`` and
 ``qudit`` are ``PhotonIn``, ``QubitSlot`` and ``QuditSlot``; an element is
@@ -21,8 +22,12 @@ its class name in lower case) with the fields as arguments in order, a
 defaulted last field being optional.  Fields parse by name, the angle
 (``circuits.ANGLE``) being the one number, which the serializer writes back
 with ``repr``.  A ``detect`` line is one detection pattern; a ``modespec`` is
-a mode or a ``+``-joined group (``t1+t2``) constrained as a whole.  The
-circuits shipped with the package live in ``SHIPPED``.
+a mode or a ``+``-joined group (``t1+t2``) constrained as a whole.  After
+``then`` come its branch's corrections (feed-forward): element directives,
+in order, each taking as many words as its fields.  The one ``output`` line,
+which corrections need, names the modes a corrected branch is factored onto;
+``then`` names no mode.  The shipped circuits, corrections included, live in
+``SHIPPED``.
 
 The parser checks syntax only; each ``DetectionPattern`` and the ``Circuit``
 judge their own content when they are built, as in Python.
@@ -77,19 +82,33 @@ def _pol(word: str) -> str:
 
 
 def parse_circuit(text: str) -> Circuit:
-    # each section's (entry, source line), so validation errors get positions
-    sections: dict[str, list] = {"modes": [], "inputs": [], "elements": [], "patterns": []}
+    # each section's (entry, line, index of the token before its fields), for error positions
+    sections: dict[str, list] = {key: [] for key in "modes inputs elements patterns output feed_forward".split()}
+    tails: list[tuple] = []  # each pattern's corrections
 
-    def arity(line: _Line, low: int, high: int) -> list[str]:
-        words = line.words
-        n = len(words) - 1
+    def arity(line: _Line, low: int, high: int, at: int = 0, stop: int | None = None) -> list[str]:
+        words = line.words[at + 1:stop]
+        n = len(words)
         if not low <= n <= high:
             count = f"{low}" if low == high else f"{low} or {high}"
             raise line.fail(
-                f"{words[0]!r} takes {count} argument{'s' if high != 1 else ''}, got {n}",
-                high if n > high else 0,
+                f"{line.words[at]!r} takes {count} argument{'s' if high != 1 else ''}, got {n}",
+                at + high if n > high else at,
             )
         return words
+
+    def record(line: _Line, at: int = 0, stop: int | None = None):
+        """The input or element whose directive is token ``at``, its fields the words after it."""
+        cls = _DIRECTIVES[line.words[at].lower()]
+        fields = cls.__match_args__
+        args: list = []
+        words = arity(line, len(fields) - len(cls._defaults), len(fields), at, stop)
+        for i, (word, name) in enumerate(zip(words, fields), start=at + 1):
+            try:
+                args.append(float(word) if name == ANGLE else _pol(word) if name == "pol" else word)
+            except ValueError:
+                raise line.fail(f"angle must be a number, got {word!r}", i) from None
+        return cls(*args)
 
     for number, raw in enumerate(text.splitlines(), start=1):
         line = _Line(number, raw)
@@ -98,49 +117,56 @@ def parse_circuit(text: str) -> Circuit:
         head = line.words[0].lower()
 
         if head == "mode":
-            sections["modes"].append((arity(line, 1, 1)[1], line))
+            sections["modes"].append((arity(line, 1, 1)[0], line, 0))
 
         elif head in _DIRECTIVES:
-            cls = _DIRECTIVES[head]
-            fields = cls.__match_args__
-            words = arity(line, len(fields) - len(cls._defaults), len(fields))
-            args: list = []
-            for i, (word, name) in enumerate(zip(words[1:], fields), start=1):
-                try:
-                    args.append(float(word) if name == ANGLE else _pol(word) if name == "pol" else word)
-                except ValueError:
-                    raise line.fail(f"angle must be a number, got {word!r}", i) from None
-            section = "elements" if cls in OpticalElement.__args__ else "inputs"
-            sections[section].append((cls(*args), line))
+            section = "elements" if _DIRECTIVES[head] in OpticalElement.__args__ else "inputs"
+            sections[section].append((record(line), line, 0))
 
         elif head == "detect":
             words = line.words
-            if len(words) < 3 or len(words) % 2 == 0:
+            cut = words.index("then") if "then" in words else len(words)
+            if cut < 3 or cut % 2 == 0:
                 raise line.fail("'detect' takes <modespec> <H|V|any|none> pairs")
-            pairs = [(group.split("+"), _pol(req)) for group, req in zip(words[1::2], words[2::2])]
+            pairs = [(group.split("+"), _pol(req)) for group, req in zip(words[1:cut:2], words[2:cut:2])]
             try:
                 pattern = DetectionPattern.of(pairs)
             except PatternError as exc:
                 raise line.fail(str(exc), 1 + 2 * exc.pair + (exc.part == "requirement")) from None
-            sections["patterns"].append((pattern, line))
+            sections["patterns"].append((pattern, line, 0))
+            at, tail = cut + 1, []
+            while at < len(words):  # each correction reads as many words as its fields
+                cls = _DIRECTIVES.get(words[at].lower())
+                if cls not in OpticalElement.__args__:
+                    raise line.fail(f"unknown element {words[at]!r} after 'then'", at)
+                tail.append(record(line, at, at + 1 + len(cls.__match_args__)))
+                sections["feed_forward"].append((tail[-1], line, at))
+                at += 1 + len(cls.__match_args__)
+            tails.append(tuple(tail))
+
+        elif head == "output":
+            if sections["output"] or len(line.words) < 2:
+                raise line.fail("'output' takes one or more modes, on one line")
+            sections["output"] += [(mode, line, i) for i, mode in enumerate(line.words[1:])]
 
         else:
             raise line.fail(f"unknown directive {line.words[0]!r}")
 
     try:
-        return Circuit(
-            **{section: tuple(entry for entry, _ in entries) for section, entries in sections.items()}
-        )
+        entries = {section: tuple(entry for entry, _, _ in listed) for section, listed in sections.items()}
+        return Circuit(**entries | {"feed_forward": tuple(tails)})  # corrections by pattern, not listed flat
     except CircuitError as exc:
         section, index = exc.entry
-        entry, line = sections[section][index]
+        entry, line, at = sections[section][index]
         words = line.words
         if exc.field:  # an input's or element's arguments follow its fields in order
-            at = 1 + entry.__match_args__.index(exc.field)
+            at += 1 + entry.__match_args__.index(exc.field)
         elif section == "patterns":  # a detect line names modes in its odd, `+`-joined tokens
-            at = next(i for i in range(1, len(words), 2) if exc.mode in words[i].split("+"))
-        else:
-            at = words.index(exc.mode, 1)
+            at = next((i for i in range(1, len(words), 2) if exc.mode in words[i].split("+")), 0)
+        elif exc.mode:
+            at = words.index(exc.mode, at + 1)
+        else:  # corrections without an output: at their `then`
+            at -= 1
         raise line.fail(str(exc), at) from None
 
 
@@ -159,9 +185,11 @@ def serialize_circuit(circuit: Circuit) -> str:
     """Render a circuit back into DSL text (parse round trips exactly)."""
     lines = [f"mode {m}" for m in circuit.modes]
     lines += ["", *map(_directive, circuit.inputs), "", *map(_directive, circuit.elements), ""]
-    for pattern in circuit.patterns:
+    for pattern, tail in zip(circuit.patterns, circuit.feed_forward):
         pairs = (f"{'+'.join(sorted(group))} {req}" for group, req in pattern.requirements)
-        lines.append(" ".join(["detect", *pairs]))
+        lines.append(" ".join(["detect", *pairs, *(["then", *map(_directive, tail)] if tail else [])]))
+    if circuit.output:
+        lines.append(" ".join(["output", *circuit.output]))
     return "\n".join(lines) + "\n"
 
 

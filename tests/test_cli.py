@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fockfuse
+from fockfuse import cli, dsl
+from fockfuse.circuits import apply_feed_forward, fission_feed_forward, run_circuit
 from fockfuse.cli import main
-from fockfuse.dsl import ParseError, parse_circuit, serialize_circuit
+from fockfuse.distinguishability import closed_form_matrix
+from fockfuse.dsl import ParseError, load_named_circuit, parse_circuit, serialize_circuit
 from fockfuse.circuits import build_fusion_circuit
 from fockfuse.verify import CHECKS
 
@@ -259,6 +263,108 @@ def test_amplitude_input_keeps_the_error_contract(command, data):
             assert any(value), value
         else:
             assert math.isfinite(value), value
+
+
+#: each shipped circuit, with bindings for its slots
+SHIPPED_RUNS = {
+    "fusion.lop": ["--bind", "psi=0.6,0.8", "--bind", "phi=1,1j"],
+    "fission.lop": ["--bind", "input=0.5,0.5j,-0.5,0.5"],
+}
+#: words a mutation may write into a shipped file
+LOP_WORDS = (
+    "then", "output", "detect", "mode", "photon", "qubit", "hwp", "pbs", "unfold", "merge", "sigmax",
+    "signflipv", "relabel", "H", "V", "any", "none", "t1+t2", "c+c'", "+", "a+", "t", "c", "a", "t2",
+    "c'", "zz", "22.5", "nan", "1e309", "-1e309", "#",
+)
+
+
+@st.composite
+def mutated_lops(draw):
+    """A shipped file and its bindings, its text with one to three tokens
+    dropped, duplicated, swapped with the next or replaced from ``LOP_WORDS``."""
+    name = draw(st.sampled_from(sorted(SHIPPED_RUNS)))
+    lines = [line.split() for line in (dsl.SHIPPED / name).read_text().splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.sampled_from([i for i, words in enumerate(lines) if words]))
+        words, at = lines[row], draw(st.integers(0, len(lines[row]) - 1))
+        kind = draw(st.sampled_from(("drop", "duplicate", "swap", "replace")))
+        if kind == "drop":
+            del words[at]
+        elif kind == "duplicate":
+            words.insert(at, words[at])
+        elif kind == "swap":
+            words[at:at + 2] = words[at:at + 2][::-1]
+        else:
+            words[at] = draw(st.sampled_from(LOP_WORDS))
+    return "\n".join(map(" ".join, lines)) + "\n", SHIPPED_RUNS[name]
+
+
+@st.composite
+def mutated_matrices(draw):
+    """A closed-form matrix file, ``.csv`` or ``.json``, with one fault: a
+    row dropped or repeated, a cell that is no number, negative, NaN or
+    infinite, every cell zero, JSON that is no object or has no
+    ``entries``, or another basis."""
+    rows = [list(row) for row in closed_form_matrix("ii", draw(st.sampled_from((0.0, 0.37, 1.0)))).entries]
+    fault = draw(st.sampled_from(("drop row", "repeat row", "cell", "zeros", "not an object", "no entries", "basis")))
+    if fault == "drop row":
+        del rows[draw(st.integers(0, 3))]
+    elif fault == "repeat row":
+        rows.append(rows[0])
+    elif fault == "cell":
+        rows[draw(st.integers(0, 3))][draw(st.integers(0, 3))] = draw(st.sampled_from(("x", -0.25, math.nan, math.inf, "")))
+    elif fault == "zeros":
+        rows = [[0.0] * 4 for _ in rows]
+    if draw(st.booleans()):
+        header = "input/output,+_t1,-_t1,+_t2,-_t2"
+        return ".csv", "\n".join([header, *(",".join([f"r{i}", *map(str, row)]) for i, row in enumerate(rows))]) + "\n"
+    payload = {"basis": "iii" if fault == "basis" else "ii", "entries": rows}
+    if fault == "no entries":
+        del payload["entries"]
+    return ".json", json.dumps([rows] if fault == "not an object" else payload)
+
+
+def contract_run(argv):
+    """``main(argv)``'s exit code and its captured stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def refuse_constant(word):
+    raise AssertionError(f"report holds {word}")
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(mutated_lops().map(lambda drawn: ("run", drawn)), mutated_matrices().map(lambda drawn: ("fit-p", drawn))))
+def test_files_keep_the_error_contract(drawn):
+    """A mutated shipped ``.lop`` through ``run`` (state dump and
+    corrections included) or a faulty matrix through ``fit-p`` exits 0 with
+    a report that holds no NaN or infinity, or exits 2 with one ``error:``
+    line and no report."""
+    command, (first, second) = drawn
+    with tempfile.TemporaryDirectory() as scratch:
+        if command == "run":
+            path = Path(scratch) / "mutated.lop"
+            path.write_text(first)
+            argv = ["run", str(path), *second, "--dump-state"]
+        else:
+            path = Path(scratch) / f"observed{first}"
+            path.write_text(second)
+            argv = ["fit-p", "--input", str(path)]
+        code, out, err = contract_run([*argv, "--format", "json"])
+    if code == 2:
+        assert out == ""
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+        return
+    assert (code, err) == (0, "")
+    report = json.loads(out, parse_constant=refuse_constant)
+    for dump in report["tables"].get("state dump", {}).values():
+        json.loads(dump, parse_constant=refuse_constant)
 
 
 class TestNegativeAmplitudes:
@@ -534,6 +640,29 @@ class TestRunCommand:
         assert "state dump" in payload["tables"]
         dumped = json.loads(payload["tables"]["state dump"]["outcome 0"])
         assert isinstance(dumped, list) and dumped
+
+    @pytest.mark.parametrize("name, binding, feed_forward", [
+        ("fusion", ["psi=0.6,0.8", "phi=1,1j"], apply_feed_forward),
+        ("fission", ["input=0.5,0.5j,-0.5,0.5"], fission_feed_forward),
+    ])
+    def test_dump_holds_each_corrected_branch(self, capsys, name, binding, feed_forward):
+        """A circuit that declares ``output`` dumps each branch through its
+        corrections: a shipped one, what its feed-forward gives."""
+        argv = ["run", f"{name}.lop", *(f"--bind={b}" for b in binding), "--dump-state", "--format", "json"]
+        code, out, _ = run_cli(capsys, *argv)
+        dumps = json.loads(out)["tables"]["state dump"]
+        # bound as the CLI binds them: normalized before ``initial_state`` normalizes again
+        bindings = {b.split("=")[0]: cli._parse_amplitudes(b.split("=")[1]) for b in binding}
+        outcomes = run_circuit(load_named_circuit(name), bindings=bindings)
+        assert code == 0 and sorted(dumps) == sorted(f"{kind} {i}" for kind in ("corrected", "outcome") for i in range(4))
+        for i, outcome in enumerate(outcomes):
+            assert dumps[f"corrected {i}"] == feed_forward(outcome).to_canonical_text()
+
+    def test_dump_of_a_circuit_without_output_holds_no_corrected_branch(self, capsys, tmp_path):
+        path = tmp_path / "plain.lop"
+        path.write_text("mode a\nphoton a H\nhwp a 22.5\ndetect a H\ndetect a V\n")
+        code, out, _ = run_cli(capsys, "run", str(path), "--dump-state", "--format", "json")
+        assert code == 0 and sorted(json.loads(out)["tables"]["state dump"]) == ["outcome 0", "outcome 1"]
 
 
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 from importlib import resources
@@ -5,7 +6,7 @@ from pathlib import Path
 from typing import get_args
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fockfuse import circuits
 from fockfuse.circuits import (
@@ -14,14 +15,15 @@ from fockfuse.circuits import (
     PhotonIn,
     QubitSlot,
     QuditSlot,
+    corrected,
     initial_state,
     run_circuit,
 )
 from fockfuse.distinguishability import ProbabilityMatrix, closed_form_matrix, similarity
 from fockfuse.dsl import ParseError, parse_circuit, serialize_circuit
-from fockfuse.elements import Hwp, OpticalElement, Pbs, Unfold, apply_elements
+from fockfuse.elements import Hwp, OpticalElement, Pbs, Relabel, SigmaX, Unfold, apply_elements
 from fockfuse.states import H, V, DetectionPattern, PatternError, PureState, normalized_amplitudes, planned
-from test_states import bits, superpose_reference
+from test_states import bits, factor_on_modes_reference, outcome, superpose_reference
 
 DATA = Path(__file__).parent / "data"
 SHIPPED = sorted(
@@ -38,6 +40,16 @@ BAD_FILES = {
     "bad_unnamed_group_member.lop": (4, "empty mode name in group 'a+'"),
 }
 
+#: files that break a rule of the ``then`` and ``output`` grammar -> (line, column, message)
+BAD_GRAMMAR = {
+    "bad_then_non_output.lop": (6, 26, "correction references non-output mode 'a'"),
+    "bad_output_undeclared.lop": (5, 10, "undeclared mode 'z'"),
+    "bad_output_non_output.lop": (8, 10, "output references non-output mode 't'"),
+    "bad_then_without_output.lop": (5, 12, "corrections need an 'output' directive"),
+    "bad_then_unknown_head.lop": (4, 28, "unknown element 'photon' after 'then'"),
+    "bad_then_short_arity.lop": (5, 35, "'relabel' takes 2 arguments, got 1"),
+}
+
 
 class TestParsing:
     def test_single_element_line(self):
@@ -47,6 +59,26 @@ class TestParsing:
     def test_comments_and_blank_lines_ignored(self):
         circuit = parse_circuit("# header\n\nmode a  # trailing\nhwp a 10\n")
         assert circuit.modes == ("a",)
+
+    def test_corrections_read_each_element_by_its_arity(self):
+        """Words after ``then`` are taken greedily, as many per element as its
+        fields, so a mode may share a directive's name."""
+        circuit = parse_circuit(
+            "mode a\nmode hwp\nphoton a H\ndetect a H then relabel hwp a hwp a 45 sigmax hwp\noutput a hwp\n"
+        )
+        assert circuit.feed_forward == ((Relabel("hwp", "a"), Hwp("a", 45.0), SigmaX("hwp")),)
+        assert circuit.output == ("a", "hwp")
+        assert parse_circuit(serialize_circuit(circuit)) == circuit
+
+    def test_then_is_no_mode_name_and_output_comes_once(self):
+        with pytest.raises(ParseError, match="line 1, column 6: invalid mode name 'then'"):
+            parse_circuit("mode then\n")
+        with pytest.raises(ParseError, match="line 3, column 1: 'output' takes one or more modes, on one line"):
+            parse_circuit("mode a\noutput a\noutput a\n")
+
+    def test_equal_patterns_need_equal_corrections(self):
+        with pytest.raises(ParseError, match="line 3, column 1: pattern repeats an earlier one with other corr"):
+            parse_circuit("mode a\ndetect a H then sigmax a\ndetect a H\noutput a\n")
 
     def test_detect_group_syntax(self):
         circuit = parse_circuit("mode a\nmode b\nphoton a H\nphoton b h\ndetect a+b any\n")
@@ -73,6 +105,13 @@ class TestErrors:
         assert err.line == line
         assert err.column >= 1
         assert needle in str(err)
+
+    @pytest.mark.parametrize("name", sorted(BAD_GRAMMAR))
+    def test_grammar_errors_point_at_their_token(self, name):
+        with pytest.raises(ParseError) as excinfo:
+            parse_circuit((DATA / name).read_text())
+        err = excinfo.value
+        assert (err.line, err.column, err.message) == BAD_GRAMMAR[name]
 
     def test_arity_error_inline(self):
         with pytest.raises(ParseError) as excinfo:
@@ -116,9 +155,26 @@ def detection_patterns(draw, outputs):
     return DetectionPattern.of(spec)
 
 
+def drawn_element(draw, available):
+    """An element of any kind on the ``available`` modes that ``block``
+    accepts, or None where a ``pbs`` would need two of them."""
+    live = st.sampled_from(available)
+    kind = draw(st.sampled_from(get_args(OpticalElement)))
+    if kind is Hwp:
+        return Hwp(draw(live), draw(st.floats(allow_nan=False, allow_infinity=False)))
+    if kind is Pbs:  # two distinct inputs and two distinct outputs
+        if len(available) < 2:
+            return None
+        pair = st.lists(live, min_size=2, max_size=2, unique=True)
+        return Pbs(*draw(pair), *draw(pair))
+    return kind(*(draw(live) for _ in kind.__match_args__))
+
+
 @st.composite
 def valid_circuits(draw, min_inputs=0, max_inputs=3):
-    """Circuits of every element kind that pass ``Circuit.validate``."""
+    """Circuits of every element kind that pass ``Circuit.validate``; half of
+    those with outputs declare some, and then corrections on output modes
+    for their patterns, equal patterns alike."""
     modes = tuple(draw(st.lists(st.sampled_from(MODE_POOL), min_size=1, max_size=5, unique=True)))
     mode = st.sampled_from(modes)
     inputs = tuple(draw(st.lists(st.one_of(
@@ -130,18 +186,9 @@ def valid_circuits(draw, min_inputs=0, max_inputs=3):
     assume(len(slots) == len(set(slots)))
     elements, retired = [], set()
     for _ in range(draw(st.integers(0, 8))):
-        available = [m for m in modes if m not in retired]
-        live = st.sampled_from(available)
-        kind = draw(st.sampled_from(get_args(OpticalElement)))
-        if kind is Hwp:
-            element = Hwp(draw(live), draw(st.floats(allow_nan=False, allow_infinity=False)))
-        elif kind is Pbs:  # two distinct inputs and two distinct outputs
-            if len(available) < 2:
-                continue
-            pair = st.lists(live, min_size=2, max_size=2, unique=True)
-            element = Pbs(*draw(pair), *draw(pair))
-        else:
-            element = kind(*(draw(live) for _ in kind.__match_args__))
+        element = drawn_element(draw, [m for m in modes if m not in retired])
+        if element is None:
+            continue
         elements.append(element)
         if isinstance(element, Unfold):
             retired.add(element.src)
@@ -150,7 +197,14 @@ def valid_circuits(draw, min_inputs=0, max_inputs=3):
     circuit = Circuit(modes, inputs, tuple(elements), ())
     outputs = sorted(circuit.output_modes())
     patterns = draw(st.lists(detection_patterns(outputs), max_size=3)) if outputs else []
-    return Circuit(modes, inputs, tuple(elements), tuple(patterns))
+    if not outputs or draw(st.booleans()):
+        return Circuit(modes, inputs, tuple(elements), tuple(patterns))
+    output = tuple(draw(st.lists(st.sampled_from(outputs), min_size=1, unique=True)))
+    tails: dict = {}
+    for pattern in patterns:
+        corrections = (drawn_element(draw, outputs) for _ in range(draw(st.integers(0, 2))))
+        tails.setdefault(pattern.requirements, tuple(c for c in corrections if c is not None))
+    return Circuit(modes, inputs, tuple(elements), tuple(patterns), tuple(tails[p.requirements] for p in patterns), output)
 
 
 def mostly(usual, odd=st.text(max_size=3)):
@@ -162,9 +216,10 @@ def mostly(usual, odd=st.text(max_size=3)):
 def named_circuits(draw):
     """The raw parts of a circuit whose names, polarizations and tags may be
     any text, its patterns as raw (group, requirement) pairs, so that many of
-    them break a rule of ``Circuit.validate`` or ``DetectionPattern``."""
+    them break a rule of ``Circuit.validate`` or ``DetectionPattern``, and
+    sometimes its output modes and each pattern's corrections."""
     modes = draw(st.lists(st.sampled_from(MODE_POOL), min_size=1, max_size=4, unique=True))
-    modes += draw(mostly(st.just([]), st.lists(st.text(max_size=3), min_size=1, max_size=1)))
+    modes += draw(mostly(st.just([]), st.lists(mostly(st.text(max_size=3), st.just("then")), min_size=1, max_size=1)))
     mode = st.sampled_from(modes)
     name = mostly(st.sampled_from(("psi", "phi", "input")))
     pol, tag = mostly(st.sampled_from((H, V))), mostly(st.sampled_from(("", "A")))
@@ -174,16 +229,22 @@ def named_circuits(draw):
         st.builds(QuditSlot, mode, mode, name),
     ), max_size=3))
     kinds = [kind for kind in get_args(OpticalElement) if kind is not Hwp]
-    elements = draw(st.lists(st.one_of(
+    element = st.one_of(
         st.builds(Hwp, mode, st.floats()),
         *(st.builds(kind, *[mode] * len(kind.__match_args__)) for kind in kinds),
-    ), max_size=3))
+    )
+    elements = draw(st.lists(element, max_size=3))
     group = mostly(st.frozensets(mode, min_size=1, max_size=2),
                    st.frozensets(mostly(mode), max_size=2))
     requirement = mostly(st.sampled_from((H, V, "any", "none")), st.just("bogus"))
     pairs = mostly(st.lists(st.tuples(group, requirement), min_size=1, max_size=3), st.just([]))
-    patterns = draw(st.lists(pairs.map(tuple), max_size=2))
-    return tuple(modes), tuple(inputs), tuple(elements), tuple(patterns)
+    declared = draw(st.booleans())  # output modes and each pattern's corrections
+    patterns = draw(st.lists(pairs.map(tuple), min_size=declared, max_size=2))
+    if not declared:
+        return tuple(modes), tuple(inputs), tuple(elements), tuple(patterns), (), ()
+    tails = tuple(draw(st.lists(element, min_size=1, max_size=2)) for _ in patterns)
+    output = draw(mostly(st.lists(mode, min_size=1, max_size=2), st.lists(mostly(mode), max_size=2)))
+    return tuple(modes), tuple(inputs), tuple(elements), tuple(patterns), tuple(map(tuple, tails)), tuple(output)
 
 
 def initial_state_reference(circuit, bindings, tags):
@@ -211,9 +272,9 @@ class TestGenerated:
     @settings(deadline=None)
     @given(named_circuits())
     def test_circuits_that_validate_round_trip(self, parts):
-        modes, inputs, elements, patterns = parts
+        modes, inputs, elements, patterns, tails, output = parts
         try:
-            circuit = Circuit(modes, inputs, elements, tuple(map(DetectionPattern, patterns)))
+            circuit = Circuit(modes, inputs, elements, tuple(map(DetectionPattern, patterns)), tails, output)
         except (CircuitError, PatternError):
             return
         assert parse_circuit(serialize_circuit(circuit)) == circuit
@@ -238,7 +299,7 @@ class TestGenerated:
         bindings = {} if isinstance(inp, PhotonIn) else {inp.name: amps}
         state = initial_state(circuit, bindings).normalized()
         try:
-            outcomes = run_circuit(circuit.replace(patterns=patterns), state)
+            outcomes = run_circuit(circuit.replace(patterns=patterns, feed_forward=()), state)
         except ValueError as exc:  # an element wrote onto a target that is not empty
             assert "already carries photons" in str(exc) or "merge undefined" in str(exc)
             assume(False)
@@ -308,6 +369,20 @@ class TestGenerated:
             assert got.pattern == pattern and got.probability == want.probability
             assert list(got.state.items()) == list(want.state.items())
 
+    @settings(deadline=None, max_examples=20)
+    @given(valid_circuits().filter(lambda circuit: circuit.output))
+    def test_corrected_equals_correcting_then_factoring(self, circuit):
+        """A generated circuit's declared corrections and output give each
+        branch the bits, or the refusal, of ``apply_elements`` on its state
+        followed by the plain factoring loop."""
+        try:
+            outcomes = run_circuit(circuit, initial_state(circuit, bound(circuit)))
+        except ValueError:  # an element wrote onto a target that is not empty
+            assume(False)
+        for got, tail in zip(outcomes, circuit.feed_forward):
+            reference = lambda: factor_on_modes_reference(apply_elements(got.state, tail), circuit.output)
+            assert outcome(corrected, got, circuit) == outcome(reference)
+
     @settings(deadline=None)
     @given(st.one_of(
         st.text(),
@@ -326,6 +401,88 @@ class TestGenerated:
             parse_circuit(text)
         except ParseError:
             pass
+
+
+#: amplitudes bound to each kind of slot
+SLOT_BINDINGS = {QubitSlot: (0.6, 0.8j), QuditSlot: (0.5, 0.5j, -0.5, 0.5)}
+#: the names a renaming gives the modes of ``MODE_POOL``, which no other token uses
+RENAMED_MODES = ("q", "r_2", "s'", "m0", "zz", "b1", "y_")
+
+
+def bound(circuit):
+    return {i.name: SLOT_BINDINGS[type(i)] for i in circuit.inputs if not isinstance(i, PhotonIn)}
+
+
+def pattern_probabilities(circuit, state):
+    """Each pattern's probability, or None when a structural check refuses the run."""
+    try:
+        return [outcome.probability for outcome in run_circuit(circuit, state)]
+    except ValueError as exc:
+        assert "already carries photons" in str(exc) or "merge undefined" in str(exc)
+        return None
+
+
+def assert_same_probabilities(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert len(got) == len(want) and all(abs(g - w) <= 1e-12 for g, w in zip(got, want))
+
+
+#: the tags a renaming permutes
+TAGS = ("A", "tag_2", "B")
+#: an H photon tagged A and an untagged V photon meet on one mode, and a
+#: Hadamard plate there parts them onto h and v only if they differ
+HONG_OU_MANDEL = parse_circuit(
+    "mode a\nmode b\nmode h\nmode v\nphoton a H A\nphoton b V\npbs a b a b\nhwp a 22.5\nunfold a h v\ndetect h any v any\n"
+)
+
+
+@st.composite
+def tagged_circuits(draw):
+    """A generated circuit and a tag, maybe none, for each mode a slot occupies."""
+    circuit = draw(valid_circuits())
+    slots = (i for i in circuit.inputs if not isinstance(i, PhotonIn))
+    occupied = sorted({m for i in slots for m in ((i.mode1, i.mode2) if isinstance(i, QuditSlot) else (i.mode,))})
+    return circuit, {m: draw(st.sampled_from(("", *TAGS))) for m in occupied}
+
+
+class TestInvariance:
+    """Every pattern's probability is a property of the physics, not of the
+    input's global phase or of the names its modes and tags are given."""
+
+    @settings(deadline=None, max_examples=20)
+    @given(valid_circuits(), st.floats(-math.pi, math.pi))
+    def test_a_global_phase_on_the_input(self, circuit, angle):
+        state = initial_state(circuit, bound(circuit))
+        phased = cmath.exp(1j * angle) * state
+        assert_same_probabilities(pattern_probabilities(circuit, phased), pattern_probabilities(circuit, state))
+
+    @settings(deadline=None, max_examples=20)
+    @given(valid_circuits(), st.permutations(RENAMED_MODES))
+    def test_renaming_every_mode_in_the_text(self, circuit, names):
+        """Every mode token, ``+`` group members, ``then`` and ``output``
+        lines included, renamed in the serialized text and parsed again."""
+        names = dict(zip(MODE_POOL, names))
+        rename = lambda word: "+".join(names.get(part, part) for part in word.split("+"))
+        text = "\n".join(" ".join(map(rename, line.split())) for line in serialize_circuit(circuit).splitlines())
+        renamed = parse_circuit(text)
+        assert renamed.modes == tuple(names[m] for m in circuit.modes)
+        assert renamed.output == tuple(names[m] for m in circuit.output)
+        got = pattern_probabilities(renamed, initial_state(renamed, bound(renamed)))
+        assert_same_probabilities(got, pattern_probabilities(circuit, initial_state(circuit, bound(circuit))))
+
+    @settings(deadline=None, max_examples=20)
+    @given(tagged_circuits(), st.permutations(TAGS))
+    @example((HONG_OU_MANDEL, {}), ("tag_2", "A", "B"))
+    def test_renaming_every_tag(self, drawn, names):
+        """Photon tags and the tags given to slot modes, renamed one to one
+        (the untagged photons stay untagged)."""
+        (circuit, tags), names = drawn, dict(zip(TAGS, names), **{"": ""})
+        inputs = tuple(i.replace(tag=names[i.tag]) if isinstance(i, PhotonIn) else i for i in circuit.inputs)
+        renamed = circuit.replace(inputs=inputs)
+        got = initial_state(renamed, bound(renamed), tags={m: names[t] for m, t in tags.items()})
+        want = initial_state(circuit, bound(circuit), tags=tags)
+        assert_same_probabilities(pattern_probabilities(renamed, got), pattern_probabilities(circuit, want))
 
 
 # -- validation errors carry their own line and token --------------------------
@@ -390,6 +547,13 @@ REFUSED = {
                                "mode 'a' constrained twice"),
     "hwp at a string angle": (lambda: Circuit(("a",), (PhotonIn("a", H),), (Hwp("a", "45"),), ()),
                               CircuitError, "angle must be a real number, got '45'"),
+    "corrections for no pattern": (lambda: Circuit(("a",), (), (), (), ((SigmaX("a"),),), ("a",)), CircuitError,
+                                   "feed_forward needs one tuple per pattern"),
+    "corrections without output": (lambda: built(pattern=[(("a",), H)]).replace(feed_forward=((SigmaX("a"),),)),
+                                   CircuitError, "corrections need an 'output' directive"),
+    "correction at a NaN angle": (lambda: Circuit(("a",), (), (), (DetectionPattern.of({"a": H}),),
+                                                  ((Hwp("a", math.nan),),), ("a",)),
+                                  CircuitError, "angle must be finite, got nan"),
 }
 
 PHOTON_A = PureState.vacuum().create("a", H)

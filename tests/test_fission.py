@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from fockfuse.circuits import (
+    Circuit,
+    PhotonIn,
     apply_feed_forward,
     build_fission_circuit,
     fission_feed_forward,
@@ -22,8 +24,9 @@ from fockfuse.circuits import (
     run_fission,
     run_fusion,
 )
+from fockfuse.dsl import SHIPPED, parse_circuit
 from fockfuse.elements import Relabel, apply_elements
-from fockfuse.states import H, V, DetectionPattern, PureState, fidelity, product_qudit
+from fockfuse.states import H, V, DetectionPattern, PureState, fidelity, product_qudit, superpose
 from fockfuse.verify import random_qubit, random_qudit
 
 
@@ -123,6 +126,54 @@ class TestBridge:
                 assert abs(target.inner(fission_feed_forward(split)) - 1.0) < 1e-10
                 total += fused.probability * split.probability
         assert total == pytest.approx(1 / 64, abs=1e-12)
+
+
+#: fission's modes in the five-photon bridge: its input is fusion's output
+BRIDGE_NAMES = {"c1": "t1", "c2": "t2", "t": "u", "a": "b", "c": "d", "c'": "d'"}
+
+
+def bridge_circuit():
+    """Fusion then fission as one circuit, built from the two shipped texts:
+    fission's modes renamed by ``BRIDGE_NAMES``, its elements appended to
+    fusion's, its two photons added, and one pattern per pair of branches,
+    fusion's coincidence on t1+t2 left out; no corrections or output.
+    Also returns the renamed fission circuit."""
+    fusion = parse_circuit((SHIPPED / "fusion.lop").read_text())
+    lines = (SHIPPED / "fission.lop").read_text().splitlines()
+    fission = parse_circuit("\n".join(" ".join(BRIDGE_NAMES.get(w, w) for w in line.split()) for line in lines))
+    patterns = tuple(
+        DetectionPattern(tuple(r for r in first.requirements if len(r[0]) == 1) + second.requirements)
+        for first in fusion.patterns for second in fission.patterns
+    )
+    circuit = Circuit(
+        fusion.modes + tuple(m for m in fission.modes if m not in fusion.modes),
+        fusion.inputs + tuple(i for i in fission.inputs if isinstance(i, PhotonIn)),
+        fusion.elements + fission.elements,
+        patterns,
+    )
+    return circuit, fission
+
+
+class TestBridgeCircuit:
+    """The paper's bridge as one optical circuit: two qubits fused into one
+    ququart photon that fission splits back, with no feed-forward between."""
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_every_pattern_heralds_and_fission_corrections_restore_the_input(self, seed):
+        circuit, fission = bridge_circuit()
+        assert (len(circuit.modes), len(circuit.inputs), len(circuit.patterns)) == (9, 5, 16)
+        assert fission.output == ("u", "d")
+        rng = random.Random(seed)
+        psi, phi = random_qubit(rng), random_qubit(rng)
+        kets = tuple((("u", tp), ("d", cp)) for cp in (H, V) for tp in (H, V))
+        target = superpose(PureState.vacuum(), product_qudit(psi, phi), kets)
+        outcomes = run_circuit(circuit, bindings={"psi": psi, "phi": phi})
+        for outcome in outcomes:
+            assert abs(outcome.probability - 1 / 1024) < 1e-10
+        # fusion's HH branches need no correction, so fission's alone restore the input
+        for outcome, corrections in zip(outcomes[:4], fission.feed_forward):
+            split = apply_elements(outcome.state, corrections).factor_on_modes(fission.output)
+            assert abs(target.inner(split) - 1.0) < 1e-10  # global phase included
 
 
 class TestStructure:

@@ -336,9 +336,10 @@ class TestCircuitHash:
             assert twin == circuit and hash(twin) == hash(fresh)
             assert field_values(twin) == field_values(fresh)
             assert "_hash" not in repr(twin) and "_hash" not in repr(fresh)
-        fewer = circuit.replace(patterns=circuit.patterns[:2])
+        fewer = circuit.replace(patterns=circuit.patterns[:2], feed_forward=circuit.feed_forward[:2])
         assert "_hash" not in vars(fewer) and fewer != circuit
-        assert hash(fewer) == hash(fresh.replace(patterns=fresh.patterns[:2])) != hash(circuit)
+        twin = fresh.replace(patterns=fresh.patterns[:2], feed_forward=fresh.feed_forward[:2])
+        assert hash(fewer) == hash(twin) != hash(circuit)
 
     def test_a_circuit_pickled_in_another_process_hashes_here(self):
         """``str`` hashes differ between processes, so a loaded circuit must

@@ -172,7 +172,7 @@ def test_a_report_renders_rows_and_scalars():
 
 def test_replace_checks_the_new_record():
     circuit = build_fusion_circuit()
-    fewer = circuit.replace(patterns=circuit.patterns[:2])
+    fewer = circuit.replace(patterns=circuit.patterns[:2], feed_forward=circuit.feed_forward[:2])
     assert fewer.patterns == circuit.patterns[:2] and fewer.elements is circuit.elements
     with pytest.raises(CircuitError, match="undeclared mode 'zz'"):
         circuit.replace(patterns=(DetectionPattern.of({"zz": "H"}),))
@@ -186,5 +186,5 @@ def test_circuit_hash_is_kept_out_of_its_fields():
     circuit = Circuit(("a",), (PhotonIn("a", "H"),), (), ())
     hash(circuit)
     assert "_hash" in vars(circuit) and "_hash" not in repr(circuit)
-    assert fields(circuit) == (("a",), (PhotonIn("a", "H"),), (), ())
+    assert fields(circuit) == (("a",), (PhotonIn("a", "H"),), (), (), (), ())
 

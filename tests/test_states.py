@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fockfuse import circuits
 from fockfuse.circuits import (
     FUSED_KETS,
     apply_feed_forward,
@@ -548,6 +549,14 @@ def apparatus_outcomes(draw):
 
 
 class TestFeedForward:
+    @pytest.mark.parametrize("apparatus", sorted(FEED_FORWARDS))
+    def test_the_shipped_file_declares_the_corrections(self, apparatus):
+        """The ``then`` tails and ``output`` line parse to the records above,
+        and the engine holds no correction of its own."""
+        _step, circuit, corrections, modes = FEED_FORWARDS[apparatus]
+        assert circuit.feed_forward == corrections and circuit.output == modes
+        assert not {"Relabel", "SigmaX", "SignFlipV"} & set(vars(circuits))
+
     @settings(deadline=None)
     @given(apparatus_outcomes(), AMPLITUDE_SETS)
     def test_one_replay_equals_correcting_then_factoring(self, drawn, amps):
